@@ -12,16 +12,29 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import io
+import itertools
 import json
+import math
 import os
 import sys
 import warnings
+from collections.abc import Callable, Iterable
 from pathlib import Path
+from typing import TextIO
 
 from .config import MODES, FORMATS, RunConfig, parse_config, parse_constants_overrides
 from .errors import ConfigError, GraventError, WidthWarning
 from .model import MassiveBody, PairSystem, PhysicalConstants, zero_point_width
-from .sweep import ROW_FIELD_NAMES, SweepRow, evaluate_point, run_sweep, time_to_max_entanglement
+from .sweep import (
+    ROW_FIELD_NAMES,
+    ROW_FIELD_TYPES,
+    SweepRow,
+    evaluate_point,
+    row_chunks,
+    run_sweep,
+    time_to_max_entanglement,
+)
 
 __all__ = ["main", "rows_to_csv", "rows_to_json"]
 
@@ -32,51 +45,97 @@ def _format_float(value: float, precision: int) -> str:
     return f"{value:.{precision - 1}e}"
 
 
-def _csv_cell(value: object, precision: int) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return _format_float(value, precision)
-    return str(value)
+def _bool_text(column: list) -> list[str]:
+    return ["true" if value else "false" for value in column]
 
 
-def rows_to_csv(rows: list[SweepRow], precision: int = 12) -> str:
+def _texts(column: list, encode: Callable[[object], str]) -> list[str]:
+    """``encode`` of each value, computed once per distinct value: the swept
+    inputs, the radii and the status repeat across a chunk. A zero is keyed
+    by its repr, as 0.0 and -0.0 are one dict key."""
+    texts: dict = {}
+    out = []
+    for value in column:
+        key = value if value else repr(value)
+        text = texts.get(key)
+        if text is None:
+            text = texts[key] = encode(value)
+        out.append(text)
+    return out
+
+
+def _json_float(value: float) -> str:
+    # Non-finite floats are not valid JSON; they are written as null.
+    return repr(value) if math.isfinite(value) else "null"
+
+
+def _write_rows(
+    out: TextIO, line: str, chunks: Iterable[list[list]], cells: dict, separator: str = ""
+) -> None:
+    """Write each row of ``chunks`` as ``line % values``, rows joined by ``separator``.
+
+    ``cells`` maps a row field's type name to what turns its column into
+    the texts ``line`` formats; other columns are formatted as they are.
+    """
+    lead = ""
+    for columns in chunks:
+        values = [cells.get(kind, list)(column) for kind, column in zip(ROW_FIELD_TYPES, columns)]
+        out.write(lead + separator.join([line % row for row in zip(*values)]))
+        lead = separator
+
+
+def rows_to_csv(
+    rows: Iterable[SweepRow], precision: int = 12, out: TextIO | None = None
+) -> str | None:
     """RFC-4180 table: header of row field names, LF line endings.
 
     Floats are written in scientific notation at ``precision`` significant
-    digits; numeric cells are never quoted.
+    digits; numeric cells are never quoted. Writes to ``out`` when given,
+    one chunk of rows at a time, and otherwise returns the text.
     """
-    lines = [",".join(ROW_FIELD_NAMES)]
-    for row in rows:
-        cells = [
-            _csv_cell(getattr(row, name), precision) for name in ROW_FIELD_NAMES
-        ]
-        lines.append(",".join(cells))
-    return "\n".join(lines) + "\n"
+    buffer = io.StringIO() if out is None else out
+    buffer.write(",".join(ROW_FIELD_NAMES) + "\n")
+    line = ",".join(["%s"] * len(ROW_FIELD_NAMES)) + "\n"
+    float_text = f"%.{precision - 1}e".__mod__
+    cells = {"float": lambda column: _texts(column, float_text), "bool": _bool_text}
+    _write_rows(buffer, line, row_chunks(rows), cells)
+    return buffer.getvalue() if out is None else None
 
 
-def _json_value(value: object) -> object:
-    if isinstance(value, float):
-        # NaN is not valid JSON; error rows carry null measures instead.
-        return None if value != value else value
-    return value
+def rows_to_json(rows: Iterable[SweepRow], out: TextIO | None = None) -> str | None:
+    """JSON array of row objects, floats at full round-trip precision, as
+    ``json.dumps(..., indent=2)`` lays it out; non-finite floats are null.
+
+    Writes to ``out`` when given, one chunk of rows at a time, and
+    otherwise returns the text.
+    """
+    buffer = io.StringIO() if out is None else out
+    members = ",\n".join(f"    {json.dumps(name)}: %s" for name in ROW_FIELD_NAMES)
+    cells = {
+        "float": lambda column: _texts(column, _json_float),
+        "bool": _bool_text,
+        "str": lambda column: _texts(column, json.dumps),
+    }
+    chunks = row_chunks(rows)
+    first = next(chunks, None)
+    if first is None:
+        buffer.write("[]\n")
+    else:
+        buffer.write("[\n")
+        line = "  {\n" + members + "\n  }"
+        _write_rows(buffer, line, itertools.chain([first], chunks), cells, ",\n")
+        buffer.write("\n]\n")
+    return buffer.getvalue() if out is None else None
 
 
-def rows_to_json(rows: list[SweepRow]) -> str:
-    """JSON array of row objects, floats at full round-trip precision."""
-    payload = [
-        {name: _json_value(value) for name, value in dataclasses.asdict(row).items()}
-        for row in rows
-    ]
-    return json.dumps(payload, indent=2) + "\n"
-
-
-def _emit(text: str, output: str | None) -> None:
+def _emit(write: Callable[[TextIO], object], output: str | None) -> None:
+    """Run ``write`` on stdout, or on the output file, which it replaces."""
     if output is None:
-        sys.stdout.write(text)
+        write(sys.stdout)
         return
     try:
-        Path(output).write_text(text, encoding="utf-8", newline="\n")
+        with open(output, "w", encoding="utf-8", newline="\n") as fh:
+            write(fh)
     except OSError as exc:
         raise ConfigError(f"cannot write output: {exc}") from None
 
@@ -116,14 +175,17 @@ def _apply_env_constants(config: RunConfig) -> RunConfig:
     overrides = parse_constants_overrides(text)
     if not overrides:
         return config
-    constants = PhysicalConstants(
-        G=overrides.get("G", config.constants.G),
-        hbar=overrides.get("hbar", config.constants.hbar),
-    )
+    try:
+        constants = PhysicalConstants(
+            G=overrides.get("G", config.constants.G),
+            hbar=overrides.get("hbar", config.constants.hbar),
+        )
+    except GraventError as exc:
+        raise ConfigError(f"{CONSTANTS_ENV_VAR}: {exc}") from None
     return dataclasses.replace(config, constants=constants)
 
 
-def _run_report(config: RunConfig) -> str:
+def _run_report(config: RunConfig) -> list[SweepRow]:
     if config.tau is None:
         raise ConfigError("report mode requires 'tau' in section [system]")
     _warn_width_vs_radius(config)
@@ -145,19 +207,15 @@ def _run_report(config: RunConfig) -> str:
         suppress_warnings=False,
     )
     if row.status != "ok":
-        raise GraventError(row.status)
-    return _serialize([row], config)
+        raise GraventError(row.status.removeprefix("error: "))
+    return [row]
 
 
-def _run_sweep(config: RunConfig) -> str:
-    rows = run_sweep(config.sweep_spec(), workers=config.workers)
-    return _serialize(rows, config)
-
-
-def _serialize(rows: list[SweepRow], config: RunConfig) -> str:
+def _serialize(rows: Iterable[SweepRow], config: RunConfig, out: TextIO) -> None:
     if config.format == "json":
-        return rows_to_json(rows)
-    return rows_to_csv(rows, config.precision)
+        rows_to_json(rows, out)
+    else:
+        rows_to_csv(rows, config.precision, out)
 
 
 def _run_tau_star(config: RunConfig) -> str:
@@ -207,21 +265,19 @@ def main(argv: list[str] | None = None) -> int:
                 config = dataclasses.replace(config, format=args.format)
             config = _apply_env_constants(config)
 
-            if config.mode == "report":
-                payload = _run_report(config)
-            elif config.mode == "sweep":
-                payload = _run_sweep(config)
-            else:
-                payload = _run_tau_star(config)
-
             if config.mode == "tau-star":
                 # The inverted time always lands on stdout; a configured
                 # output path receives a copy.
+                payload = _run_tau_star(config)
                 sys.stdout.write(payload)
                 if config.output is not None:
-                    _emit(payload, config.output)
+                    _emit(lambda out: out.write(payload), config.output)
             else:
-                _emit(payload, config.output)
+                if config.mode == "report":
+                    rows = _run_report(config)
+                else:
+                    rows = run_sweep(config.sweep_spec(), workers=config.workers)
+                _emit(lambda out: _serialize(rows, config, out), config.output)
     except ConfigError as exc:
         print(f"gravent: error: {exc}", file=sys.stderr)
         return 1

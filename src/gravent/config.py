@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import configparser
 import io
+import math
 from dataclasses import dataclass, field
 
 from .errors import ConfigError, GraventError
@@ -203,6 +204,8 @@ def parse_config(text: str) -> RunConfig:
         if threshold_raw
         else REGIME_THRESHOLD_DEFAULT
     )
+    if not math.isfinite(threshold):
+        raise ConfigError(f"[run] regime_threshold: must be finite, got {threshold}")
     if threshold <= 0:
         raise ConfigError(f"[run] regime_threshold: must be positive, got {threshold}")
 
@@ -237,6 +240,8 @@ def parse_config(text: str) -> RunConfig:
         raw = get("system", key)
         if raw is not None:
             system[key] = _float("system", key, raw)
+            if not math.isfinite(system[key]):
+                raise ConfigError(f"[system] {key}: must be finite, got {system[key]}")
 
     def require(key: str) -> float:
         if key in system:

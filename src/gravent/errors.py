@@ -25,6 +25,11 @@ class PositivityError(GraventError, ArithmeticError):
     """A density matrix eigenvalue is negative beyond tolerance."""
 
 
+class FloatRangeError(GraventError, ArithmeticError):
+    """An intermediate value leaves the float64 range: a power overflows, or a
+    product that a later step divides by underflows to zero."""
+
+
 class ConfigError(GraventError, ValueError):
     """A run configuration document is malformed or fails validation."""
 

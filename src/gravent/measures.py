@@ -9,18 +9,20 @@ as independent oracles, not here.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
+from . import kernel
 from .dynamics import (
     PhaseSet,
     TwoQubitState,
-    accumulated_phase,
+    accumulated_phase,  # noqa: F401 - looked up here by callers that wrap it by name
     evolve_closed_form,
     initial_product_state,
 )
 from .errors import InputDomainError, PositivityError
+from .kernel import EIGENVALUE_FLOOR, LN2, MATRIX_TOL, PHASE_TOL, SEPARABLE_EPSILON_TOL
 from .model import PairSystem
 
 __all__ = [
@@ -35,18 +37,6 @@ __all__ = [
     "report_from_phases",
     "nearest_multiple_distance",
 ]
-
-LN2 = math.log(2.0)
-
-#: Hermiticity / trace tolerance for density-matrix construction.
-MATRIX_TOL = 1e-12
-#: Linear-entropy floor below which a state counts as separable.
-SEPARABLE_EPSILON_TOL = 1e-12
-#: Phase distance to the nearest 2*pi multiple below which the
-#: "entangling phase is non-zero" requirement counts as violated.
-PHASE_TOL = 1e-9
-#: Eigenvalues below this are a genuine positivity violation, not noise.
-EIGENVALUE_FLOOR = -1e-9
 
 
 @dataclass(frozen=True, slots=True)
@@ -183,18 +173,31 @@ def report_from_phases(phases: PhaseSet) -> EntanglementReport:
     )
 
 
+_REPORT_FIELDS = tuple(f.name for f in fields(EntanglementReport))
+
+
 def report(sys: PairSystem, tau: float) -> EntanglementReport:
     """Full pipeline for one system and interaction time.
 
-    Accumulates the branch phases, evolves the canonical state in closed
+    Accumulates the entangling phase, evolves the canonical state in closed
     form, builds the density matrix and its reduction, and extracts every
-    measure from the matrices.
+    measure from the matrices: a batch of one through ``kernel.evaluate``,
+    which raises what the scalar pipeline raises and emits ``RegimeWarning``
+    past the default regime threshold.
 
     The evolution runs in the same-direction gauge (common branch phase
     subtracted): every measure is invariant under a global phase, and the
     signed relative phase -delta_phi is well conditioned where the raw
     branch phases can exceed float64 angular resolution by many orders.
     """
-    phases = accumulated_phase(sys, tau)
-    gauge = PhaseSet(phi=0.0, phi_prime=-phases.delta_phi, delta_phi=phases.delta_phi)
-    return report_from_phases(gauge)
+    body1, body2 = sys.body1, sys.body2
+    inputs = kernel.single(
+        m1=body1.mass, m2=body2.mass, omega1=body1.omega, omega2=body2.omega,
+        d=sys.separation_d, tau=tau,
+    )
+    batch = kernel.evaluate(inputs, body1.radius, body2.radius, sys.constants, force=False)
+    batch.warn_out_of_regime(0, stacklevel=2)
+    if batch.failed[0]:
+        raise batch.error(0)
+    return EntanglementReport(**{name: batch.values[name].tolist()[0] for name in _REPORT_FIELDS})
+

@@ -9,7 +9,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import InputDomainError
+from .errors import FloatRangeError, InputDomainError
 
 #: CODATA-2018 Newtonian constant of gravitation, m^3 kg^-1 s^-2.
 G_DEFAULT = 6.67430e-11
@@ -119,6 +119,8 @@ def zero_point_width(m: float, omega: float, c: PhysicalConstants) -> float:
         raise InputDomainError(f"mass must be positive, got {m!r}")
     if omega <= 0:
         raise InputDomainError(f"omega must be positive, got {omega!r}")
+    if m * omega == 0:
+        raise FloatRangeError(f"mass*omega underflows to 0 at {m!r} and {omega!r}")
     return math.sqrt(c.hbar / (m * omega))
 
 

@@ -184,12 +184,7 @@ def corrected_potential(
         )
     check = assess_validity(sys, regime_threshold)
     if not check.in_regime:
-        warnings.warn(
-            f"displacement ratio x = {check.ratio_x:.3e} >= {regime_threshold:.3e}: "
-            "the quadratic truncation is unreliable here",
-            RegimeWarning,
-            stacklevel=2,
-        )
+        warn_out_of_regime(check.ratio_x, regime_threshold, stacklevel=2)
     dr1 = zero_point_width(sys.body1.mass, sys.body1.omega, sys.constants)
     dr2 = zero_point_width(sys.body2.mass, sys.body2.omega, sys.constants)
     terms = expand_potential(sys, dr1 + dr2, series_order)
@@ -202,6 +197,16 @@ def corrected_potential(
         v_truncated=v0 * (1.0 + x * x),
         delta_v_g=delta,
         v_g_total=v0 + delta,
+    )
+
+
+def warn_out_of_regime(ratio_x: float, threshold: float, stacklevel: int) -> None:
+    """Emit ``RegimeWarning``; ``stacklevel`` counts from the caller, as in ``warnings.warn``."""
+    warnings.warn(
+        f"displacement ratio x = {ratio_x:.3e} >= {threshold:.3e}: "
+        "the quadratic truncation is unreliable here",
+        RegimeWarning,
+        stacklevel=stacklevel + 1,
     )
 
 

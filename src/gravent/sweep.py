@@ -1,41 +1,46 @@
-"""Parameter-sweep engine: grid construction, per-point pipeline evaluation
-with deterministic ordering, and the analytic time to maximal entanglement.
+"""Parameter-sweep engine: grid construction, columnar evaluation in
+fixed-size chunks with deterministic ordering, and the analytic time to
+maximal entanglement.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, fields
+from collections.abc import Iterable, Iterator, Sequence
+from dataclasses import MISSING, dataclass, field, fields
 
 import numpy as np
 
-from .errors import GraventError, InputDomainError, NoEntanglementError
-from .model import (
-    REGIME_THRESHOLD_DEFAULT,
-    MassiveBody,
-    PairSystem,
-    PhysicalConstants,
-    assess_validity,
-)
-from .measures import report
-from .potential import FORCE_CLOSED_FORM_UNIT, entanglement_force, quantum_correction
+from . import kernel
+from .errors import InputDomainError, NoEntanglementError
+from .model import REGIME_THRESHOLD_DEFAULT, PairSystem, PhysicalConstants
+from .potential import FORCE_CLOSED_FORM_UNIT, quantum_correction
+
+# The scalar pipeline stays importable from this module for callers that wrap
+# it by name (benchmarks/tracer.py does); the engine evaluates through
+# kernel.evaluate.
+from .measures import report  # noqa: F401
+from .model import MassiveBody, assess_validity  # noqa: F401
+from .potential import entanglement_force  # noqa: F401
 
 __all__ = [
     "SWEEP_PARAMETERS",
     "AxisSpec",
     "SweepSpec",
     "SweepRow",
+    "SweepResult",
     "run_sweep",
     "evaluate_point",
     "time_to_max_entanglement",
 ]
 
 #: Sweepable parameters, in canonical grid order (row-major nesting).
-SWEEP_PARAMETERS = ("m1", "m2", "omega1", "omega2", "d", "tau")
+SWEEP_PARAMETERS = kernel.PARAMETERS
 
 MAX_GRID_POINTS_DEFAULT = 1_000_000
+
+#: Grid points evaluated and written per kernel call.
+CHUNK_POINTS = 1024
 
 
 @dataclass(frozen=True, slots=True)
@@ -77,6 +82,8 @@ class SweepSpec:
     regime_threshold: float = REGIME_THRESHOLD_DEFAULT
     symmetrize_force: bool = False
     max_points: int = MAX_GRID_POINTS_DEFAULT
+    #: Each swept parameter's values, computed once.
+    axis_values: dict[str, np.ndarray] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         for name in self.axes:
@@ -97,6 +104,8 @@ class SweepSpec:
             raise InputDomainError(
                 f"grid has {total} points, above the cap of {self.max_points}"
             )
+        values = {name: axis.values() for name, axis in self.axes.items()}
+        object.__setattr__(self, "axis_values", values)
 
     def grid_size(self) -> int:
         size = 1
@@ -108,12 +117,27 @@ class SweepSpec:
         """Parameter values at flat grid index, canonical row-major order."""
         values = dict(self.fixed)
         remainder = index
-        swept = [name for name in SWEEP_PARAMETERS if name in self.axes]
-        for name in reversed(swept):
-            axis_values = self.axes[name].values()
-            remainder, pos = divmod(remainder, len(axis_values))
-            values[name] = float(axis_values[pos])
+        for name in reversed(SWEEP_PARAMETERS):
+            if name in self.axis_values:
+                axis_values = self.axis_values[name]
+                remainder, pos = divmod(remainder, len(axis_values))
+                values[name] = float(axis_values[pos])
         return values
+
+    def inputs(self, indices: np.ndarray) -> kernel.Inputs:
+        """The kernel's inputs at flat grid ``indices``, ordered as in ``point``:
+        per parameter, its distinct values and each point's position in them."""
+        inputs = {}
+        remainder = indices
+        for name in reversed(SWEEP_PARAMETERS):
+            if name in self.axis_values:
+                values = self.axis_values[name]
+                remainder, pos = np.divmod(remainder, len(values))
+            else:
+                values = np.array([self.fixed[name]], dtype=np.float64)
+                pos = np.zeros(len(indices), dtype=np.intp)
+            inputs[name] = (values, pos)
+        return inputs
 
 
 @dataclass(frozen=True, slots=True)
@@ -147,6 +171,40 @@ class SweepRow:
 
 
 ROW_FIELD_NAMES = tuple(f.name for f in fields(SweepRow))
+#: Each row field's type name: "int", "float", "bool" or "str".
+ROW_FIELD_TYPES = tuple(f.type for f in fields(SweepRow))
+_ROW_DEFAULTS = {f.name: f.default for f in fields(SweepRow) if f.default is not MISSING}
+
+
+def _row_columns(
+    indices: np.ndarray,
+    inputs: kernel.Inputs,
+    batch: kernel.Batch,
+    r1: float,
+    r2: float,
+    regime_threshold: float,
+) -> list[list]:
+    """One list per row field, in ROW_FIELD_NAMES order, for the points at
+    ``indices``; a failed point keeps its inputs and gets the row defaults
+    and its error as status."""
+    n = len(indices)
+    columns = {
+        name: (values if pos is None else values[pos]).tolist() for name, (values, pos) in inputs.items()
+    }
+    columns.update((name, column.tolist()) for name, column in batch.values.items())
+    columns.update(
+        index=indices.tolist(),
+        r1=[r1] * n,
+        r2=[r2] * n,
+        regime_threshold=[regime_threshold] * n,
+        force_closed_form_unit=[FORCE_CLOSED_FORM_UNIT] * n,
+        status=["ok"] * n,
+    )
+    for i in np.flatnonzero(batch.failed).tolist():
+        for name, default in _ROW_DEFAULTS.items():
+            columns[name][i] = default
+        columns["status"][i] = batch.status(i)
+    return [columns[name] for name in ROW_FIELD_NAMES]
 
 
 def evaluate_point(
@@ -165,75 +223,80 @@ def evaluate_point(
     carries that information for bulk runs); pass ``suppress_warnings=False``
     to let them propagate.
     """
-    inputs = dict(
-        index=index,
-        m1=params["m1"],
-        m2=params["m2"],
-        r1=r1,
-        r2=r2,
-        omega1=params["omega1"],
-        omega2=params["omega2"],
-        d=params["d"],
-        tau=params["tau"],
-    )
-    try:
-        with warnings.catch_warnings():
-            if suppress_warnings:
-                warnings.simplefilter("ignore")
-            body1 = MassiveBody(params["m1"], r1, params["omega1"])
-            body2 = MassiveBody(params["m2"], r2, params["omega2"])
-            system = PairSystem(body1, body2, params["d"], constants)
-            validity = assess_validity(system, regime_threshold)
-            measures = report(system, params["tau"])
-            force = entanglement_force(system, symmetrize=symmetrize_force)
-    except GraventError as exc:
-        return SweepRow(**inputs, status=f"error: {type(exc).__name__}: {exc}")
-    return SweepRow(
-        **inputs,
-        ratio_x=validity.ratio_x,
-        in_regime=validity.in_regime,
-        regime_threshold=validity.threshold,
-        delta_phi=measures.delta_phi,
-        purity_full=measures.purity_full,
-        purity_reduced=measures.purity_reduced,
-        epsilon=measures.epsilon,
-        entropy_nats=measures.entropy_nats,
-        entropy_bits=measures.entropy_bits,
-        separable_by_measures=measures.separable_by_measures,
-        separable_by_two_pi_criterion=measures.separable_by_two_pi_criterion,
-        force_closed_form=force.closed_form,
-        force_closed_form_unit=force.closed_form_unit,
-        force_gradient=force.gradient_based,
-        status="ok",
-    )
+    inputs = kernel.single(**{name: params[name] for name in SWEEP_PARAMETERS})
+    batch = kernel.evaluate(inputs, r1, r2, constants, regime_threshold, symmetrize_force)
+    if not suppress_warnings:
+        batch.warn_out_of_regime(0, stacklevel=2)
+    columns = _row_columns(np.array([index]), inputs, batch, r1, r2, regime_threshold)
+    return SweepRow(*(column[0] for column in columns))
 
 
-def run_sweep(spec: SweepSpec, workers: int = 1) -> list[SweepRow]:
-    """Evaluate the whole grid, rows ordered by grid index.
+class SweepResult(Sequence):
+    """The rows of a sweep, ordered by grid index.
 
-    The per-point evaluation is a pure function, so the result is
-    independent of ``workers``; per-point failures are recorded in the
-    row's status and never abort the sweep.
+    Rows are evaluated CHUNK_POINTS at a time when read, so no more than one
+    chunk of them is held at once; reading the result twice evaluates it
+    twice.
+    """
+
+    def __init__(self, spec: SweepSpec) -> None:
+        self.spec = spec
+        self._size = spec.grid_size()
+
+    def __len__(self) -> int:
+        return self._size
+
+    def _columns(self, indices: np.ndarray) -> list[list]:
+        spec = self.spec
+        inputs = spec.inputs(indices)
+        batch = kernel.evaluate(
+            inputs, spec.r1, spec.r2, spec.constants, spec.regime_threshold, spec.symmetrize_force
+        )
+        return _row_columns(indices, inputs, batch, spec.r1, spec.r2, spec.regime_threshold)
+
+    def chunks(self) -> Iterator[list[list]]:
+        """Consecutive chunks of rows, each as one list per row field."""
+        for start in range(0, self._size, CHUNK_POINTS):
+            yield self._columns(np.arange(start, min(start + CHUNK_POINTS, self._size)))
+
+    def __iter__(self) -> Iterator[SweepRow]:
+        for columns in self.chunks():
+            yield from (SweepRow(*values) for values in zip(*columns))
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            indices = np.arange(self._size)[index]
+            return [SweepRow(*values) for values in zip(*self._columns(indices))]
+        position = range(self._size)[index]
+        return SweepRow(*(column[0] for column in self._columns(np.array([position]))))
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, (SweepResult, list)):
+            return NotImplemented
+        return list(self) == list(other)
+
+
+def row_chunks(rows: Iterable[SweepRow]) -> Iterator[list[list]]:
+    """Rows as consecutive chunks, each as one list per row field."""
+    if isinstance(rows, SweepResult):
+        yield from rows.chunks()
+        return
+    rows = list(rows)
+    if rows:
+        yield [[getattr(row, name) for row in rows] for name in ROW_FIELD_NAMES]
+
+
+def run_sweep(spec: SweepSpec, workers: int = 1) -> SweepResult:
+    """The whole grid as a sized result, rows ordered by grid index.
+
+    Evaluation is vectorised and single-threaded: ``workers`` is validated
+    and accepted for compatibility, and the result does not depend on it.
+    Per-point failures are recorded in the row's status and never abort
+    the sweep.
     """
     if workers < 1:
         raise InputDomainError(f"workers must be >= 1, got {workers!r}")
-
-    def job(index: int) -> SweepRow:
-        return evaluate_point(
-            index,
-            spec.point(index),
-            spec.r1,
-            spec.r2,
-            spec.constants,
-            spec.regime_threshold,
-            spec.symmetrize_force,
-        )
-
-    size = spec.grid_size()
-    if workers == 1:
-        return [job(i) for i in range(size)]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(job, range(size)))
+    return SweepResult(spec)
 
 
 def time_to_max_entanglement(sys: PairSystem) -> float:

@@ -154,6 +154,18 @@ class TestExitCodes:
         assert main(["--config", write_config(tmp_path, doc)]) == 1
         assert "m1" in capsys.readouterr().err
 
+    def test_non_finite_value_is_validation_failure(self, tmp_path, capsys):
+        doc = REPORT_DOC.replace("m1 = 1e-14", "m1 = nan")
+        assert main(["--config", write_config(tmp_path, doc)]) == 1
+        assert capsys.readouterr().err == "gravent: error: [system] m1: must be finite, got nan\n"
+
+    def test_non_finite_constants_override_is_validation_failure(self, tmp_path, capsys, monkeypatch):
+        constants = tmp_path / "constants.ini"
+        constants.write_text("[constants]\nhbar = nan\n", encoding="utf-8")
+        monkeypatch.setenv(CONSTANTS_ENV_VAR, str(constants))
+        assert main(["--config", write_config(tmp_path, REPORT_DOC)]) == 1
+        assert "hbar must be finite" in capsys.readouterr().err
+
     def test_usage_error(self, capsys):
         assert main([]) == 1
         assert "config" in capsys.readouterr().err
@@ -163,7 +175,9 @@ class TestExitCodes:
         # separation small enough that the expansion diverges
         doc = REPORT_DOC.replace("d = 1e-6", "d = 1e-13")
         assert main(["--config", write_config(tmp_path, doc)]) == 2
-        assert "ConvergenceDomainError" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("gravent: error: ConvergenceDomainError: |dr_sum/d| = ")
+        assert err.count("error:") == 1
 
     def test_unwritable_output_is_validation_failure(self, tmp_path, capsys):
         target = tmp_path / "no_such_dir" / "row.csv"

@@ -54,6 +54,20 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="m1"):
             parse_config(doc)
 
+    @pytest.mark.parametrize("key", ["m1", "m2", "omega1", "omega2", "d", "tau", "r1", "r2"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_system_value_names_key(self, key, value):
+        doc = MINIMAL_REPORT + f"r1 = 0.0\nr2 = 0.0\n"
+        doc = doc.replace(f"\n{key} = ", f"\n{key} = {value} ; was ", 1)
+        with pytest.raises(ConfigError, match=f"{key}: must be finite"):
+            parse_config(doc)
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_regime_threshold_rejected(self, value):
+        doc = MINIMAL_REPORT.replace("mode = report", f"mode = report\nregime_threshold = {value}")
+        with pytest.raises(ConfigError, match="regime_threshold: must be finite"):
+            parse_config(doc)
+
     def test_missing_mode_rejected(self):
         doc = MINIMAL_REPORT.replace("mode = report\n", "")
         with pytest.raises(ConfigError, match="mode"):
