@@ -22,7 +22,6 @@ from .model import PairSystem, PhysicalConstants
 from .potential import corrected_potential
 
 __all__ = [
-    "BASIS_LABELS",
     "TwoQubitState",
     "PotentialOperator",
     "PhaseSet",
@@ -35,8 +34,6 @@ __all__ = [
     "is_product_state",
     "delta_phi_to_tau",
 ]
-
-BASIS_LABELS = ("r1+r2+", "r1+r2-", "r1-r2+", "r1-r2-")
 
 #: Construction-time norm tolerance; the closed-form propagator stays within
 #: 1e-12 of unit norm, the fixed-step integrator within 1e-9.
@@ -73,10 +70,6 @@ class TwoQubitState:
     def amplitude_matrix(self) -> np.ndarray:
         """Amplitudes reshaped to a 2x2 matrix, rows = qubit 1, cols = qubit 2."""
         return self.amplitudes.reshape(2, 2)
-
-    def phase_multiplied(self, theta: float) -> "TwoQubitState":
-        """The state multiplied by the global phase factor exp(i*theta)."""
-        return TwoQubitState(np.exp(1j * theta) * self.amplitudes)
 
 
 @dataclass(frozen=True, slots=True)
@@ -133,10 +126,6 @@ class PhaseSet:
                 raise InputDomainError(f"{name} must be finite, got {v!r}")
         if self.delta_phi < 0:
             raise InputDomainError(f"delta_phi must be non-negative, got {self.delta_phi!r}")
-
-    def shifted(self, theta: float) -> "PhaseSet":
-        """Subtract a common phase offset from both branches."""
-        return PhaseSet(self.phi - theta, self.phi_prime - theta, self.delta_phi)
 
 
 def initial_product_state() -> TwoQubitState:

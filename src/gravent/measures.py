@@ -22,8 +22,13 @@ from .dynamics import (
     initial_product_state,
 )
 from .errors import InputDomainError, PositivityError
-from .kernel import EIGENVALUE_FLOOR, LN2, MATRIX_TOL, PHASE_TOL, SEPARABLE_EPSILON_TOL
+from .kernel import LN2, PHASE_TOL, SEPARABLE_EPSILON_TOL
 from .model import PairSystem
+
+#: Hermiticity / trace tolerance for density-matrix construction.
+MATRIX_TOL = 1e-12
+#: Eigenvalues below this are a genuine positivity violation, not noise.
+EIGENVALUE_FLOOR = -1e-9
 
 __all__ = [
     "DensityMatrix",

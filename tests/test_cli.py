@@ -1,9 +1,13 @@
 import json
 import math
+import sys
+import warnings
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from gravent.cli import CONSTANTS_ENV_VAR, main, rows_to_csv, rows_to_json
+from gravent.config import MODES
 from gravent.measures import report
 from gravent.model import MassiveBody, PairSystem, PhysicalConstants
 from gravent.sweep import ROW_FIELD_NAMES
@@ -186,6 +190,35 @@ class TestExitCodes:
         )
         assert code == 1
         assert "cannot write output" in capsys.readouterr().err
+
+
+FULL_RANGE = st.floats(min_value=5e-324, max_value=sys.float_info.max)
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    mode=st.sampled_from(MODES),
+    system=st.fixed_dictionaries(
+        {name: FULL_RANGE for name in ("m1", "m2", "omega1", "omega2", "d", "tau")}
+    ),
+    r1=st.none() | FULL_RANGE,
+    tau_stop=FULL_RANGE,
+)
+def test_exit_code_over_the_float_range(tmp_path, capsys, mode, system, r1, tau_stop):
+    """Any valid config ends in exit code 0, 1 or 2; no exception escapes."""
+    lines = ["[run]", f"mode = {mode}", "", "[system]"]
+    lines += [f"{name} = {value!r}" for name, value in system.items()]
+    if r1 is not None:
+        lines.append(f"r1 = {r1!r}")
+    if mode == "sweep":
+        lines += ["", "[sweep]", f"tau = {system['tau']!r}:{tau_stop!r}:2"]
+    config = write_config(tmp_path, "\n".join(lines) + "\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        code = main(["--config", config])
+    capsys.readouterr()
+    assert code in (0, 1, 2)
 
 
 class TestDiagnostics:

@@ -14,11 +14,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gravent import cli, sweep
+from gravent import cli, kernel, sweep
 from gravent.cli import main, rows_to_json
+from gravent.dynamics import PhaseSet
 from gravent.errors import FloatRangeError
-from gravent.measures import report
+from gravent.measures import report, report_from_phases
 from gravent.model import MassiveBody, PairSystem, PhysicalConstants
+from gravent.potential import entanglement_force
 from gravent.sweep import CHUNK_POINTS, AxisSpec, SweepRow, SweepSpec, evaluate_point, run_sweep
 
 # 37 x 31 = 1147 points, not a multiple of CHUNK_POINTS: ok rows, rows past
@@ -153,6 +155,31 @@ def test_float_range_failures_exit_2_in_report_mode(tmp_path, capsys, values, er
     assert capsys.readouterr().err == f"gravent: error: {error}\n"
 
 
+@pytest.mark.parametrize("values, error", RANGE_CASES, ids=["underflow", "overflow"])
+def test_scalar_force_raises_what_the_kernel_reports(values, error):
+    system = PairSystem(MassiveBody(values["m1"], 0.0, values["omega1"]),
+                        MassiveBody(values["m2"], 0.0, values["omega2"]), values["d"])
+    with pytest.raises(FloatRangeError) as info:
+        entanglement_force(system)
+    assert f"FloatRangeError: {info.value}" == error
+
+
+PAPER_BODIES = dict(m1=1e-14, m2=1e-14, omega1=1e5, omega2=1e5, d=1e-6)
+TAU_STAR_RANGE_CASES = [
+    (dict(d=1e120), "d**3 overflows"),
+    (dict(d=1e-120), "d**3 underflows to 0"),
+    (dict(m1=1e-200, omega1=1e-200), "mass*omega underflows to 0 at 1e-200 and 1e-200"),
+]
+
+
+@pytest.mark.parametrize("values, error", TAU_STAR_RANGE_CASES,
+                         ids=["d-overflow", "d-underflow", "mass-omega-underflow"])
+def test_float_range_failures_exit_2_in_tau_star_mode(tmp_path, capsys, values, error):
+    doc = system_doc("tau-star", {**PAPER_BODIES, **values})
+    assert main(["--config", write_config(tmp_path, doc)]) == 2
+    assert capsys.readouterr().err == f"gravent: error: {error}\n"
+
+
 def test_report_raises_float_range_error():
     body = MassiveBody(1e-200, 0.0, 1e-200)
     system = PairSystem(body, MassiveBody(1e-14, 0.0, 1e5), 1e-6, PhysicalConstants())
@@ -246,8 +273,6 @@ def scalar_row(index, params, r1, r2, constants, threshold, symmetrize):
             force = entanglement_force(system, symmetrize=symmetrize)
     except GraventError as exc:
         return SweepRow(**inputs, status=f"error: {type(exc).__name__}: {exc}")
-    except (ZeroDivisionError, OverflowError):
-        return None  # escaped the scalar pipeline; the kernel makes it an error row
     return SweepRow(
         **inputs, ratio_x=validity.ratio_x, in_regime=validity.in_regime,
         regime_threshold=validity.threshold, delta_phi=measures.delta_phi,
@@ -287,10 +312,25 @@ def test_kernel_matches_scalar_pipeline(params, r1, hbar, threshold, symmetrize)
     constants = PhysicalConstants(hbar=hbar)
     row = evaluate_point(7, params, r1, 0.0, constants, threshold, symmetrize)
     reference = scalar_row(7, params, r1, 0.0, constants, threshold, symmetrize)
-    if reference is None or reference.status.startswith("error: FloatRangeError"):
+    if reference.status.startswith("error: FloatRangeError"):
         # The scalar pipeline checks the widths before tau and hbar; the
         # kernel after them, as report() does, so a point with both faults
         # may name either.
         assert row.status.startswith("error: "), row
     else:
         assert same_bits(row, reference), (row, reference)
+
+
+@settings(max_examples=500, deadline=None)
+@given(x=st.one_of(
+    st.floats(min_value=0.0, max_value=sys.float_info.max),
+    st.sampled_from([-0.0, 5e-324, sys.float_info.max]),
+))
+def test_kernel_states_pass_every_value_object_check(x):
+    """The kernel does not check the states it builds from a finite phase.
+    The scalar route checks every state, density matrix and spectrum: it
+    raises nothing at any finite phase and agrees with the kernel bit for bit."""
+    expected = report_from_phases(PhaseSet(phi=0.0, phi_prime=-x, delta_phi=x))
+    measures = kernel._measures(np.array([x]))
+    got = {name: repr(column.tolist()[0]) for name, column in measures.items()}
+    assert got == {name: repr(getattr(expected, name)) for name in got}

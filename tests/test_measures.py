@@ -59,7 +59,7 @@ class TestDensityMatrix:
     def test_global_phase_dropped_by_projector(self):
         psi = canonical_state(0.9)
         for theta in (0.1, 1.7, 5.0):
-            rotated = psi.phase_multiplied(theta)
+            rotated = TwoQubitState(np.exp(1j * theta) * psi.amplitudes)
             np.testing.assert_allclose(
                 density_from_state(rotated).entries,
                 density_from_state(psi).entries,
