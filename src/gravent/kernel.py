@@ -1,5 +1,5 @@
 """Batched physics kernel: the one evaluation path behind sweeps,
-``evaluate_point`` and ``report``.
+``evaluate_point``, ``report`` and ``time_to_max_entanglement``.
 
 Inputs are columns, one entry per point. ``evaluate`` returns columns of the
 validity ratio, the entangling phase, the matrix-derived measures and both
@@ -10,18 +10,26 @@ the value objects and scalar functions make on the inputs (``MassiveBody``,
 them, plus ``FloatRangeError`` where the scalar arithmetic would divide by an
 underflowed zero or overflow a power.
 
-The states are not checked again: the kernel builds them itself from a phase
-it has checked finite. The amplitudes are then 0.5*exp(-i*theta), finite and
-of unit norm to rounding; rho = a a^dagger is Hermitian with unit trace, and
-the reduced spectrum is 0.5 +- |c|. No check ``TwoQubitState``,
-``DensityMatrix`` or ``von_neumann_entropy`` makes can fail on them.
+The measures come from the evolved state's 2x2 amplitude matrix A and its
+determinant: for a pure two-qubit state, the linear entropy is 2|det A|^2
+and the reduced spectrum follows from it, so neither the 4x4 density matrix
+nor an eigensolver is needed. Im(det A) carries sin(delta_phi) without the
+cancellation of 1 - Tr(rho1^2), so the measures hold to a few ulp wherever
+epsilon is a normal float, the reference scenario's 2.7e-11 rad included
+(delta_phi above ~2e-154 rad, away from multiples of pi). The state is not
+checked: the kernel builds it itself from a phase it has checked finite.
 
-Every column agrees bit for bit with the scalar functions. That rests on
-evaluating each expression in the same order (left-to-right products, the
-phase rate before the multiplication by tau), on taking single-parameter
-powers with Python float ``**`` on each axis's distinct values (numpy's
-``power`` rounds differently), and on stacked ``matmul`` for the purities,
-which sums in the same order as ``np.vdot``.
+The inputs, the ratio, the phase and the forces agree bit for bit with the
+scalar functions. That rests on evaluating each expression in the same order
+(left-to-right products, the phase rate before the multiplication by tau)
+and on taking single-parameter powers with Python float ``**`` on each axis's
+distinct values (numpy's ``power`` rounds differently). The scalar
+``report_from_phases`` still measures through rho and its eigenvalues, so
+its measures match the kernel's only where that route does not cancel.
+
+A batch of one runs on numpy scalars, whose arithmetic skips the ufunc
+machinery; every expression is elementwise, so a column and a scalar round
+alike.
 """
 
 from __future__ import annotations
@@ -33,7 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceDomainError, FloatRangeError, GraventError, InputDomainError
-from .model import REGIME_THRESHOLD_DEFAULT, PhysicalConstants
+from .model import REGIME_THRESHOLD_DEFAULT, PairSystem, PhysicalConstants
 from .potential import warn_out_of_regime
 
 LN2 = math.log(2.0)
@@ -51,10 +59,6 @@ PARAMETERS = ("m1", "m2", "omega1", "omega2", "d", "tau")
 #: position of each point in them, or None for a batch of one point.
 Inputs = Mapping[str, tuple[np.ndarray, "np.ndarray | None"]]
 
-#: The canonical product state: each qubit in the balanced superposition.
-_PSI0 = np.full(4, 0.5, dtype=np.complex128)
-_PSI0.setflags(write=False)
-
 
 def single(**values: float) -> dict[str, tuple[np.ndarray, None]]:
     """``Inputs`` of a batch of one point."""
@@ -63,8 +67,7 @@ def single(**values: float) -> dict[str, tuple[np.ndarray, None]]:
 
 
 def _column(values: np.ndarray, pos: np.ndarray | None):
-    # A batch of one is evaluated on numpy scalars, whose arithmetic skips
-    # the ufunc machinery; the rounding is the same IEEE double arithmetic.
+    # A batch of one is evaluated on numpy scalars.
     return values[0] if pos is None else values[pos]
 
 
@@ -223,12 +226,9 @@ def evaluate(
         add(_nonfinite(phi), InputDomainError, "phi must be finite, got {}", phi)
         add(_nonfinite(phi_prime), InputDomainError, "phi_prime must be finite, got {}", phi_prime)
         delta_phi = G * m1 * m2 / d3 * bracket * tau
-        nonfinite_phase = _nonfinite(delta_phi)
-        add(nonfinite_phase, InputDomainError, "delta_phi must be finite, got {}", delta_phi)
+        add(_nonfinite(delta_phi), InputDomainError, "delta_phi must be finite, got {}", delta_phi)
 
-        # A point whose phase is not finite has failed above; it gets phase
-        # 0 below, so that the matrix route never sees a non-finite entry.
-        values = _measures(np.where(nonfinite_phase, 0.0, delta_phi).reshape(n))
+        values = _measures(delta_phi)
         values["ratio_x"] = ratio
         values["in_regime"] = ratio < threshold
         values["delta_phi"] = delta_phi
@@ -257,41 +257,52 @@ def evaluate(
             values["force_closed_form"] = hbar * G * m1 * m2 / d3 * force_bracket
             values["force_gradient"] = 3.0 * correction / d
 
-    for name in ("ratio_x", "in_regime", "delta_phi", "force_closed_form", "force_gradient"):
-        if name in values:
-            values[name] = values[name].reshape(n)
+    if pos is None:  # numpy scalars, lifted to one-point columns
+        values = {name: value[None] for name, value in values.items()}
     failed, first = checks.first_failures()
     return Batch(values, failed, first, checks.errors, expansion_check)
 
 
-def _purity(rho: np.ndarray) -> np.ndarray:
-    """Tr(rho^2) of each matrix, summed in np.vdot's order."""
-    n, size = len(rho), rho.shape[1] * rho.shape[2]
-    return np.matmul(rho.reshape(n, 1, size).conj(), rho.reshape(n, size, 1))[:, 0, 0].real
+def evaluate_system(sys: PairSystem, tau: float) -> Batch:
+    """``sys`` at interaction time ``tau``, without the forces: a batch of one."""
+    body1, body2 = sys.body1, sys.body2
+    inputs = single(
+        m1=body1.mass, m2=body2.mass, omega1=body1.omega, omega2=body2.omega,
+        d=sys.separation_d, tau=tau,
+    )
+    return evaluate(inputs, body1.radius, body2.radius, sys.constants, force=False)
 
 
-def _measures(delta_phi: np.ndarray) -> dict[str, np.ndarray]:
-    """Evolve the canonical product state by the finite entangling phase, in
-    the same-direction gauge, and measure it from its matrices."""
-    n = len(delta_phi)
-    phases = np.zeros((n, 4))
-    phases[:, 1] = phases[:, 2] = -delta_phi
-    amplitudes = np.exp(-1j * phases) * _PSI0
-    rho = amplitudes[:, :, None] * amplitudes.conj()[:, None, :]
-    rho1 = rho.reshape(n, 2, 2, 2, 2).trace(axis1=2, axis2=4)
-    eigenvalues = np.linalg.eigvalsh(rho1)
-    clipped = np.maximum(eigenvalues, 0.0)
-    # 0*ln(0) = 0: a zero eigenvalue is logged as 1.
-    terms = clipped * np.log(clipped + (clipped == 0.0))
-    nats = 0.0 - np.add.reduce(terms, axis=1)  # 0.0 - x: never -0.0
+def _measures(delta_phi: np.ndarray | np.float64) -> dict:
+    """Measure the canonical product state evolved by the entangling phase,
+    in the same-direction gauge, from its 2x2 amplitude matrix
+    A = [[1/2, b], [b, 1/2]], b = exp(i*delta_phi)/2.
 
-    purity_reduced = _purity(rho1)
-    epsilon = 1.0 - purity_reduced
+    For a pure two-qubit state the reduced purity is 1 - 2|det A|^2 and the
+    reduced spectrum is {lam, 1 - lam} with lam(1 - lam) = |det A|^2 (2|det A|
+    is the concurrence; Wootters, PRL 80, 2245, 1998). ``delta_phi`` is a
+    column, or a numpy scalar for a batch of one; a non-finite phase, which
+    has failed a check, gives nan measures.
+    """
+    b_re, b_im = 0.5 * np.cos(delta_phi), 0.5 * np.sin(delta_phi)
+    # det A = 1/4 - b^2, in real arithmetic: numpy rounds a complex scalar
+    # product differently from a complex array product. Im(det A) carries
+    # sin(delta_phi) without cancellation.
+    det_re = 0.25 - (b_re * b_re - b_im * b_im)
+    det_im = -2.0 * b_re * b_im
+    epsilon = 2.0 * det_re * det_re + 2.0 * det_im * det_im
+    # The smaller Schmidt weight, the root of lam^2 - lam + epsilon/2 = 0
+    # without the cancelling 1 - sqrt(1 - 2*epsilon).
+    lam = epsilon / (1.0 + np.sqrt(np.maximum(1.0 - 2.0 * epsilon, 0.0)))
+    # 0*ln(0) = 0: a zero weight is logged as 1; 0.0 - x is never -0.0.
+    nats = 0.0 - (lam * np.log(lam + (lam == 0.0)) + (1.0 - lam) * np.log1p(-lam))
+    norm = 0.25 + (b_re * b_re + b_im * b_im) * 2.0 + 0.25  # sum of |a|^2
+
     two_pi = 2.0 * math.pi
-    remainder = np.abs(np.fmod(delta_phi, two_pi))
+    remainder = abs(np.fmod(delta_phi, two_pi))
     return {
-        "purity_full": _purity(rho),
-        "purity_reduced": purity_reduced,
+        "purity_full": norm * norm,
+        "purity_reduced": 1.0 - epsilon,
         "epsilon": epsilon,
         "entropy_nats": nats,
         "entropy_bits": nats / LN2,

@@ -1,9 +1,14 @@
 """Density matrices, partial traces, purity, linear entropy, and von Neumann
 entropy, assembled into a per-scenario entanglement report.
 
-The measures are always computed from the matrices themselves; the
+The measures are always computed from the state's matrices; the
 cos(delta_phi) closed forms of the canonical family live in the test suite
-as independent oracles, not here.
+as independent oracles, not here. ``report`` takes them from the 2x2
+amplitude matrix's determinant through ``kernel.evaluate``, exact to a few
+ulp wherever epsilon is a normal float. The density-matrix route
+below (``report_from_phases``: rho, its partial trace, Tr(rho1^2) and the
+eigenvalues) is kept as the scalar reference; its ``1 - Tr(rho1^2)``
+cancels to 0 for delta_phi below ~1e-8 rad.
 """
 
 from __future__ import annotations
@@ -77,9 +82,10 @@ class DensityMatrix:
 class EntanglementReport:
     """Scenario-level entanglement diagnostics.
 
-    ``separable_by_measures`` is the verdict of the measures themselves
-    (linear entropy below threshold, which for the canonical family means
-    the entangling phase is a multiple of pi). ``separable_by_two_pi_criterion``
+    ``separable_by_measures`` is the verdict of the measures themselves:
+    linear entropy below ``SEPARABLE_EPSILON_TOL`` (1e-12), which for the
+    canonical family means |sin(delta_phi)| < sqrt(2)*1e-6, a phase within
+    about 1.4e-6 rad of a multiple of pi. ``separable_by_two_pi_criterion``
     applies the weaker phase criterion that only counts multiples of 2*pi
     as unentangled. The two disagree at odd multiples of pi, where the
     state re-factorizes; both are reported so the discrepancy stays
@@ -185,22 +191,18 @@ def report(sys: PairSystem, tau: float) -> EntanglementReport:
     """Full pipeline for one system and interaction time.
 
     Accumulates the entangling phase, evolves the canonical state in closed
-    form, builds the density matrix and its reduction, and extracts every
-    measure from the matrices: a batch of one through ``kernel.evaluate``,
-    which raises what the scalar pipeline raises and emits ``RegimeWarning``
-    past the default regime threshold.
+    form and takes every measure from its 2x2 amplitude matrix A: the
+    linear entropy 2|det A|^2, the reduced spectrum from it, and the full
+    purity from the norm. A batch of one through ``kernel.evaluate``, which
+    raises what the scalar pipeline raises and emits ``RegimeWarning`` past
+    the default regime threshold.
 
     The evolution runs in the same-direction gauge (common branch phase
     subtracted): every measure is invariant under a global phase, and the
     signed relative phase -delta_phi is well conditioned where the raw
     branch phases can exceed float64 angular resolution by many orders.
     """
-    body1, body2 = sys.body1, sys.body2
-    inputs = kernel.single(
-        m1=body1.mass, m2=body2.mass, omega1=body1.omega, omega2=body2.omega,
-        d=sys.separation_d, tau=tau,
-    )
-    batch = kernel.evaluate(inputs, body1.radius, body2.radius, sys.constants, force=False)
+    batch = kernel.evaluate_system(sys, tau)
     batch.warn_out_of_regime(0, stacklevel=2)
     if batch.failed[0]:
         raise batch.error(0)

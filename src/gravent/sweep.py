@@ -12,9 +12,9 @@ from dataclasses import MISSING, dataclass, field, fields
 import numpy as np
 
 from . import kernel
-from .errors import InputDomainError, NoEntanglementError
+from .errors import FloatRangeError, InputDomainError, NoEntanglementError
 from .model import REGIME_THRESHOLD_DEFAULT, PairSystem, PhysicalConstants
-from .potential import FORCE_CLOSED_FORM_UNIT, quantum_correction
+from .potential import FORCE_CLOSED_FORM_UNIT
 
 # The scalar pipeline stays importable from this module for callers that wrap
 # it by name (benchmarks/tracer.py does); the engine evaluates through
@@ -303,11 +303,22 @@ def time_to_max_entanglement(sys: PairSystem) -> float:
     """Smallest positive time at which the reduced entropy reaches ln(2).
 
     The entangling phase grows linearly in time, so the first maximum sits
-    at tau* = (pi/2) * hbar / |delta_v_g|, inverted analytically.
+    at tau* = (pi/2)/rate, where rate is the kernel's delta_phi at tau = 1 s;
+    as hbar cancels, that is (pi/2)*hbar/|delta_v_g|. The system meets the
+    checks report mode makes and raises what they raise. With hbar = 0, or
+    a rate that underflows to 0, the correction vanishes and
+    ``NoEntanglementError`` is raised; a tau* past the float64 range is a
+    ``FloatRangeError``.
     """
-    delta = quantum_correction(sys)
-    if delta == 0.0:
-        raise NoEntanglementError(
-            "quantum correction is zero; entanglement never accumulates"
-        )
-    return (math.pi / 2.0) * sys.constants.hbar / abs(delta)
+    if sys.constants.hbar == 0.0:
+        raise NoEntanglementError("quantum correction is zero; entanglement never accumulates")
+    batch = kernel.evaluate_system(sys, 1.0)
+    if batch.failed[0]:
+        raise batch.error(0)
+    rate = batch.values["delta_phi"].item()
+    if rate == 0.0:
+        raise NoEntanglementError("quantum correction is zero; entanglement never accumulates")
+    tau_star = (math.pi / 2.0) / rate
+    if tau_star == math.inf:
+        raise FloatRangeError(f"tau* = (pi/2)/{rate!r} overflows")
+    return tau_star

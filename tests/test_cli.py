@@ -206,7 +206,8 @@ FULL_RANGE = st.floats(min_value=5e-324, max_value=sys.float_info.max)
     tau_stop=FULL_RANGE,
 )
 def test_exit_code_over_the_float_range(tmp_path, capsys, mode, system, r1, tau_stop):
-    """Any valid config ends in exit code 0, 1 or 2; no exception escapes."""
+    """Any valid config ends in exit code 0, 1 or 2; no exception escapes.
+    Tau-star either prints a finite positive time or exits 2."""
     lines = ["[run]", f"mode = {mode}", "", "[system]"]
     lines += [f"{name} = {value!r}" for name, value in system.items()]
     if r1 is not None:
@@ -217,8 +218,13 @@ def test_exit_code_over_the_float_range(tmp_path, capsys, mode, system, r1, tau_
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         code = main(["--config", config])
-    capsys.readouterr()
+    out = capsys.readouterr().out
     assert code in (0, 1, 2)
+    if mode == "tau-star":
+        assert code in (0, 2)
+        if code == 0:
+            tau_star = float(out)
+            assert math.isfinite(tau_star) and tau_star > 0, out
 
 
 class TestDiagnostics:

@@ -1,6 +1,7 @@
 """The columnar sweep engine: pinned CLI bytes, grid inputs, float64 range
 failures as error rows, and the names the benchmark harness relies on."""
 
+import dataclasses
 import hashlib
 import json
 import math
@@ -10,6 +11,7 @@ import sys
 import warnings
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -61,13 +63,16 @@ d = 1e-6
 tau = 1.0:1.0:1
 """
 
-# sha256 of the CLI output, recorded with the per-point object pipeline
-# that preceded the columnar engine.
+# sha256 of the CLI output. Every cell but the measures is as the per-point
+# object pipeline that preceded the columnar engine wrote it; the measures
+# come from the amplitude matrix's determinant and were checked cell by cell
+# against the closed forms at 60 digits (within each format's rounding, and
+# 7e-16 relative in JSON) before these hashes were recorded.
 PINNED = {
-    (MIXED_DOC, "csv"): "f11cc564bd1294e6d141c0b2f205f36bdd921549fa238654e6ce54dd5c3edc47",
-    (MIXED_DOC, "json"): "290fb5e0e535ba5fcda8384e46ea4b3b00cd5fcd120777446f8b0fbaac0fb08e",
-    (ONE_POINT_DOC, "csv"): "40d7f93ae8d669c6330b66555fec34be326dba534f24efb1152c9ee44e828726",
-    (ONE_POINT_DOC, "json"): "26f65280b7d3b7b35fdac01aaae0d7f2f93f067585b5f1ae28bfb37283201bbe",
+    (MIXED_DOC, "csv"): "5049a2506c5201983364a4cbcce9ce060212f2d0c89a1997944e5d89eba0933b",
+    (MIXED_DOC, "json"): "3bb9136f8bfb765338a578dfc82509fb00c089d6a269f8290be034fbd56a7935",
+    (ONE_POINT_DOC, "csv"): "520562299d111b2fdd861b397bff993aaeecc5e7f8f95139f5cc9487bf4d345d",
+    (ONE_POINT_DOC, "json"): "783e9066bd8495e82da4c18a0d38ef6738890785025d3750fef1e335b27615f0",
 }
 
 
@@ -165,10 +170,29 @@ def test_scalar_force_raises_what_the_kernel_reports(values, error):
 
 
 PAPER_BODIES = dict(m1=1e-14, m2=1e-14, omega1=1e5, omega2=1e5, d=1e-6)
+# Tau-star evaluates the system through the kernel, so it meets the checks
+# report mode makes in report mode's order. At d = 1e-120 the paper's bodies
+# fail the expansion's convergence before d**3 is taken; bodies of 1e100 kg
+# at 1e100 rad/s have widths small enough to reach it.
+HEAVY_BODIES = dict(m1=1e100, m2=1e100, omega1=1e100, omega2=1e100)
 TAU_STAR_RANGE_CASES = [
     (dict(d=1e120), "d**3 overflows"),
-    (dict(d=1e-120), "d**3 underflows to 0"),
+    (dict(**HEAVY_BODIES, d=1e-110), "d**3 underflows to 0"),
     (dict(m1=1e-200, omega1=1e-200), "mass*omega underflows to 0 at 1e-200 and 1e-200"),
+]
+# (system, tau-star's error, whether report mode at tau = 1 fails with it)
+TAU_STAR_FAILURES = [
+    (dict(d=1e-120),
+     "|dr_sum/d| = 6.494834307355346e+107 >= 1: geometric expansion diverges", True),
+    # The scalar correction was 0*inf = nan here, and tau-star printed nan.
+    (dict(m1=1e-160, omega1=1e-150, m2=1e100, omega2=1e100, d=1e100),
+     "|dr_sum/d| = 1.0269234718322505e+38 >= 1: geometric expansion diverges", True),
+    # The rate after 1 s is subnormal; tau* is past the float64 range.
+    (dict(m1=1e-100, m2=1e-100, omega1=1e150, omega2=1e150, d=1e21),
+     "tau* = (pi/2)/2.5e-323 overflows", False),
+    # G*m1*m2/d**3 underflows: the rate is 0.
+    (dict(m1=1e-100, m2=1e-100, omega1=1e150, omega2=1e150, d=1e22),
+     "quantum correction is zero; entanglement never accumulates", False),
 ]
 
 
@@ -178,6 +202,19 @@ def test_float_range_failures_exit_2_in_tau_star_mode(tmp_path, capsys, values, 
     doc = system_doc("tau-star", {**PAPER_BODIES, **values})
     assert main(["--config", write_config(tmp_path, doc)]) == 2
     assert capsys.readouterr().err == f"gravent: error: {error}\n"
+
+
+@pytest.mark.filterwarnings("ignore::gravent.errors.RegimeWarning")
+@pytest.mark.parametrize("values, error, in_report", TAU_STAR_FAILURES,
+                         ids=["diverges", "nan-correction", "tau-star-overflow", "zero-rate"])
+def test_tau_star_fails_where_the_kernel_does(tmp_path, capsys, values, error, in_report):
+    doc = system_doc("tau-star", {**PAPER_BODIES, **values})
+    assert main(["--config", write_config(tmp_path, doc)]) == 2
+    assert capsys.readouterr().err == f"gravent: error: {error}\n"
+    if in_report:
+        report_doc = system_doc("report", {**PAPER_BODIES, **values, "tau": 1.0})
+        assert main(["--config", write_config(tmp_path, report_doc)]) == 2
+        assert capsys.readouterr().err.endswith(f"{error}\n")
 
 
 def test_report_raises_float_range_error():
@@ -284,12 +321,56 @@ def scalar_row(index, params, r1, r2, constants, threshold, symmetrize):
     )
 
 
-def same_bits(a, b):
+#: The row fields that come from the state's measures; the rest are the
+#: inputs, the validity ratio, the phase, the forces and the status.
+MEASURE_VALUES = ("purity_full", "purity_reduced", "epsilon", "entropy_nats", "entropy_bits")
+MEASURE_FIELDS = (*MEASURE_VALUES, "separable_by_measures")
+#: Relative bound on every measure wherever the true epsilon is a normal
+#: float; below that, an absolute bound of about 2000 subnormal steps.
+MEASURE_RTOL = 1e-13
+SUBNORMAL_ATOL = 1e-318
+
+
+def reference_measures(delta_phi):
+    """The canonical state's measures at ``delta_phi`` from the closed forms,
+    at 60 digits: epsilon = sin^2(delta_phi)/2 and the reduced spectrum
+    {sin^2(delta_phi/2), cos^2(delta_phi/2)}. The entropy takes log1p of the
+    smaller weight: log(1 - lam) or log(cos^2) would drop the lam term once
+    lam is below 1e-60."""
+    with mpmath.workdps(60):
+        x = mpmath.mpf(delta_phi)
+        epsilon = mpmath.sin(x) ** 2 / 2
+        lam = min(mpmath.sin(x / 2) ** 2, mpmath.cos(x / 2) ** 2)
+        nats = -lam * mpmath.log(lam) - (1 - lam) * mpmath.log1p(-lam) if lam else mpmath.mpf(0)
+        return {
+            "purity_full": 1.0,
+            "purity_reduced": float(1 - epsilon),
+            "epsilon": float(epsilon),
+            "entropy_nats": float(nats),
+            "entropy_bits": float(nats / mpmath.log(2)),
+            "separable_by_measures": epsilon < kernel.SEPARABLE_EPSILON_TOL,
+            "near_threshold": abs(epsilon / kernel.SEPARABLE_EPSILON_TOL - 1) <= MEASURE_RTOL,
+        }
+
+
+def measure_misses(values, delta_phi):
+    """The names of the measures in ``values`` that miss the reference at ``delta_phi``."""
+    ref = reference_measures(delta_phi)
+    atol = 0.0 if ref["epsilon"] >= sys.float_info.min else SUBNORMAL_ATOL
+    missed = [
+        name for name in MEASURE_VALUES
+        if not abs(values[name] - ref[name]) <= MEASURE_RTOL * abs(ref[name]) + atol
+    ]
+    if values["separable_by_measures"] != ref["separable_by_measures"] and not ref["near_threshold"]:
+        missed.append("separable_by_measures")
+    return missed
+
+
+def same_bits(a, b, names=sweep.ROW_FIELD_NAMES):
     return all(
         (x == y and math.copysign(1, x) == math.copysign(1, y)) or (x != x and y != y)
         if isinstance(x, float) else x == y
-        for x, y in zip((getattr(a, n) for n in sweep.ROW_FIELD_NAMES),
-                        (getattr(b, n) for n in sweep.ROW_FIELD_NAMES))
+        for x, y in zip((getattr(a, n) for n in names), (getattr(b, n) for n in names))
     )
 
 
@@ -317,20 +398,48 @@ def test_kernel_matches_scalar_pipeline(params, r1, hbar, threshold, symmetrize)
         # kernel after them, as report() does, so a point with both faults
         # may name either.
         assert row.status.startswith("error: "), row
-    else:
+    elif row.status != "ok":
         assert same_bits(row, reference), (row, reference)
+    else:
+        # The scalar measures take 1 - Tr(rho1^2) and eigenvalues, which
+        # cancel where epsilon is small; the kernel's are checked against
+        # the closed forms instead.
+        others = [name for name in sweep.ROW_FIELD_NAMES if name not in MEASURE_FIELDS]
+        assert same_bits(row, reference, others), (row, reference)
+        assert measure_misses(dataclasses.asdict(row), row.delta_phi) == [], row
 
 
 @settings(max_examples=500, deadline=None)
 @given(x=st.one_of(
     st.floats(min_value=0.0, max_value=sys.float_info.max),
-    st.sampled_from([-0.0, 5e-324, sys.float_info.max]),
+    st.floats(min_value=0.0, max_value=4.0 * math.pi),
+    st.sampled_from([-0.0, 5e-324, 3.4e-31, 2.66972e-11, math.pi / 2, math.pi, 2.0 * math.pi,
+                     sys.float_info.max]),
 ))
 def test_kernel_states_pass_every_value_object_check(x):
     """The kernel does not check the states it builds from a finite phase.
-    The scalar route checks every state, density matrix and spectrum: it
-    raises nothing at any finite phase and agrees with the kernel bit for bit."""
+    The scalar route checks every state, density matrix and spectrum and
+    raises nothing at any finite phase. The kernel's measures match the
+    closed forms, the scalar ones to the scalar route's absolute resolution
+    (its 1 - Tr(rho1^2) cancels), and its phase verdict the scalar one bit
+    for bit."""
     expected = report_from_phases(PhaseSet(phi=0.0, phi_prime=-x, delta_phi=x))
-    measures = kernel._measures(np.array([x]))
-    got = {name: repr(column.tolist()[0]) for name, column in measures.items()}
-    assert got == {name: repr(getattr(expected, name)) for name in got}
+    got = {name: column.tolist()[0] for name, column in kernel._measures(np.array([x])).items()}
+    assert measure_misses(got, x) == [], got
+    for name in MEASURE_VALUES:
+        assert abs(got[name] - getattr(expected, name)) <= 1e-14, (name, got, expected)
+    assert got["separable_by_two_pi_criterion"] is expected.separable_by_two_pi_criterion
+
+
+def test_report_at_the_paper_scenario_is_entangled_to_float_precision():
+    """Equal bodies of 1e-14 kg at 1e5 rad/s, 1 um apart, for 1 s: delta_phi
+    is 2.67e-11 rad, where 1 - Tr(rho1^2) cancels to 0."""
+    body = MassiveBody(1e-14, 0.0, 1e5)
+    rep = report(PairSystem(body, body, 1e-6), 1.0)
+    ref = reference_measures(rep.delta_phi)
+    assert rep.epsilon == pytest.approx(3.5637e-22, rel=1e-4)
+    assert rep.entropy_nats == pytest.approx(9.1016e-21, rel=1e-4)
+    for name in ("epsilon", "entropy_nats"):
+        assert abs(getattr(rep, name) - ref[name]) <= 1e-12 * ref[name]
+    # epsilon < 1e-12 is the separability verdict, unchanged.
+    assert rep.separable_by_measures
