@@ -2,8 +2,9 @@
 
 Pipeline: size-corrected Newtonian potential -> Planck-linear quantum
 correction -> accumulated branch phases -> evolved two-qubit state ->
-density-matrix entanglement measures, with a sweep engine and batch CLI
-on top.
+matrix-derived entanglement measures, with a sweep engine and batch CLI
+on top. The reference helpers behind the scalar pipeline stay in their
+modules (``gravent.dynamics``, ``gravent.measures``, ...).
 """
 
 from .errors import (
@@ -13,68 +14,17 @@ from .errors import (
     GraventError,
     InputDomainError,
     NoEntanglementError,
-    PositivityError,
+    PrecisionError,
     RegimeWarning,
     SingularityError,
     WidthWarning,
 )
-from .model import (
-    G_DEFAULT,
-    HBAR_DEFAULT,
-    REGIME_THRESHOLD_DEFAULT,
-    MassiveBody,
-    PairSystem,
-    PhysicalConstants,
-    ValidityAssessment,
-    assess_validity,
-    zero_point_width,
-)
-from .potential import (
-    FORCE_CLOSED_FORM_UNIT,
-    ForceEstimate,
-    PotentialBreakdown,
-    SeriesTerm,
-    corrected_potential,
-    entanglement_force,
-    exact_size_corrected_potential,
-    expand_potential,
-    newtonian_potential,
-    quantum_correction,
-)
-from .dynamics import (
-    PhaseSet,
-    PotentialOperator,
-    TwoQubitState,
-    accumulated_phase,
-    build_operator,
-    delta_phi_to_tau,
-    evolve_closed_form,
-    evolve_numeric,
-    initial_product_state,
-    is_product_state,
-    operator_from_phases,
-)
-from .measures import (
-    DensityMatrix,
-    EntanglementReport,
-    density_from_state,
-    linear_entropy,
-    nearest_multiple_distance,
-    partial_trace,
-    purity,
-    report,
-    report_from_phases,
-    von_neumann_entropy,
-)
-from .sweep import (
-    SWEEP_PARAMETERS,
-    AxisSpec,
-    SweepRow,
-    SweepSpec,
-    run_sweep,
-    time_to_max_entanglement,
-)
-from .config import RunConfig, parse_config
+from .model import MassiveBody, PairSystem, PhysicalConstants
+from .potential import entanglement_force, quantum_correction
+from .dynamics import accumulated_phase
+from .measures import report
+from .sweep import AxisSpec, SweepSpec, run_sweep, time_to_max_entanglement
+from .config import parse_config
 
 __version__ = "0.1.0"
 
@@ -82,59 +32,23 @@ __all__ = [
     "AxisSpec",
     "ConfigError",
     "ConvergenceDomainError",
-    "DensityMatrix",
-    "EntanglementReport",
-    "FORCE_CLOSED_FORM_UNIT",
     "FloatRangeError",
-    "ForceEstimate",
-    "G_DEFAULT",
     "GraventError",
-    "HBAR_DEFAULT",
     "InputDomainError",
     "MassiveBody",
     "NoEntanglementError",
     "PairSystem",
-    "PhaseSet",
     "PhysicalConstants",
-    "PositivityError",
-    "PotentialBreakdown",
-    "PotentialOperator",
-    "REGIME_THRESHOLD_DEFAULT",
+    "PrecisionError",
     "RegimeWarning",
-    "RunConfig",
-    "SWEEP_PARAMETERS",
-    "SeriesTerm",
     "SingularityError",
-    "SweepRow",
     "SweepSpec",
-    "TwoQubitState",
-    "ValidityAssessment",
     "WidthWarning",
     "accumulated_phase",
-    "assess_validity",
-    "build_operator",
-    "corrected_potential",
-    "delta_phi_to_tau",
-    "density_from_state",
     "entanglement_force",
-    "evolve_closed_form",
-    "evolve_numeric",
-    "exact_size_corrected_potential",
-    "expand_potential",
-    "initial_product_state",
-    "is_product_state",
-    "linear_entropy",
-    "nearest_multiple_distance",
-    "newtonian_potential",
-    "operator_from_phases",
     "parse_config",
-    "partial_trace",
-    "purity",
     "quantum_correction",
     "report",
-    "report_from_phases",
     "run_sweep",
     "time_to_max_entanglement",
-    "von_neumann_entropy",
-    "zero_point_width",
 ]

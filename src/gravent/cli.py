@@ -26,11 +26,11 @@ from typing import TextIO
 from .config import MODES, FORMATS, RunConfig, parse_config, parse_constants_overrides
 from .errors import ConfigError, GraventError, WidthWarning
 from .model import MassiveBody, PairSystem, PhysicalConstants, zero_point_width
+from .potential import warn_out_of_regime
 from .sweep import (
     ROW_FIELD_NAMES,
     ROW_FIELD_TYPES,
     SweepRow,
-    evaluate_point,
     row_chunks,
     run_sweep,
     time_to_max_entanglement,
@@ -186,28 +186,12 @@ def _apply_env_constants(config: RunConfig) -> RunConfig:
 
 
 def _run_report(config: RunConfig) -> list[SweepRow]:
-    if config.tau is None:
-        raise ConfigError("report mode requires 'tau' in section [system]")
     _warn_width_vs_radius(config)
-    row = evaluate_point(
-        0,
-        {
-            "m1": config.m1,
-            "m2": config.m2,
-            "omega1": config.omega1,
-            "omega2": config.omega2,
-            "d": config.d,
-            "tau": config.tau,
-        },
-        config.r1,
-        config.r2,
-        config.constants,
-        config.regime_threshold,
-        config.symmetrize_force,
-        suppress_warnings=False,
-    )
+    (row,) = run_sweep(config.sweep_spec())
     if row.status != "ok":
         raise GraventError(row.status.removeprefix("error: "))
+    if not row.in_regime:
+        warn_out_of_regime(row.ratio_x, row.regime_threshold, stacklevel=1)
     return [row]
 
 
@@ -232,7 +216,7 @@ class _Parser(argparse.ArgumentParser):
 def build_parser() -> _Parser:
     parser = _Parser(prog="gravent", description=__doc__, add_help=True)
     parser.add_argument("--config", required=True, help="path to the config document")
-    parser.add_argument("--mode", choices=MODES, help="override the configured mode")
+    parser.add_argument("--mode", help=f"replaces [run] mode: one of {', '.join(MODES)}")
     parser.add_argument("--output", help="override the configured output path")
     parser.add_argument("--format", choices=FORMATS, help="override the output format")
     parser.add_argument(
@@ -256,9 +240,7 @@ def main(argv: list[str] | None = None) -> int:
                 text = Path(args.config).read_text(encoding="utf-8")
             except OSError as exc:
                 raise ConfigError(f"cannot read config: {exc}") from None
-            config = parse_config(text)
-            if args.mode:
-                config = dataclasses.replace(config, mode=args.mode)
+            config = parse_config(text, args.mode)
             if args.output:
                 config = dataclasses.replace(config, output=args.output)
             if args.format:

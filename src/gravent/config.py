@@ -26,8 +26,9 @@ The accepted format is flat sectioned key-value text (INI surface):
     tau = 1.0:10.0:10        ; start:stop:count[:linear|log]
     workers = 1
 
-Unknown sections or keys are rejected by name. Swept parameters override
-any fixed value given for them in [system].
+Unknown sections or keys are rejected by name. [sweep] is read in sweep
+mode only, where swept parameters override any fixed value given for them
+in [system].
 """
 
 from __future__ import annotations
@@ -59,12 +60,23 @@ _RUN_KEYS = {
     "regime_threshold",
     "symmetrize_force",
 }
-_SYSTEM_KEYS = {"m1", "m2", "r1", "r2", "omega1", "omega2", "d", "tau"}
+#: Each [system] key, in the order its checks run: the quantity it gives
+#: and the bound its value must meet.
+_SYSTEM_DOMAINS = {
+    "m1": ("mass", "positive"),
+    "m2": ("mass", "positive"),
+    "omega1": ("frequency", "positive"),
+    "omega2": ("frequency", "positive"),
+    "d": ("separation", "positive"),
+    "tau": ("time", "non-negative"),
+    "r1": ("radius", "non-negative"),
+    "r2": ("radius", "non-negative"),
+}
 _CONSTANTS_KEYS = {"G", "hbar"}
 _SWEEP_KEYS = set(SWEEP_PARAMETERS) | {"workers"}
 _SECTIONS = {
     "run": _RUN_KEYS,
-    "system": _SYSTEM_KEYS,
+    "system": _SYSTEM_DOMAINS,
     "constants": _CONSTANTS_KEYS,
     "sweep": _SWEEP_KEYS,
 }
@@ -74,14 +86,18 @@ _BOOL_VALUES = {"true": True, "yes": True, "1": True, "false": False, "no": Fals
 
 @dataclass(frozen=True, slots=True)
 class RunConfig:
-    """Validated batch-run description."""
+    """Validated batch-run description.
+
+    A parameter that is only swept is None, and so is tau in tau-star mode
+    when the document leaves it out.
+    """
 
     mode: str
-    m1: float
-    m2: float
-    omega1: float
-    omega2: float
-    d: float
+    m1: float | None
+    m2: float | None
+    omega1: float | None
+    omega2: float | None
+    d: float | None
     tau: float | None
     r1: float = 0.0
     r2: float = 0.0
@@ -95,9 +111,7 @@ class RunConfig:
     workers: int = 1
 
     def sweep_spec(self) -> SweepSpec:
-        """The grid this config describes (sweep mode only)."""
-        if not self.sweep_axes:
-            raise ConfigError("sweep mode requires at least one [sweep] range")
+        """The grid a table mode evaluates: one point in report mode."""
         fixed = {
             name: getattr(self, name)
             for name in SWEEP_PARAMETERS
@@ -163,11 +177,14 @@ def _read_document(text: str) -> configparser.RawConfigParser:
     return parser
 
 
-def parse_config(text: str) -> RunConfig:
+def parse_config(text: str, mode: str | None = None) -> RunConfig:
     """Parse and validate a config document, applying defaults.
 
-    Unknown sections/keys are rejected by name; invalid values are
-    reported with their section and key.
+    ``mode``, when given, replaces ``[run] mode`` and is checked like it.
+    Report mode needs every [system] parameter, tau-star mode all but tau,
+    and sweep mode each one either fixed in [system] or swept; [sweep] is
+    read in sweep mode only. Unknown sections/keys are rejected by name;
+    invalid values are reported with their section and key.
     """
     parser = _read_document(text)
 
@@ -183,7 +200,8 @@ def parse_config(text: str) -> RunConfig:
             return parser.get(section, key).strip()
         return None
 
-    mode = get("run", "mode")
+    if mode is None:
+        mode = get("run", "mode")
     if mode is None:
         raise ConfigError("missing required key 'mode' in section [run]")
     if mode not in MODES:
@@ -224,7 +242,7 @@ def parse_config(text: str) -> RunConfig:
 
     axes: dict[str, AxisSpec] = {}
     workers = 1
-    if parser.has_section("sweep"):
+    if mode == "sweep" and parser.has_section("sweep"):
         for key in parser.options("sweep"):
             if key == "workers":
                 workers = _int("sweep", "workers", parser.get("sweep", key))
@@ -236,58 +254,23 @@ def parse_config(text: str) -> RunConfig:
         raise ConfigError("sweep mode requires at least one range in [sweep]")
 
     system: dict[str, float] = {}
-    for key in ("m1", "m2", "omega1", "omega2", "d", "tau", "r1", "r2"):
+    for key, (quantity, bound) in _SYSTEM_DOMAINS.items():
         raw = get("system", key)
-        if raw is not None:
-            system[key] = _float("system", key, raw)
-            if not math.isfinite(system[key]):
-                raise ConfigError(f"[system] {key}: must be finite, got {system[key]}")
+        if raw is None:
+            continue
+        value = system[key] = _float("system", key, raw)
+        if not math.isfinite(value):
+            raise ConfigError(f"[system] {key}: must be finite, got {value}")
+        if value < 0 or (value == 0 and bound == "positive"):
+            raise ConfigError(f"[system] {key}: {quantity} must be {bound}, got {value}")
 
-    def require(key: str) -> float:
-        if key in system:
-            return system[key]
-        raise ConfigError(f"missing required key {key!r} in section [system]")
-
-    # Swept parameters need no fixed value; everything else does. tau is
-    # unused in tau-star mode and may be omitted there.
-    values: dict[str, float | None] = {}
-    for key in ("m1", "m2", "omega1", "omega2", "d"):
-        values[key] = system.get(key) if key in axes else require(key)
-    if "tau" in axes or mode == "tau-star":
-        values["tau"] = system.get("tau")
-    else:
-        values["tau"] = require("tau")
-
-    for key in ("m1", "m2"):
-        v = values[key]
-        if v is not None and v <= 0:
-            raise ConfigError(f"[system] {key}: mass must be positive, got {v}")
-    for key in ("omega1", "omega2"):
-        v = values[key]
-        if v is not None and v <= 0:
-            raise ConfigError(f"[system] {key}: frequency must be positive, got {v}")
-    if values["d"] is not None and values["d"] <= 0:
-        raise ConfigError(f"[system] d: separation must be positive, got {values['d']}")
-    if values["tau"] is not None and values["tau"] < 0:
-        raise ConfigError(f"[system] tau: time must be non-negative, got {values['tau']}")
-    for key in ("r1", "r2"):
-        if system.get(key, 0.0) < 0:
-            raise ConfigError(f"[system] {key}: radius must be non-negative, got {system[key]}")
-
-    # Swept parameters without an explicit [system] value carry their axis
-    # start as a placeholder; sweep_spec() excludes them from the fixed set.
-    def resolved(key: str) -> float:
-        v = values[key]
-        return float(v) if v is not None else axes[key].start
+    for key in SWEEP_PARAMETERS:
+        if key not in system and key not in axes and (mode, key) != ("tau-star", "tau"):
+            raise ConfigError(f"missing required key {key!r} in section [system]")
 
     return RunConfig(
         mode=mode,
-        m1=resolved("m1"),
-        m2=resolved("m2"),
-        omega1=resolved("omega1"),
-        omega2=resolved("omega2"),
-        d=resolved("d"),
-        tau=values["tau"],
+        **{key: system.get(key) for key in SWEEP_PARAMETERS},
         r1=system.get("r1", 0.0),
         r2=system.get("r2", 0.0),
         constants=constants,

@@ -17,7 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputDomainError, NoEntanglementError
+from .errors import InputDomainError, NoEntanglementError, PrecisionError
+from .kernel import PHASE_RESOLUTION_LIMIT
 from .model import PairSystem, PhysicalConstants
 from .potential import corrected_potential
 
@@ -177,7 +178,8 @@ def accumulated_phase(sys: PairSystem, tau: float) -> PhaseSet:
 
     ``delta_phi`` is evaluated from the last expression, which contains no
     hbar at all: the hbar in the correction energy cancels against the one
-    in the phase accumulation.
+    in the phase accumulation. A ``delta_phi`` of 2**33 rad or more, whose
+    ulp exceeds 1e-6 rad, raises ``PrecisionError``.
     """
     if not math.isfinite(tau):
         raise InputDomainError(f"tau must be finite, got {tau!r}")
@@ -195,7 +197,12 @@ def accumulated_phase(sys: PairSystem, tau: float) -> PhaseSet:
     bracket = 1.0 / (m1 * w1) + 1.0 / (m2 * w2) + 2.0 / math.sqrt(m1 * m2 * w1 * w2)
     # rate first, then * tau: keeps delta_phi exactly linear in tau
     rate = (c.G * m1 * m2 / sys.separation_d**3) * bracket
-    return PhaseSet(phi=phi, phi_prime=phi_prime, delta_phi=rate * tau)
+    phases = PhaseSet(phi=phi, phi_prime=phi_prime, delta_phi=rate * tau)
+    if phases.delta_phi >= PHASE_RESOLUTION_LIMIT:
+        raise PrecisionError(
+            f"delta_phi = {phases.delta_phi!r} rad >= 2**33: its ulp exceeds 1e-6 rad"
+        )
+    return phases
 
 
 def evolve_closed_form(psi0: TwoQubitState, phases: PhaseSet) -> TwoQubitState:

@@ -30,6 +30,11 @@ class FloatRangeError(GraventError, ArithmeticError):
     product that a later step divides by underflows to zero."""
 
 
+class PrecisionError(GraventError, ArithmeticError):
+    """A result is below float resolution: the entangling phase is so large
+    that its ulp exceeds the phase tolerance, so its value mod 2*pi is noise."""
+
+
 class ConfigError(GraventError, ValueError):
     """A run configuration document is malformed or fails validation."""
 

@@ -8,7 +8,8 @@ the value objects and scalar functions make on the inputs (``MassiveBody``,
 ``PairSystem``, ``assess_validity``, ``accumulated_phase``,
 ``expand_potential``, ``PhaseSet``), in the order a scalar evaluation meets
 them, plus ``FloatRangeError`` where the scalar arithmetic would divide by an
-underflowed zero or overflow a power.
+underflowed zero or overflow a power, and ``PrecisionError`` where the phase
+is past float resolution.
 
 The measures come from the evolved state's 2x2 amplitude matrix A and its
 determinant: for a pure two-qubit state, the linear entropy is 2|det A|^2
@@ -40,7 +41,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceDomainError, FloatRangeError, GraventError, InputDomainError
+from .errors import (
+    ConvergenceDomainError,
+    FloatRangeError,
+    GraventError,
+    InputDomainError,
+    PrecisionError,
+)
 from .model import REGIME_THRESHOLD_DEFAULT, PairSystem, PhysicalConstants
 from .potential import warn_out_of_regime
 
@@ -51,6 +58,10 @@ SEPARABLE_EPSILON_TOL = 1e-12
 #: Phase distance to the nearest 2*pi multiple below which the
 #: "entangling phase is non-zero" requirement counts as violated.
 PHASE_TOL = 1e-9
+
+#: The smallest delta_phi whose ulp exceeds 1e-6 rad. At or past it the
+#: phase mod 2*pi, and every measure with it, is noise: a PrecisionError.
+PHASE_RESOLUTION_LIMIT = 2.0**33
 
 #: Input columns, in canonical grid order.
 PARAMETERS = ("m1", "m2", "omega1", "omega2", "d", "tau")
@@ -227,6 +238,8 @@ def evaluate(
         add(_nonfinite(phi_prime), InputDomainError, "phi_prime must be finite, got {}", phi_prime)
         delta_phi = G * m1 * m2 / d3 * bracket * tau
         add(_nonfinite(delta_phi), InputDomainError, "delta_phi must be finite, got {}", delta_phi)
+        add(delta_phi >= PHASE_RESOLUTION_LIMIT, PrecisionError,
+            "delta_phi = {} rad >= 2**33: its ulp exceeds 1e-6 rad", delta_phi)
 
         values = _measures(delta_phi)
         values["ratio_x"] = ratio

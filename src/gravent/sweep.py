@@ -215,18 +215,13 @@ def evaluate_point(
     constants: PhysicalConstants,
     regime_threshold: float = REGIME_THRESHOLD_DEFAULT,
     symmetrize_force: bool = False,
-    suppress_warnings: bool = True,
 ) -> SweepRow:
     """Run the full pipeline at one parameter point; failures land in status.
 
-    Regime warnings are silenced by default (the row's in_regime column
-    carries that information for bulk runs); pass ``suppress_warnings=False``
-    to let them propagate.
+    No warning is emitted: the row's in_regime column carries the regime.
     """
     inputs = kernel.single(**{name: params[name] for name in SWEEP_PARAMETERS})
     batch = kernel.evaluate(inputs, r1, r2, constants, regime_threshold, symmetrize_force)
-    if not suppress_warnings:
-        batch.warn_out_of_regime(0, stacklevel=2)
     columns = _row_columns(np.array([index]), inputs, batch, r1, r2, regime_threshold)
     return SweepRow(*(column[0] for column in columns))
 

@@ -8,6 +8,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from gravent.cli import CONSTANTS_ENV_VAR, main, rows_to_csv, rows_to_json
 from gravent.config import MODES
+from gravent.errors import RegimeWarning
 from gravent.measures import report
 from gravent.model import MassiveBody, PairSystem, PhysicalConstants
 from gravent.sweep import ROW_FIELD_NAMES
@@ -128,6 +129,34 @@ class TestSweepMode:
         assert lines[3].endswith("ok")
 
 
+class TestModeRequirements:
+    @pytest.mark.parametrize("mode", ["report", "tau-star"])
+    def test_swept_only_parameter_is_missing_outside_sweep_mode(self, tmp_path, capsys, mode):
+        # Outside sweep mode [sweep] is not read, so m1 is not given at all.
+        doc = REPORT_DOC.replace("mode = report", f"mode = {mode}").replace("m1 = 1e-14\n", "")
+        doc += "\n[sweep]\nm1 = 1e-14:2e-14:3\n"
+        assert main(["--config", write_config(tmp_path, doc)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "gravent: error: missing required key 'm1' in section [system]\n"
+
+    def test_report_mode_flag_on_a_swept_tau(self, tmp_path, capsys):
+        assert main(["--config", write_config(tmp_path, SWEEP_DOC), "--mode", "report"]) == 1
+        assert capsys.readouterr().err == (
+            "gravent: error: missing required key 'tau' in section [system]\n"
+        )
+
+    def test_mode_flag_stands_in_for_a_missing_mode_key(self, tmp_path, capsys):
+        doc = REPORT_DOC.replace("mode = report\n", "")
+        assert main(["--config", write_config(tmp_path, doc), "--mode", "report"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 2 and "2.66972000000e-11" in lines[1]
+
+    def test_mode_flag_is_checked_like_the_mode_key(self, tmp_path, capsys):
+        assert main(["--config", write_config(tmp_path, REPORT_DOC), "--mode", "dance"]) == 1
+        assert "[run] mode: must be one of" in capsys.readouterr().err
+
+
 class TestTauStarMode:
     def test_value_on_stdout(self, tmp_path, capsys):
         doc = REPORT_DOC.replace("mode = report", "mode = tau-star")
@@ -183,6 +212,13 @@ class TestExitCodes:
         assert err.startswith("gravent: error: ConvergenceDomainError: |dr_sum/d| = ")
         assert err.count("error:") == 1
 
+    def test_phase_past_float_resolution_is_domain_failure(self, tmp_path, capsys):
+        doc = REPORT_DOC.replace("tau = 1.0", "tau = 1e40")
+        assert main(["--config", write_config(tmp_path, doc)]) == 2
+        assert capsys.readouterr().err.startswith(
+            "gravent: error: PrecisionError: delta_phi = 2.66972e+29 rad >= 2**33"
+        )
+
     def test_unwritable_output_is_validation_failure(self, tmp_path, capsys):
         target = tmp_path / "no_such_dir" / "row.csv"
         code = main(
@@ -233,6 +269,33 @@ class TestDiagnostics:
         config = write_config(tmp_path, doc)
         with pytest.warns(UserWarning):
             assert main(["--config", config]) == 0
+
+    @pytest.mark.parametrize("threshold, d, warns", [
+        ("0.5", "3.25e-12", False),  # x = 0.1998 is in the regime at 0.5
+        ("0.01", "1.3e-11", True),  # x = 0.04996 is out of it at 0.01
+    ])
+    def test_regime_warning_follows_regime_threshold(self, tmp_path, capsys, threshold, d, warns):
+        doc = REPORT_DOC.replace("mode = report", f"mode = report\nregime_threshold = {threshold}")
+        doc = doc.replace("d = 1e-6", f"d = {d}")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["--config", write_config(tmp_path, doc), "--format", "json"]) == 0
+        (row,) = json.loads(capsys.readouterr().out)
+        assert row["in_regime"] is not warns
+        messages = [str(w.message) for w in caught if issubclass(w.category, RegimeWarning)]
+        if warns:
+            assert len(messages) == 1 and f">= {float(threshold):.3e}" in messages[0]
+        else:
+            assert messages == []
+
+    def test_no_regime_warning_ahead_of_a_report_error(self, tmp_path, capsys):
+        # d below the summed widths: the expansion diverges, x = 6.5
+        doc = REPORT_DOC.replace("d = 1e-6", "d = 1e-13")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["--config", write_config(tmp_path, doc)]) == 2
+        assert "ConvergenceDomainError" in capsys.readouterr().err
+        assert [w for w in caught if issubclass(w.category, RegimeWarning)] == []
 
     def test_quiet_suppresses_warnings(self, tmp_path, recwarn):
         doc = REPORT_DOC.replace("d = 1e-6", "d = 2e-12")

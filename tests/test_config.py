@@ -177,6 +177,34 @@ class TestSweepConfig:
             parse_config(doc)
 
 
+class TestModeRequirements:
+    SWEPT_M1 = MINIMAL_REPORT.replace("m1 = 1e-14\n", "") + "\n[sweep]\nm1 = 1e-14:2e-14:3\n"
+
+    def test_swept_only_parameter_is_none(self):
+        config = parse_config(self.SWEPT_M1, mode="sweep")
+        assert config.m1 is None
+        assert config.sweep_spec().axes["m1"].count == 3
+
+    @pytest.mark.parametrize("mode", ["report", "tau-star"])
+    def test_sweep_section_is_read_in_sweep_mode_only(self, mode):
+        with pytest.raises(ConfigError, match="missing required key 'm1' in section"):
+            parse_config(self.SWEPT_M1, mode=mode)
+        config = parse_config(MINIMAL_REPORT + "\n[sweep]\nd = 1e-6:1e-5:5\n", mode=mode)
+        assert config.sweep_axes == {} and config.d == 1e-6
+
+    def test_report_mode_is_a_one_point_grid(self):
+        spec = parse_config(MINIMAL_REPORT).sweep_spec()
+        assert spec.axes == {} and spec.grid_size() == 1
+        assert spec.point(0) == dict(m1=1e-14, m2=1e-14, omega1=1e5, omega2=1e5, d=1e-6, tau=1.0)
+
+    def test_mode_argument_replaces_the_mode_key(self):
+        assert parse_config(MINIMAL_REPORT, mode="tau-star").mode == "tau-star"
+        doc = MINIMAL_REPORT.replace("mode = report\n", "")
+        assert parse_config(doc, mode="report").mode == "report"
+        with pytest.raises(ConfigError, match="dance"):
+            parse_config(MINIMAL_REPORT, mode="dance")
+
+
 class TestTauStarConfig:
     def test_tau_optional(self):
         doc = MINIMAL_REPORT.replace("mode = report", "mode = tau-star").replace(

@@ -18,12 +18,20 @@ from hypothesis import given, settings, strategies as st
 
 from gravent import cli, kernel, sweep
 from gravent.cli import main, rows_to_json
-from gravent.dynamics import PhaseSet
-from gravent.errors import FloatRangeError
+from gravent.dynamics import PhaseSet, accumulated_phase
+from gravent.errors import FloatRangeError, PrecisionError
 from gravent.measures import report, report_from_phases
 from gravent.model import MassiveBody, PairSystem, PhysicalConstants
 from gravent.potential import entanglement_force
-from gravent.sweep import CHUNK_POINTS, AxisSpec, SweepRow, SweepSpec, evaluate_point, run_sweep
+from gravent.sweep import (
+    CHUNK_POINTS,
+    AxisSpec,
+    SweepRow,
+    SweepSpec,
+    evaluate_point,
+    run_sweep,
+    time_to_max_entanglement,
+)
 
 # 37 x 31 = 1147 points, not a multiple of CHUNK_POINTS: ok rows, rows past
 # the 0.2 threshold, ConvergenceDomainError rows (d below the summed widths),
@@ -222,6 +230,36 @@ def test_report_raises_float_range_error():
     system = PairSystem(body, MassiveBody(1e-14, 0.0, 1e5), 1e-6, PhysicalConstants())
     with pytest.raises(FloatRangeError, match="underflows"):
         report(system, 1.0)
+
+
+def test_phase_past_float_resolution_is_a_precision_error():
+    """delta_phi >= 2**33 rad, whose ulp exceeds 1e-6 rad, is an error on
+    every route; the float below the first such tau is not."""
+    body = MassiveBody(1e-14, 0.0, 1e5)
+    system = PairSystem(body, body, 1e-6)
+    assert report(system, 3e20).delta_phi == pytest.approx(8.00916e9, rel=1e-6)
+    with pytest.raises(PrecisionError, match=r"delta_phi = 2\.66972e\+29 rad >= 2\*\*33"):
+        report(system, 1e40)
+    rate = report(system, 1.0).delta_phi
+    tau = 2.0**33 / rate
+    while rate * tau < 2.0**33:
+        tau = math.nextafter(tau, math.inf)
+    while rate * math.nextafter(tau, 0.0) >= 2.0**33:
+        tau = math.nextafter(tau, 0.0)
+    below = math.nextafter(tau, 0.0)
+    assert report(system, below).delta_phi < 2.0**33
+    assert accumulated_phase(system, below).delta_phi < 2.0**33
+    params = dict(m1=1e-14, m2=1e-14, omega1=1e5, omega2=1e5, d=1e-6)
+    assert evaluate_point(0, {**params, "tau": below}, 0.0, 0.0, PhysicalConstants()).status == "ok"
+    for evaluate in (lambda: report(system, tau), lambda: accumulated_phase(system, tau)):
+        with pytest.raises(PrecisionError):
+            evaluate()
+    row = evaluate_point(0, {**params, "tau": tau}, 0.0, 0.0, PhysicalConstants())
+    assert row.status.startswith("error: PrecisionError: delta_phi = ")
+    # tau-star takes its rate from delta_phi at tau = 1 s
+    heavy = MassiveBody(1e3, 0.0, 1.0)
+    with pytest.raises(PrecisionError):
+        time_to_max_entanglement(PairSystem(heavy, heavy, 1e-6))
 
 
 def test_json_writes_null_for_every_non_finite_float():
