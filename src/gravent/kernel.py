@@ -1,13 +1,14 @@
-"""Batched physics kernel: the one evaluation path behind sweeps,
-``evaluate_point``, ``report`` and ``time_to_max_entanglement``.
+"""Physics kernel: the one evaluation path behind sweeps, ``evaluate_point``,
+``report`` and ``time_to_max_entanglement``.
 
-Inputs are columns, one entry per point. ``evaluate`` returns columns of the
+``evaluate`` takes columns, one entry per point, and returns columns of the
 validity ratio, the entangling phase, the matrix-derived measures and both
-forces, and for each point the first check it fails. The checks are the ones
-the value objects and scalar functions make on the inputs (``MassiveBody``,
-``PairSystem``, ``assess_validity``, ``accumulated_phase``,
-``expand_potential``, ``PhaseSet``), in the order a scalar evaluation meets
-them, plus ``FloatRangeError`` where the scalar arithmetic would divide by an
+forces, and for each point the first check it fails. ``evaluate_one``
+evaluates a single point. The checks are the ones the value objects and
+scalar functions make on the inputs (``MassiveBody``, ``PairSystem``,
+``assess_validity``, ``accumulated_phase``, ``expand_potential``,
+``PhaseSet``), in the order a scalar evaluation meets them, plus
+``FloatRangeError`` where the scalar arithmetic would divide by an
 underflowed zero or overflow a power, and ``PrecisionError`` where the phase
 is past float resolution.
 
@@ -28,16 +29,29 @@ distinct values (numpy's ``power`` rounds differently). The scalar
 ``report_from_phases`` still measures through rho and its eigenvalues, so
 its measures match the kernel's only where that route does not cancel.
 
-A batch of one runs on numpy scalars, whose arithmetic skips the ufunc
-machinery; every expression is elementwise, so a column and a scalar round
-alike.
+Both entry points run the same expressions, ``_physics`` and ``_measures``.
+``evaluate`` runs them on numpy columns and records every check as a mask.
+``evaluate_one`` runs them on Python floats and raises at the first failed
+check, which is the check ``evaluate`` reports first, as checks are made in
+evaluation order. Every divisor is checked non-zero before the division, so
+float arithmetic raises nothing else. The functions the expressions call
+come from a table per path: on floats, ``math.sqrt``, ``math.fmod`` and the
+builtins ``max`` and ``min``, which are correctly rounded or exact and so
+round as numpy's ufuncs do. ``log`` and ``log1p`` stay numpy's ufuncs on
+both paths, because numpy's and the C library's differ in the last bit on
+some arguments (``log1p`` on about 7% of [-0.5, 0] on an AVX-512 host);
+``cos`` and ``sin`` stay numpy's too, so that no result rests on the two
+libraries agreeing.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from collections.abc import Mapping
 from dataclasses import dataclass
+from operator import itemgetter
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -65,26 +79,15 @@ PHASE_RESOLUTION_LIMIT = 2.0**33
 
 #: Input columns, in canonical grid order.
 PARAMETERS = ("m1", "m2", "omega1", "omega2", "d", "tau")
+_parameters = itemgetter(*PARAMETERS)
 
 #: ``inputs`` maps each of PARAMETERS to its distinct values and the
-#: position of each point in them, or None for a batch of one point.
-Inputs = Mapping[str, tuple[np.ndarray, "np.ndarray | None"]]
-
-
-def single(**values: float) -> dict[str, tuple[np.ndarray, None]]:
-    """``Inputs`` of a batch of one point."""
-    column = np.array([values[name] for name in PARAMETERS], dtype=np.float64)
-    return {name: (column[k : k + 1], None) for k, name in enumerate(PARAMETERS)}
-
-
-def _column(values: np.ndarray, pos: np.ndarray | None):
-    # A batch of one is evaluated on numpy scalars.
-    return values[0] if pos is None else values[pos]
+#: position of each point in them.
+Inputs = Mapping[str, tuple[np.ndarray, np.ndarray]]
 
 
 def _nonfinite(x):
-    """Where x is inf or nan: x - x is 0 exactly when x is finite. Unlike
-    np.isfinite, this stays numpy scalar arithmetic in a batch of one."""
+    """Where x is inf or nan: x - x is 0 exactly when x is finite."""
     return x - x != 0
 
 
@@ -95,32 +98,59 @@ def _power(value: float, exponent: int) -> float:
         return math.inf
 
 
-def _python_power(inputs: Inputs, name: str, exponent: int):
-    """The column of ``name``**exponent, taken with Python float ``**`` on
-    the distinct values; an overflow becomes inf (and nothing else does, as
-    the inputs are finite by the time a power is taken)."""
-    values, pos = inputs[name]
-    powers = np.array([_power(value, exponent) for value in values.tolist()], dtype=np.float64)
-    return _column(powers, pos)
+def _on_float(ufunc):
+    return lambda x: float(ufunc(x))
 
 
-class _Checks:
-    """Failure conditions in evaluation order; the first that holds at a point
-    is that point's error.
+#: The functions the physics calls, on columns and on floats.
+_ARRAY_MATH = SimpleNamespace(
+    sqrt=np.sqrt, fmod=np.fmod, maximum=np.maximum, minimum=np.minimum,
+    cos=np.cos, sin=np.sin, log=np.log, log1p=np.log1p,
+)
+_FLOAT_MATH = SimpleNamespace(
+    sqrt=math.sqrt, fmod=math.fmod, maximum=max, minimum=min,
+    cos=_on_float(np.cos), sin=_on_float(np.sin), log=_on_float(np.log),
+    log1p=_on_float(np.log1p),
+)
+
+
+def _shown(arg, i: int) -> str:
+    value = arg[i] if isinstance(arg, np.ndarray) else arg
+    return repr(value.item() if isinstance(value, np.generic) else value)
+
+
+def _status(error: GraventError) -> str:
+    return f"error: {type(error).__name__}: {error}"
+
+
+class _Columns:
+    """The array path: each input a column, each check a recorded mask.
 
     A condition is a bool array, or a scalar bool for a check on a value
-    shared by every point. A condition that holds at no point of a batch of
-    one, or a scalar one that does not hold, is dropped at once.
+    shared by every point; a scalar one that does not hold is dropped.
     """
 
-    def __init__(self, n: int) -> None:
-        self.n = n
+    fn = _ARRAY_MATH
+
+    def __init__(self, inputs: Inputs) -> None:
+        self.inputs = inputs
+        self.n = len(inputs["tau"][1])
         self.masks: list[np.ndarray] = []
         self.errors: list[tuple[type[GraventError], str, tuple]] = []
 
+    def parameters(self) -> tuple:
+        return tuple(values[pos] for values, pos in (self.inputs[name] for name in PARAMETERS))
+
+    def power(self, name: str, exponent: int) -> np.ndarray:
+        """The column of ``name``**exponent, taken with Python float ``**`` on
+        the distinct values; an overflow becomes inf (and nothing else does,
+        as the inputs are finite by the time a power is taken)."""
+        values, pos = self.inputs[name]
+        return np.array([_power(value, exponent) for value in values.tolist()])[pos]
+
     def add(self, fails, exc: type[GraventError], message: str, *args) -> None:
         """``message`` is formatted with the repr of each of ``args`` at the point."""
-        if self.n == 1 or not isinstance(fails, np.ndarray):
+        if not isinstance(fails, np.ndarray):
             if not fails:
                 return
             fails = np.ones(self.n, dtype=bool)
@@ -135,9 +165,24 @@ class _Checks:
         return masks.any(axis=0), masks.argmax(axis=0)
 
 
-def _shown(arg, i: int) -> str:
-    value = arg[i] if isinstance(arg, np.ndarray) else arg
-    return repr(value.item() if isinstance(value, np.generic) else value)
+class _Floats:
+    """The one-point path: each input a float, and the first failed check raises."""
+
+    fn = _FLOAT_MATH
+
+    def __init__(self, values: dict[str, float]) -> None:
+        self.values = values
+
+    def parameters(self) -> tuple:
+        return _parameters(self.values)
+
+    def power(self, name: str, exponent: int) -> float:
+        return _power(self.values[name], exponent)
+
+    @staticmethod
+    def add(fails, exc: type[GraventError], message: str, *args) -> None:
+        if fails:
+            raise exc(message.format(*(_shown(arg, 0) for arg in args)))
 
 
 @dataclass(frozen=True, slots=True)
@@ -153,9 +198,6 @@ class Batch:
     failed: np.ndarray
     first: np.ndarray
     errors: list[tuple[type[GraventError], str, tuple]]
-    #: Checks made before the potential expansion; a point that passes them
-    #: has been compared against the default regime threshold.
-    expansion_check: int
 
     def error(self, i: int) -> GraventError:
         """The exception a scalar evaluation of failed point ``i`` raises."""
@@ -163,14 +205,30 @@ class Batch:
         return exc(message.format(*(_shown(arg, i) for arg in args)))
 
     def status(self, i: int) -> str:
-        exc = self.error(i)
-        return f"error: {type(exc).__name__}: {exc}"
+        return _status(self.error(i))
 
-    def warn_out_of_regime(self, i: int, stacklevel: int) -> None:
-        """The ``RegimeWarning`` a scalar evaluation of point ``i`` emits, if any."""
-        reached = not self.failed[i] or self.first[i] >= self.expansion_check
-        ratio = float(self.values["ratio_x"][i])
-        if reached and not ratio < REGIME_THRESHOLD_DEFAULT:
+
+@dataclass(frozen=True, slots=True)
+class Point:
+    """What ``evaluate_one`` returns.
+
+    ``values`` maps the input and output names to floats and bools, up to
+    the first failed check; ``error`` is that check's exception, or None.
+    """
+
+    values: dict[str, float | bool]
+    error: GraventError | None
+
+    @property
+    def status(self) -> str:
+        return "ok" if self.error is None else _status(self.error)
+
+    def warn_out_of_regime(self, stacklevel: int) -> None:
+        """The ``RegimeWarning`` a scalar evaluation emits, if any: the ratio
+        was computed, so the expansion's checks were reached, and it is not
+        below the default regime threshold."""
+        ratio = self.values.get("ratio_x")
+        if ratio is not None and not ratio < REGIME_THRESHOLD_DEFAULT:
             warn_out_of_regime(ratio, REGIME_THRESHOLD_DEFAULT, stacklevel + 1)
 
 
@@ -185,108 +243,147 @@ def evaluate(
 ) -> Batch:
     """Evaluate every point of ``inputs``; ``force=False`` leaves out the forces
     and their checks, as ``report`` does."""
-    pos = inputs["tau"][1]
-    n = 1 if pos is None else len(pos)
-    m1, m2, w1, w2, d, tau = (_column(*inputs[name]) for name in PARAMETERS)
-    G, hbar = constants.G, constants.hbar
-    checks = _Checks(n)
-    add = checks.add
+    columns = _Columns(inputs)
+    values: dict[str, np.ndarray] = {}
     with np.errstate(all="ignore"):
-        # MassiveBody, PairSystem, assess_validity, accumulated_phase
-        for m, r, w in ((m1, r1, w1), (m2, r2, w2)):
-            add(_nonfinite(m), InputDomainError, "mass must be finite, got {}", m)
-            add(not math.isfinite(r), InputDomainError, "radius must be finite, got {}", r)
-            add(_nonfinite(w), InputDomainError, "omega must be finite, got {}", w)
-            add(m <= 0, InputDomainError, "mass must be positive, got {}", m)
-            add(r < 0, InputDomainError, "radius must be non-negative, got {}", r)
-            add(w <= 0, InputDomainError, "omega must be positive, got {}", w)
-        add(_nonfinite(d), InputDomainError, "separation_d must be finite, got {}", d)
-        add(d <= 0, InputDomainError, "separation_d must be positive, got {}", d)
-        add(not math.isfinite(threshold), InputDomainError, "threshold must be finite, got {}", threshold)
-        add(threshold <= 0, InputDomainError, "threshold must be positive, got {}", threshold)
-        add(_nonfinite(tau), InputDomainError, "tau must be finite, got {}", tau)
-        add(tau < 0, InputDomainError, "tau must be non-negative, got {}", tau)
-        add(hbar <= 0, InputDomainError, "hbar must be positive to accumulate phases")
-
-        # zero-point widths and the validity ratio
-        mw1, mw2 = m1 * w1, m2 * w2
-        add(mw1 == 0, FloatRangeError, "mass*omega underflows to 0 at {} and {}", m1, w1)
-        add(mw2 == 0, FloatRangeError, "mass*omega underflows to 0 at {} and {}", m2, w2)
-        dr_sum = np.sqrt(hbar / mw1) + np.sqrt(hbar / mw2)
-        ratio = dr_sum / d
-
-        # expand_potential and quantum_correction
-        expansion_check = len(checks.masks)
-        add(_nonfinite(dr_sum), InputDomainError, "dr_sum must be finite")
-        abs_x = abs(ratio)
-        add(abs_x >= 1, ConvergenceDomainError,
-            "|dr_sum/d| = {} >= 1: geometric expansion diverges", abs_x)
-        v0 = -G * m1 * m2 / d
-        product = m1 * m2 * w1 * w2
-        add(product == 0, FloatRangeError, "m1*m2*omega1*omega2 underflows to 0")
-        bracket = 1.0 / mw1 + 1.0 / mw2 + 2.0 / np.sqrt(product)
-        d3 = _python_power(inputs, "d", 3)
-        add(d3 == math.inf, FloatRangeError, "d**3 overflows")
-        add(d3 == 0, FloatRangeError, "d**3 underflows to 0")
-        correction = hbar * G * m1 * m2 / d3 * bracket  # |delta_v_g|
-        delta = -correction
-
-        # PhaseSet
-        v_total = v0 + delta
-        phi, phi_prime = (v_total - delta) * tau / hbar, v_total * tau / hbar
-        add(_nonfinite(phi), InputDomainError, "phi must be finite, got {}", phi)
-        add(_nonfinite(phi_prime), InputDomainError, "phi_prime must be finite, got {}", phi_prime)
-        delta_phi = G * m1 * m2 / d3 * bracket * tau
-        add(_nonfinite(delta_phi), InputDomainError, "delta_phi must be finite, got {}", delta_phi)
-        add(delta_phi >= PHASE_RESOLUTION_LIMIT, PrecisionError,
-            "delta_phi = {} rad >= 2**33: its ulp exceeds 1e-6 rad", delta_phi)
-
-        values = _measures(delta_phi)
-        values["ratio_x"] = ratio
-        values["in_regime"] = ratio < threshold
-        values["delta_phi"] = delta_phi
-        if force:
-            w1_2, w1_3 = _python_power(inputs, "omega1", 2), _python_power(inputs, "omega1", 3)
-            w2_2, w2_3 = _python_power(inputs, "omega2", 2), _python_power(inputs, "omega2", 3)
-            second, second_name = (m2, "m2") if symmetrize else (m1, "m1")
-            first_term, second_term = m1 * w1_2, second * w2_2
-            masses, cross1, cross2 = m1 * m2, w1_3 * w2, w1 * w2_3
-            # entanglement_force, its float64 range checks in the order the
-            # scalar expression meets them; m1*m2 is not 0 where
-            # m1*m2*omega1*omega2 is not
-            add(w1_2 == math.inf, FloatRangeError, "omega1**2 overflows")
-            add(first_term == 0, FloatRangeError, "m1*omega1**2 underflows to 0")
-            add(w2_2 == math.inf, FloatRangeError, "omega2**2 overflows")
-            add(second_term == 0, FloatRangeError, f"{second_name}*omega2**2 underflows to 0")
-            add(w1_3 == math.inf, FloatRangeError, "omega1**3 overflows")
-            add(cross1 == 0, FloatRangeError, "omega1**3*omega2 underflows to 0")
-            add(w2_3 == math.inf, FloatRangeError, "omega2**3 overflows")
-            add(cross2 == 0, FloatRangeError, "omega1*omega2**3 underflows to 0")
-            force_bracket = (
-                1.0 / first_term
-                + 1.0 / second_term
-                + (1.0 / np.sqrt(masses)) * (1.0 / np.sqrt(cross1) + 1.0 / np.sqrt(cross2))
-            )
-            values["force_closed_form"] = hbar * G * m1 * m2 / d3 * force_bracket
-            values["force_gradient"] = 3.0 * correction / d
-
-    if pos is None:  # numpy scalars, lifted to one-point columns
-        values = {name: value[None] for name, value in values.items()}
-    failed, first = checks.first_failures()
-    return Batch(values, failed, first, checks.errors, expansion_check)
+        _physics(columns, r1, r2, constants, threshold, symmetrize, force, values)
+    failed, first = columns.first_failures()
+    return Batch(values, failed, first, columns.errors)
 
 
-def evaluate_system(sys: PairSystem, tau: float) -> Batch:
-    """``sys`` at interaction time ``tau``, without the forces: a batch of one."""
+def _real(name: str, value) -> float:
+    if not isinstance(value, (float, numbers.Real)):
+        raise InputDomainError(f"{name} must be a real number, got {value!r}")
+    return float(value)
+
+
+def evaluate_one(
+    params: Mapping[str, float],
+    r1: float,
+    r2: float,
+    constants: PhysicalConstants,
+    threshold: float = REGIME_THRESHOLD_DEFAULT,
+    symmetrize: bool = False,
+    force: bool = True,
+) -> Point:
+    """``evaluate`` at one point, given each of PARAMETERS as a real number:
+    the same outputs and, for a failed point, the same error.
+
+    Raises ``InputDomainError`` for a parameter that is not a real number.
+    """
+    values = {name: _real(name, params[name]) for name in PARAMETERS}
+    try:
+        _physics(_Floats(values), r1, r2, constants, threshold, symmetrize, force, values)
+    except GraventError as error:
+        return Point(values, error)
+    return Point(values, None)
+
+
+def evaluate_system(sys: PairSystem, tau: float) -> Point:
+    """``sys`` at interaction time ``tau``, without the forces. The system's
+    values are taken as floats, as its value objects have checked them."""
     body1, body2 = sys.body1, sys.body2
-    inputs = single(
-        m1=body1.mass, m2=body2.mass, omega1=body1.omega, omega2=body2.omega,
-        d=sys.separation_d, tau=tau,
+    params = dict(
+        m1=float(body1.mass), m2=float(body2.mass), omega1=float(body1.omega),
+        omega2=float(body2.omega), d=float(sys.separation_d), tau=tau,
     )
-    return evaluate(inputs, body1.radius, body2.radius, sys.constants, force=False)
+    return evaluate_one(params, body1.radius, body2.radius, sys.constants, force=False)
 
 
-def _measures(delta_phi: np.ndarray | np.float64) -> dict:
+def _physics(path, r1, r2, constants, threshold, symmetrize, force, out) -> None:
+    """Evaluate the inputs ``path`` gives, making its checks, into ``out``:
+    the ratio, the phase rate and phase, the measures and, with ``force``,
+    both forces."""
+    m1, m2, w1, w2, d, tau = path.parameters()
+    fn, add = path.fn, path.add
+    # Plain floats: a numpy scalar would turn a point's outputs into numpy
+    # scalars (the threshold, too, where it is compared below).
+    G, hbar = float(constants.G), float(constants.hbar)
+    # MassiveBody, PairSystem, assess_validity, accumulated_phase
+    for m, r, w in ((m1, r1, w1), (m2, r2, w2)):
+        add(_nonfinite(m), InputDomainError, "mass must be finite, got {}", m)
+        add(not math.isfinite(r), InputDomainError, "radius must be finite, got {}", r)
+        add(_nonfinite(w), InputDomainError, "omega must be finite, got {}", w)
+        add(m <= 0, InputDomainError, "mass must be positive, got {}", m)
+        add(r < 0, InputDomainError, "radius must be non-negative, got {}", r)
+        add(w <= 0, InputDomainError, "omega must be positive, got {}", w)
+    add(_nonfinite(d), InputDomainError, "separation_d must be finite, got {}", d)
+    add(d <= 0, InputDomainError, "separation_d must be positive, got {}", d)
+    add(not math.isfinite(threshold), InputDomainError, "threshold must be finite, got {}", threshold)
+    add(threshold <= 0, InputDomainError, "threshold must be positive, got {}", threshold)
+    add(_nonfinite(tau), InputDomainError, "tau must be finite, got {}", tau)
+    add(tau < 0, InputDomainError, "tau must be non-negative, got {}", tau)
+    add(hbar <= 0, InputDomainError, "hbar must be positive to accumulate phases")
+
+    # zero-point widths and the validity ratio
+    mw1, mw2 = m1 * w1, m2 * w2
+    add(mw1 == 0, FloatRangeError, "mass*omega underflows to 0 at {} and {}", m1, w1)
+    add(mw2 == 0, FloatRangeError, "mass*omega underflows to 0 at {} and {}", m2, w2)
+    dr_sum = fn.sqrt(hbar / mw1) + fn.sqrt(hbar / mw2)
+    ratio = dr_sum / d
+    # Set before the expansion's checks: a point that has a ratio has been
+    # compared against the regime threshold.
+    out["ratio_x"] = ratio
+    out["in_regime"] = ratio < float(threshold)
+
+    # expand_potential and quantum_correction
+    add(_nonfinite(dr_sum), InputDomainError, "dr_sum must be finite")
+    abs_x = abs(ratio)
+    add(abs_x >= 1, ConvergenceDomainError,
+        "|dr_sum/d| = {} >= 1: geometric expansion diverges", abs_x)
+    v0 = -G * m1 * m2 / d
+    product = m1 * m2 * w1 * w2
+    add(product == 0, FloatRangeError, "m1*m2*omega1*omega2 underflows to 0")
+    bracket = 1.0 / mw1 + 1.0 / mw2 + 2.0 / fn.sqrt(product)
+    d3 = path.power("d", 3)
+    add(d3 == math.inf, FloatRangeError, "d**3 overflows")
+    add(d3 == 0, FloatRangeError, "d**3 underflows to 0")
+    correction = hbar * G * m1 * m2 / d3 * bracket  # |delta_v_g|
+    delta = -correction
+    # delta_phi per unit tau: |delta_v_g|/hbar, with hbar cancelled
+    rate = G * m1 * m2 / d3 * bracket
+    out["phase_rate"] = rate
+
+    # PhaseSet
+    v_total = v0 + delta
+    phi, phi_prime = (v_total - delta) * tau / hbar, v_total * tau / hbar
+    add(_nonfinite(phi), InputDomainError, "phi must be finite, got {}", phi)
+    add(_nonfinite(phi_prime), InputDomainError, "phi_prime must be finite, got {}", phi_prime)
+    delta_phi = rate * tau
+    add(_nonfinite(delta_phi), InputDomainError, "delta_phi must be finite, got {}", delta_phi)
+    add(delta_phi >= PHASE_RESOLUTION_LIMIT, PrecisionError,
+        "delta_phi = {} rad >= 2**33: its ulp exceeds 1e-6 rad", delta_phi)
+    out["delta_phi"] = delta_phi
+    out.update(_measures(delta_phi, fn))
+
+    if force:
+        power = path.power
+        w1_2, w1_3 = power("omega1", 2), power("omega1", 3)
+        w2_2, w2_3 = power("omega2", 2), power("omega2", 3)
+        second, second_name = (m2, "m2") if symmetrize else (m1, "m1")
+        first_term, second_term = m1 * w1_2, second * w2_2
+        masses, cross1, cross2 = m1 * m2, w1_3 * w2, w1 * w2_3
+        # entanglement_force, its float64 range checks in the order the
+        # scalar expression meets them; m1*m2 is not 0 where
+        # m1*m2*omega1*omega2 is not
+        add(w1_2 == math.inf, FloatRangeError, "omega1**2 overflows")
+        add(first_term == 0, FloatRangeError, "m1*omega1**2 underflows to 0")
+        add(w2_2 == math.inf, FloatRangeError, "omega2**2 overflows")
+        add(second_term == 0, FloatRangeError, f"{second_name}*omega2**2 underflows to 0")
+        add(w1_3 == math.inf, FloatRangeError, "omega1**3 overflows")
+        add(cross1 == 0, FloatRangeError, "omega1**3*omega2 underflows to 0")
+        add(w2_3 == math.inf, FloatRangeError, "omega2**3 overflows")
+        add(cross2 == 0, FloatRangeError, "omega1*omega2**3 underflows to 0")
+        force_bracket = (
+            1.0 / first_term
+            + 1.0 / second_term
+            + (1.0 / fn.sqrt(masses)) * (1.0 / fn.sqrt(cross1) + 1.0 / fn.sqrt(cross2))
+        )
+        out["force_closed_form"] = hbar * G * m1 * m2 / d3 * force_bracket
+        out["force_gradient"] = 3.0 * correction / d
+
+
+def _measures(delta_phi, fn=_ARRAY_MATH) -> dict:
     """Measure the canonical product state evolved by the entangling phase,
     in the same-direction gauge, from its 2x2 amplitude matrix
     A = [[1/2, b], [b, 1/2]], b = exp(i*delta_phi)/2.
@@ -294,25 +391,24 @@ def _measures(delta_phi: np.ndarray | np.float64) -> dict:
     For a pure two-qubit state the reduced purity is 1 - 2|det A|^2 and the
     reduced spectrum is {lam, 1 - lam} with lam(1 - lam) = |det A|^2 (2|det A|
     is the concurrence; Wootters, PRL 80, 2245, 1998). ``delta_phi`` is a
-    column, or a numpy scalar for a batch of one; a non-finite phase, which
-    has failed a check, gives nan measures.
+    column, or a float with ``fn`` the float functions; a non-finite phase,
+    which has failed a check, gives nan measures in a column.
     """
-    b_re, b_im = 0.5 * np.cos(delta_phi), 0.5 * np.sin(delta_phi)
-    # det A = 1/4 - b^2, in real arithmetic: numpy rounds a complex scalar
-    # product differently from a complex array product. Im(det A) carries
+    b_re, b_im = 0.5 * fn.cos(delta_phi), 0.5 * fn.sin(delta_phi)
+    # det A = 1/4 - b^2, in real arithmetic. Im(det A) carries
     # sin(delta_phi) without cancellation.
     det_re = 0.25 - (b_re * b_re - b_im * b_im)
     det_im = -2.0 * b_re * b_im
     epsilon = 2.0 * det_re * det_re + 2.0 * det_im * det_im
     # The smaller Schmidt weight, the root of lam^2 - lam + epsilon/2 = 0
     # without the cancelling 1 - sqrt(1 - 2*epsilon).
-    lam = epsilon / (1.0 + np.sqrt(np.maximum(1.0 - 2.0 * epsilon, 0.0)))
+    lam = epsilon / (1.0 + fn.sqrt(fn.maximum(1.0 - 2.0 * epsilon, 0.0)))
     # 0*ln(0) = 0: a zero weight is logged as 1; 0.0 - x is never -0.0.
-    nats = 0.0 - (lam * np.log(lam + (lam == 0.0)) + (1.0 - lam) * np.log1p(-lam))
+    nats = 0.0 - (lam * fn.log(lam + (lam == 0.0)) + (1.0 - lam) * fn.log1p(-lam))
     norm = 0.25 + (b_re * b_re + b_im * b_im) * 2.0 + 0.25  # sum of |a|^2
 
     two_pi = 2.0 * math.pi
-    remainder = abs(np.fmod(delta_phi, two_pi))
+    remainder = abs(fn.fmod(delta_phi, two_pi))
     return {
         "purity_full": norm * norm,
         "purity_reduced": 1.0 - epsilon,
@@ -320,5 +416,5 @@ def _measures(delta_phi: np.ndarray | np.float64) -> dict:
         "entropy_nats": nats,
         "entropy_bits": nats / LN2,
         "separable_by_measures": epsilon < SEPARABLE_EPSILON_TOL,
-        "separable_by_two_pi_criterion": np.minimum(remainder, two_pi - remainder) < PHASE_TOL,
+        "separable_by_two_pi_criterion": fn.minimum(remainder, two_pi - remainder) < PHASE_TOL,
     }

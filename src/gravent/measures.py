@@ -4,8 +4,8 @@ entropy, assembled into a per-scenario entanglement report.
 The measures are always computed from the state's matrices; the
 cos(delta_phi) closed forms of the canonical family live in the test suite
 as independent oracles, not here. ``report`` takes them from the 2x2
-amplitude matrix's determinant through ``kernel.evaluate``, exact to a few
-ulp wherever epsilon is a normal float. The density-matrix route
+amplitude matrix's determinant through the kernel, exact to a few ulp
+wherever epsilon is a normal float. The density-matrix route
 below (``report_from_phases``: rho, its partial trace, Tr(rho1^2) and the
 eigenvalues) is kept as the scalar reference; its ``1 - Tr(rho1^2)``
 cancels to 0 for delta_phi below ~1e-8 rad.
@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
+from operator import itemgetter
 
 import numpy as np
 
@@ -184,7 +185,7 @@ def report_from_phases(phases: PhaseSet) -> EntanglementReport:
     )
 
 
-_REPORT_FIELDS = tuple(f.name for f in fields(EntanglementReport))
+_report_values = itemgetter(*(f.name for f in fields(EntanglementReport)))
 
 
 def report(sys: PairSystem, tau: float) -> EntanglementReport:
@@ -193,18 +194,21 @@ def report(sys: PairSystem, tau: float) -> EntanglementReport:
     Accumulates the entangling phase, evolves the canonical state in closed
     form and takes every measure from its 2x2 amplitude matrix A: the
     linear entropy 2|det A|^2, the reduced spectrum from it, and the full
-    purity from the norm. A batch of one through ``kernel.evaluate``, which
-    raises what the scalar pipeline raises and emits ``RegimeWarning`` past
-    the default regime threshold.
+    purity from the norm. The kernel's expressions on plain floats
+    (``kernel.evaluate_system``): the values of a sweep row at the same
+    point, bit for bit; the first failed check raises what the scalar
+    pipeline raises, after ``RegimeWarning`` if the ratio, reached before
+    it, is past the default regime threshold. A ``tau`` that is not a real
+    number raises ``InputDomainError``.
 
     The evolution runs in the same-direction gauge (common branch phase
     subtracted): every measure is invariant under a global phase, and the
     signed relative phase -delta_phi is well conditioned where the raw
     branch phases can exceed float64 angular resolution by many orders.
     """
-    batch = kernel.evaluate_system(sys, tau)
-    batch.warn_out_of_regime(0, stacklevel=2)
-    if batch.failed[0]:
-        raise batch.error(0)
-    return EntanglementReport(**{name: batch.values[name].tolist()[0] for name in _REPORT_FIELDS})
+    point = kernel.evaluate_system(sys, tau)
+    point.warn_out_of_regime(stacklevel=2)
+    if point.error is not None:
+        raise point.error
+    return EntanglementReport(*_report_values(point.values))
 

@@ -174,6 +174,11 @@ ROW_FIELD_NAMES = tuple(f.name for f in fields(SweepRow))
 #: Each row field's type name: "int", "float", "bool" or "str".
 ROW_FIELD_TYPES = tuple(f.type for f in fields(SweepRow))
 _ROW_DEFAULTS = {f.name: f.default for f in fields(SweepRow) if f.default is not MISSING}
+#: The row fields the kernel computes.
+_KERNEL_FIELDS = tuple(
+    name for name in _ROW_DEFAULTS
+    if name not in ("regime_threshold", "force_closed_form_unit", "status")
+)
 
 
 def _row_columns(
@@ -188,10 +193,8 @@ def _row_columns(
     ``indices``; a failed point keeps its inputs and gets the row defaults
     and its error as status."""
     n = len(indices)
-    columns = {
-        name: (values if pos is None else values[pos]).tolist() for name, (values, pos) in inputs.items()
-    }
-    columns.update((name, column.tolist()) for name, column in batch.values.items())
+    columns = {name: values[pos].tolist() for name, (values, pos) in inputs.items()}
+    columns.update((name, batch.values[name].tolist()) for name in _KERNEL_FIELDS)
     columns.update(
         index=indices.tolist(),
         r1=[r1] * n,
@@ -219,11 +222,15 @@ def evaluate_point(
     """Run the full pipeline at one parameter point; failures land in status.
 
     No warning is emitted: the row's in_regime column carries the regime.
+    A parameter that is not a real number raises ``InputDomainError``.
     """
-    inputs = kernel.single(**{name: params[name] for name in SWEEP_PARAMETERS})
-    batch = kernel.evaluate(inputs, r1, r2, constants, regime_threshold, symmetrize_force)
-    columns = _row_columns(np.array([index]), inputs, batch, r1, r2, regime_threshold)
-    return SweepRow(*(column[0] for column in columns))
+    point = kernel.evaluate_one(params, r1, r2, constants, regime_threshold, symmetrize_force)
+    values = point.values
+    inputs = {name: values[name] for name in SWEEP_PARAMETERS}
+    if point.error is not None:
+        return SweepRow(index, r1=r1, r2=r2, **inputs, status=point.status)
+    outputs = {name: values[name] for name in _KERNEL_FIELDS}
+    return SweepRow(index, r1=r1, r2=r2, **inputs, regime_threshold=regime_threshold, **outputs)
 
 
 class SweepResult(Sequence):
@@ -298,22 +305,27 @@ def time_to_max_entanglement(sys: PairSystem) -> float:
     """Smallest positive time at which the reduced entropy reaches ln(2).
 
     The entangling phase grows linearly in time, so the first maximum sits
-    at tau* = (pi/2)/rate, where rate is the kernel's delta_phi at tau = 1 s;
-    as hbar cancels, that is (pi/2)*hbar/|delta_v_g|. The system meets the
-    checks report mode makes and raises what they raise. With hbar = 0, or
-    a rate that underflows to 0, the correction vanishes and
+    at tau* = (pi/2)/rate, where rate is the kernel's delta_phi per second;
+    as hbar cancels, that is (pi/2)*hbar/|delta_v_g|. The system at tau*
+    meets the checks report mode makes and raises what they raise. With
+    hbar = 0, or a rate that underflows to 0, the correction vanishes and
     ``NoEntanglementError`` is raised; a tau* past the float64 range is a
     ``FloatRangeError``.
     """
     if sys.constants.hbar == 0.0:
         raise NoEntanglementError("quantum correction is zero; entanglement never accumulates")
-    batch = kernel.evaluate_system(sys, 1.0)
-    if batch.failed[0]:
-        raise batch.error(0)
-    rate = batch.values["delta_phi"].item()
+    # At tau = 0 a check that depends on tau fails only where the potential
+    # or the rate is not finite, which fails at tau* too.
+    point = kernel.evaluate_system(sys, 0.0)
+    if point.error is not None:
+        raise point.error
+    rate = point.values["phase_rate"]
     if rate == 0.0:
         raise NoEntanglementError("quantum correction is zero; entanglement never accumulates")
     tau_star = (math.pi / 2.0) / rate
     if tau_star == math.inf:
         raise FloatRangeError(f"tau* = (pi/2)/{rate!r} overflows")
+    point = kernel.evaluate_system(sys, tau_star)
+    if point.error is not None:
+        raise point.error
     return tau_star

@@ -10,6 +10,7 @@ import subprocess
 import sys
 import warnings
 from pathlib import Path
+from types import SimpleNamespace
 
 import mpmath
 import numpy as np
@@ -19,7 +20,14 @@ from hypothesis import given, settings, strategies as st
 from gravent import cli, kernel, sweep
 from gravent.cli import main, rows_to_json
 from gravent.dynamics import PhaseSet, accumulated_phase
-from gravent.errors import FloatRangeError, PrecisionError
+from gravent.errors import (
+    ConvergenceDomainError,
+    FloatRangeError,
+    GraventError,
+    InputDomainError,
+    PrecisionError,
+    RegimeWarning,
+)
 from gravent.measures import report, report_from_phases
 from gravent.model import MassiveBody, PairSystem, PhysicalConstants
 from gravent.potential import entanglement_force
@@ -256,10 +264,16 @@ def test_phase_past_float_resolution_is_a_precision_error():
             evaluate()
     row = evaluate_point(0, {**params, "tau": tau}, 0.0, 0.0, PhysicalConstants())
     assert row.status.startswith("error: PrecisionError: delta_phi = ")
-    # tau-star takes its rate from delta_phi at tau = 1 s
+    # tau-star evaluates the system at tau*, where delta_phi is pi/2, so a
+    # rate past 2**33 rad/s (here 2.67e11) is no error.
     heavy = MassiveBody(1e3, 0.0, 1.0)
-    with pytest.raises(PrecisionError):
-        time_to_max_entanglement(PairSystem(heavy, heavy, 1e-6))
+    with mpmath.workdps(50):
+        G, m, w, d = (mpmath.mpf(v) for v in (PhysicalConstants().G, 1e3, 1.0, 1e-6))
+        rate = G * m * m / d**3 * (2 / (m * w) + 2 / mpmath.sqrt(m * m * w * w))
+        expected = float(mpmath.pi / 2 / rate)
+    tau_star = time_to_max_entanglement(PairSystem(heavy, heavy, 1e-6))
+    assert tau_star == pytest.approx(expected, rel=1e-15)
+    assert tau_star == pytest.approx(5.8837e-12, rel=1e-4)
 
 
 def test_json_writes_null_for_every_non_finite_float():
@@ -445,6 +459,110 @@ def test_kernel_matches_scalar_pipeline(params, r1, hbar, threshold, symmetrize)
         others = [name for name in sweep.ROW_FIELD_NAMES if name not in MEASURE_FIELDS]
         assert same_bits(row, reference, others), (row, reference)
         assert measure_misses(dataclasses.asdict(row), row.delta_phi) == [], row
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    params=st.fixed_dictionaries({name: VALUE for name in sweep.SWEEP_PARAMETERS}),
+    r1=st.sampled_from([0.0, 1e-7, -1.0, math.nan]),
+    hbar=st.sampled_from([1.054571817e-34, 0.0, 1e-300, 1e300, np.float64(1e-34)]),
+    threshold=st.sampled_from([0.1, 2.0, 0.0, math.inf, np.float64(0.2), 0]),
+    symmetrize=st.booleans(),
+)
+def test_batch_of_one_matches_the_array_path(params, r1, hbar, threshold, symmetrize):
+    """A batch of one runs the kernel on floats and stops at the first failed
+    check; the array path records every check. Both give the same row, bit
+    for bit, status text included. report() raises the class and message,
+    or returns the measures, of the array path without the forces at the
+    default threshold; a system its value objects reject fails with that
+    same error. Numpy-typed constants and thresholds give Python-typed rows
+    on both paths."""
+    constants = PhysicalConstants(hbar=hbar)
+    spec = SweepSpec(axes={}, fixed=params, r1=r1, constants=constants,
+                     regime_threshold=threshold, symmetrize_force=symmetrize)
+    (row,) = run_sweep(spec)
+    single = evaluate_point(0, params, r1, 0.0, constants, threshold, symmetrize)
+    assert same_bits(single, row), (single, row)
+    assert [type(getattr(single, n)) for n in sweep.ROW_FIELD_NAMES] == \
+        [type(getattr(row, n)) for n in sweep.ROW_FIELD_NAMES]
+
+    batch = kernel.evaluate(spec.inputs(np.arange(1)), r1, 0.0, constants, force=False)
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            system = PairSystem(MassiveBody(params["m1"], r1, params["omega1"]),
+                                MassiveBody(params["m2"], 0.0, params["omega2"]),
+                                params["d"], constants)
+            got = report(system, params["tau"])
+    except GraventError as exc:
+        assert batch.failed[0]
+        expected = batch.error(0)
+        assert (type(exc), str(exc)) == (type(expected), str(expected))
+    else:
+        assert not batch.failed[0]
+        expected = SimpleNamespace(**{name: column.tolist()[0] for name, column in batch.values.items()})
+        names = [f.name for f in dataclasses.fields(got)]
+        assert same_bits(got, expected, names), (got, expected)
+
+
+@pytest.mark.parametrize("d, tau, error", [(1e-13, 1.0, ConvergenceDomainError),
+                                           (6e-12, 1e30, PrecisionError),
+                                           (1e-13, -1.0, InputDomainError)],
+                         ids=["diverges", "past-resolution", "negative-tau"])
+def test_report_warns_out_of_regime_before_it_raises(d, tau, error):
+    """The RegimeWarning comes once the ratio is computed, ahead of any later
+    check's error; a check made before the ratio raises with no warning."""
+    body = MassiveBody(1e-14, 0.0, 1e5)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(error):
+            report(PairSystem(body, body, d), tau)
+    expected = [] if error is InputDomainError else [RegimeWarning]
+    assert [type(w.message) for w in caught] == expected
+
+
+@pytest.mark.parametrize("tau", ["1", None, 1 + 0j, b"1"], ids=["str", "none", "complex", "bytes"])
+def test_non_real_tau_is_an_input_domain_error(tau):
+    body = MassiveBody(1e-14, 0.0, 1e5)
+    message = f"tau must be a real number, got {tau!r}"
+    with pytest.raises(InputDomainError) as info:
+        report(PairSystem(body, body, 1e-6), tau)
+    assert str(info.value) == message
+    with pytest.raises(InputDomainError) as info:
+        evaluate_point(0, {**PAPER_BODIES, "tau": tau}, 0.0, 0.0, PhysicalConstants())
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("tau", [1, True, np.float32(0.5), np.float64(2.0), np.int64(3)],
+                         ids=["int", "bool", "float32", "float64", "int64"])
+def test_real_tau_of_any_type_is_taken_as_its_float(tau):
+    body = MassiveBody(1e-14, 0.0, 1e5)
+    system = PairSystem(body, body, 1e-6)
+    assert report(system, tau) == report(system, float(tau))
+    assert type(evaluate_point(0, {**PAPER_BODIES, "tau": tau}, 0.0, 0.0, PhysicalConstants()).tau) is float
+
+
+def test_numpy_typed_inputs_give_python_typed_results():
+    params = {name: np.float64(value) for name, value in {**PAPER_BODIES, "tau": 1.0}.items()}
+    constants = PhysicalConstants(hbar=np.float64(1.054571817e-34))
+    row = evaluate_point(0, params, 0.0, 0.0, constants, np.float64(0.2))
+    assert row.status == "ok"
+    builtin = {"int": int, "float": float, "bool": bool, "str": str}
+    types = {n: type(getattr(row, n)) for n in sweep.ROW_FIELD_NAMES}
+    del types["regime_threshold"]  # echoed as given, on every path
+    assert types == {n: builtin[t] for n, t in zip(sweep.ROW_FIELD_NAMES, sweep.ROW_FIELD_TYPES)
+                     if n != "regime_threshold"}
+    body = MassiveBody(np.float64(1e-14), 0.0, np.float64(1e5))
+    rep = report(PairSystem(body, body, np.float64(1e-6), constants), np.float64(1.0))
+    assert {type(v) for v in dataclasses.astuple(rep)} == {float, bool}
+
+
+def test_tau_star_with_a_rate_past_float_resolution(tmp_path, capsys):
+    """Bodies of 1e3 kg at 1 rad/s, 1 um apart: the phase grows 2.67e11 rad/s,
+    and tau* = 5.9e-12 s, where delta_phi is pi/2."""
+    doc = system_doc("tau-star", dict(m1=1e3, m2=1e3, omega1=1.0, omega2=1.0, d=1e-6))
+    assert main(["--config", write_config(tmp_path, doc)]) == 0
+    assert capsys.readouterr().out == "5.88374933250e-12\n"
 
 
 @settings(max_examples=500, deadline=None)
