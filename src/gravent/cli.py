@@ -23,6 +23,8 @@ from collections.abc import Callable, Iterable
 from pathlib import Path
 from typing import TextIO
 
+import numpy as np
+
 from .config import MODES, FORMATS, RunConfig, parse_config, parse_constants_overrides
 from .errors import ConfigError, GraventError, WidthWarning
 from .model import MassiveBody, PairSystem, PhysicalConstants, zero_point_width
@@ -45,43 +47,275 @@ def _format_float(value: float, precision: int) -> str:
     return f"{value:.{precision - 1}e}"
 
 
-def _bool_text(column: list) -> list[str]:
-    return ["true" if value else "false" for value in column]
+# _format_e certifies |v| in [1e-280, 1e280] at up to 15 significant digits:
+# in that range no product in _rounded_digits overflows or goes subnormal,
+# and a 15-digit integer is exact in float64 (10**15 < 2**53).
+_E_RANGE = 1e-280, 1e280
+_E_DIGITS = 15
+#: Scales 10**k that _format_e applies, k = precision - 1 - floor(log10|v|),
+#: with one to spare at each end.
+_K_MIN, _K_MAX = -281, 296
+_SPLIT = 134217729.0  # 2**27 + 1: Dekker's split into two 26-bit halves
+# log10|v| is estimated as ln|v| * log10(e): the kernel uses np.log already,
+# and np.log10 would page in machine code of its own.
+_LOG10_E = 1 / math.log(10)
 
 
-def _texts(column: list, encode: Callable[[object], str]) -> list[str]:
-    """``encode`` of each value, computed once per distinct value: the swept
-    inputs, the radii and the status repeat across a chunk. A zero is keyed
-    by its repr, as 0.0 and -0.0 are one dict key."""
-    texts: dict = {}
-    out = []
-    for value in column:
-        key = value if value else repr(value)
-        text = texts.get(key)
-        if text is None:
-            text = texts[key] = encode(value)
-        out.append(text)
-    return out
+def _split(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    c = _SPLIT * x
+    high = c - (c - x)
+    return high, x - high
 
 
-def _json_float(value: float) -> str:
+def _powers_of_ten() -> tuple[np.ndarray, np.ndarray]:
+    """hi and lo for k in _K_MIN.._K_MAX: hi is 10**k rounded to float64 and
+    lo the rest, rounded, so hi + lo is 10**k to about 2**-106 relative.
+    Built with int arithmetic only, each rounding correct."""
+    hi, lo = [], []
+    for k in range(_K_MIN, _K_MAX + 1):
+        if k >= 0:
+            hi.append(float(10**k))
+            lo.append(float(10**k - int(hi[-1])))
+        else:
+            scale = 10**-k
+            hi.append(1 / scale)
+            num, den = hi[-1].as_integer_ratio()
+            lo.append((den - num * scale) / (den * scale))  # 10**k - hi, then rounded
+    return np.array(hi), np.array(lo)
+
+
+_TEN_HI, _TEN_LO = _powers_of_ten()
+_TEN_HI_HIGH, _TEN_HI_LOW = _split(_TEN_HI)
+
+
+def _digit_codes(count: int) -> np.ndarray:
+    """0..999 in ``count`` digits, zero-padded, each as the little-endian
+    uint32 of its ASCII bytes."""
+    i = np.arange(1000, dtype=np.uint32)
+    codes = sum((ord("0") + i // 10 ** (count - 1 - j) % 10) << (8 * j) for j in range(count))
+    return codes.astype("<u4")
+
+
+#: The digits of each group of up to three.
+_DIGITS = {count: _digit_codes(count) for count in (1, 2, 3)}
+#: The sign and first digit, without and with a point after it, as the
+#: little-endian uint32 of their ASCII bytes; index 10 * negative + digit.
+_LEADS = tuple(
+    np.array([int.from_bytes(f"{sign}{d}{point}".encode(), "little")
+              for sign in ("", "-") for d in range(10)], dtype="<u4")
+    for point in ("", ".")
+)
+
+
+def _exponent_codes() -> np.ndarray:
+    """The exponents e+00 to e-999, each with a newline after it, as the
+    little-endian uint64 of their ASCII bytes; index 1000 * (exponent < 0) +
+    |exponent|. An exponent has at least two digits, as "%e" writes it."""
+    short = np.arange(1000) < 100
+    digits = np.where(short, _DIGITS[2], _DIGITS[3]).astype(np.uint64)
+    end = np.uint64(ord("\n")) << np.where(short, 32, 40).astype(np.uint64)
+    return np.concatenate(
+        [ord("e") | np.uint64(ord(sign) << 8) | digits << np.uint64(16) | end for sign in "+-"]
+    ).astype("<u8")
+
+
+_EXPONENTS = _exponent_codes()
+
+
+def _rounded_digits(
+    values: np.ndarray, precision: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Each |v| rounded to ``precision`` significant digits: the digits as
+    an integer, the decimal exponent, and whether the rounding is certain.
+
+    |v| is scaled by 10**(precision - 1 - e), e = floor(log10|v|), in
+    double-double arithmetic: Dekker's exact two-product against hi, plus
+    |v| * lo, leaves the scaled value within ~1e-16 of exact. It is not
+    certain for zero, inf and nan, |v| outside [1e-280, 1e280], a scaled
+    value whose fraction is within 1e-6 of 1/2 (a possible tie, which "%"
+    rounds to even), or an exponent the logarithm mis-estimates (|v| next to
+    a power of ten).
+    """
+    low, high = 10.0 ** (precision - 1), 10.0**precision
+    with np.errstate(all="ignore"):
+        a = np.abs(values)
+        certified = (a >= _E_RANGE[0]) & (a <= _E_RANGE[1])  # false for 0, inf, nan
+        a[~certified] = 1.0
+        exponent = np.floor(np.log(a) * _LOG10_E).astype(np.int64)
+        k = precision - 1 - _K_MIN - exponent
+        hi, hi_high, hi_low = _TEN_HI[k], _TEN_HI_HIGH[k], _TEN_HI_LOW[k]
+        a_high, a_low = _split(a)
+        p = a * hi
+        err = a_low * hi_low - (((p - a_high * hi_high) - a_low * hi_high) - a_high * hi_low)
+        q = err + a * _TEN_LO[k]
+        s = p + q
+        whole = np.floor(s)
+        fraction = (s - whole) + (q - (s - p))
+    certified &= (np.abs(fraction - 0.5) >= 1e-6) & (whole < high)
+    certified &= (whole > low) | ((whole == low) & (fraction >= 0.0))
+    digits = whole + (fraction >= 0.5)
+    carry = digits == high  # 9.99...95 rounds up to 10.0...0: one digit more
+    exponent += carry
+    digits[carry | ~certified] = low
+    return digits.astype(np.int64), exponent, certified
+
+
+def _e_texts(
+    negative: np.ndarray, digits: np.ndarray, exponent: np.ndarray, precision: int
+) -> list[str]:
+    """The "%e" texts of sign, ``precision`` digits and exponent.
+
+    Each text is a row of bytes: sign, first digit and point; the other
+    digits in groups of up to three; exponent and a newline. Each field is
+    written, in that order, as the little-endian code of its text, so the
+    NUL padding of a field is overwritten by the next field or stays; the
+    rows are decoded at once and their NULs deleted.
+    """
+    widths = ((precision - 2) % 3 + 1,) + (3,) * ((precision - 2) // 3) if precision > 1 else ()
+    groups = []
+    for width in reversed(widths):
+        digits, group = np.divmod(digits, 10**width)
+        groups.append(_DIGITS[width][group])
+    fields = [_LEADS[precision > 1][10 * negative + digits], *reversed(groups)]
+    fields.append(_EXPONENTS[1000 * (exponent < 0) + np.abs(exponent)])
+    offsets = np.cumsum([0, 3, *widths])
+    row = offsets[-1] + 8
+    text = np.zeros((len(digits), row), dtype=np.uint8)
+    for offset, codes in zip(offsets, fields):
+        np.ndarray(len(digits), codes.dtype, text, offset, (row,))[...] = codes
+    texts = text.tobytes().translate(None, b"\0").decode("ascii").split("\n")
+    texts.pop()
+    return texts
+
+
+def _percent_e(values: np.ndarray, precision: int) -> list[str]:
+    """``'%.{precision - 1}e' % v`` for each of ``values``."""
+    pattern = f"%.{precision - 1}e"
+    return [pattern % v for v in values.tolist()]
+
+
+def _format_e(values: np.ndarray, precision: int) -> list[str]:
+    """``_percent_e(values, precision)``, byte for byte, vectorised: the
+    digits come from ``_rounded_digits`` and the texts from lookup tables
+    (``_e_texts``). ``_percent_e`` formats each value whose rounding is not
+    certain, and every value at a precision above 15.
+    """
+    if precision > _E_DIGITS:
+        return _percent_e(values, precision)
+    digits, exponent, certified = _rounded_digits(values, precision)
+    texts = _e_texts(np.signbit(values), digits, exponent, precision)
+    uncertain = np.flatnonzero(~certified)
+    if len(uncertain):
+        for i, text in zip(uncertain.tolist(), _percent_e(values[uncertain], precision)):
+            texts[i] = text
+    return texts
+
+
+def _json_floats(values: np.ndarray) -> list[str]:
     # Non-finite floats are not valid JSON; they are written as null.
-    return repr(value) if math.isfinite(value) else "null"
+    return [repr(v) if math.isfinite(v) else "null" for v in values.tolist()]
+
+
+_BOOL_TEXTS = np.array(["false", "true"], dtype=object)
+#: The positions of the float row fields.
+_FLOAT_FIELDS = [j for j, kind in enumerate(ROW_FIELD_TYPES) if kind == "float"]
+
+
+def _distinct(column: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
+    """The distinct values of ``column`` and each row's position in them;
+    the position is None when there is one value."""
+    if (column == column[0]).all():
+        return column[:1], None
+    # np.unique(column, return_inverse=True), on a stable argsort, which is
+    # as fast here and pages in a third of the default sort's machine code.
+    order = column.argsort(kind="stable")
+    ordered = column[order]
+    first = np.empty(len(column), dtype=bool)
+    first[0] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
+    inverse = np.empty(len(column), dtype=np.intp)
+    inverse[order] = np.cumsum(first) - 1
+    return ordered[first], inverse
+
+
+def _field_texts(columns: list, encoders: dict[str, Callable]) -> list:
+    """Per row field of a chunk: its text, where the column has one value,
+    or else each row's text, in an object array.
+
+    ``encoders`` turns the distinct float values and the distinct str
+    values into their texts, so each is formatted once; float columns are
+    taken apart by bit pattern, which keeps -0.0 and nan apart from 0.0, and
+    all their distinct values are encoded in one call.
+    """
+    distinct = {j: _distinct(columns[j].view(np.uint64)) for j in _FLOAT_FIELDS}
+    keys = np.concatenate([keys for keys, _ in distinct.values()]).view(np.float64)
+    texts = np.array(encoders["float"](keys), dtype=object)
+    floats = {}
+    end = 0
+    for j, (keys, inverse) in distinct.items():
+        start, end = end, end + len(keys)
+        floats[j] = texts[start] if inverse is None else texts[start:end][inverse]
+    fields = []
+    for j, (kind, column) in enumerate(zip(ROW_FIELD_TYPES, columns)):
+        if kind == "float":
+            fields.append(floats[j])
+        elif kind == "bool":
+            if column.all() or not column.any():
+                fields.append("true" if column[0] else "false")
+            else:
+                fields.append(_BOOL_TEXTS[column.view(np.uint8)])
+        elif kind == "str":
+            values = list(dict.fromkeys(column))
+            lookup = dict(zip(values, encoders["str"](values)))
+            if len(lookup) == 1:
+                fields.append(lookup[values[0]])
+            else:
+                fields.append(list(map(lookup.__getitem__, column)))
+        else:
+            fields.append(list(map(str, column.tolist())))
+    return fields
+
+
+def _chunk_cells(columns: list, encoders: dict[str, Callable], layout: list[str]) -> np.ndarray:
+    """The cells of one chunk, a (rows, cells) object array whose rows
+    concatenate to the rows' texts: ``layout[0]``, the text of field 0,
+    ``layout[1]``, ..., the text of the last field, ``layout[-1]``, with
+    the texts of ``_field_texts``.
+
+    A field with one value in the chunk joins the layout texts around it
+    into one cell that every row shares, so it costs nothing per row.
+    """
+    shared = [layout[0]]
+    varying = []
+    for texts, after in zip(_field_texts(columns, encoders), layout[1:]):
+        if isinstance(texts, str):
+            shared[-1] += texts + after
+        else:
+            varying.append(texts)
+            shared.append(after)
+    cells = np.empty((len(columns[0]), 2 * len(varying) + 1), dtype=object)
+    cells[:, 0::2] = shared
+    for j, texts in enumerate(varying):
+        cells[:, 2 * j + 1] = texts
+    return cells
 
 
 def _write_rows(
-    out: TextIO, line: str, chunks: Iterable[list[list]], cells: dict, separator: str = ""
+    out: TextIO,
+    chunks: Iterable[list],
+    encoders: dict[str, Callable],
+    layout: list[str],
+    separator: str = "",
 ) -> None:
-    """Write each row of ``chunks`` as ``line % values``, rows joined by ``separator``.
-
-    ``cells`` maps a row field's type name to what turns its column into
-    the texts ``line`` formats; other columns are formatted as they are.
-    """
-    lead = ""
+    """Write each row of ``chunks`` as ``_chunk_cells`` lays it out, rows
+    joined by ``separator``."""
+    layout = [separator + layout[0], *layout[1:]]
+    lead = len(separator)
     for columns in chunks:
-        values = [cells.get(kind, list)(column) for kind, column in zip(ROW_FIELD_TYPES, columns)]
-        out.write(lead + separator.join([line % row for row in zip(*values)]))
-        lead = separator
+        cells = _chunk_cells(columns, encoders, layout)
+        cells[0, 0] = cells[0, 0][lead:]  # the first row has no separator before it
+        lead = 0
+        out.write("".join(cells.ravel().tolist()))
 
 
 def rows_to_csv(
@@ -90,15 +324,17 @@ def rows_to_csv(
     """RFC-4180 table: header of row field names, LF line endings.
 
     Floats are written in scientific notation at ``precision`` significant
-    digits; numeric cells are never quoted. Writes to ``out`` when given,
-    one chunk of rows at a time, and otherwise returns the text.
+    digits, as ``'%.{precision - 1}e' % v`` writes them (``_format_e``, with
+    the ``%`` fallback for what it cannot certify); numeric cells are never
+    quoted. Each distinct value of a column in a chunk is formatted once.
+    Writes to ``out`` when given, one chunk of rows at a time, and otherwise
+    returns the text.
     """
     buffer = io.StringIO() if out is None else out
     buffer.write(",".join(ROW_FIELD_NAMES) + "\n")
-    line = ",".join(["%s"] * len(ROW_FIELD_NAMES)) + "\n"
-    float_text = f"%.{precision - 1}e".__mod__
-    cells = {"float": lambda column: _texts(column, float_text), "bool": _bool_text}
-    _write_rows(buffer, line, row_chunks(rows), cells)
+    encoders = {"float": lambda values: _format_e(values, precision), "str": list}
+    layout = ["", *[","] * (len(ROW_FIELD_NAMES) - 1), "\n"]
+    _write_rows(buffer, row_chunks(rows), encoders, layout)
     return buffer.getvalue() if out is None else None
 
 
@@ -106,24 +342,21 @@ def rows_to_json(rows: Iterable[SweepRow], out: TextIO | None = None) -> str | N
     """JSON array of row objects, floats at full round-trip precision, as
     ``json.dumps(..., indent=2)`` lays it out; non-finite floats are null.
 
-    Writes to ``out`` when given, one chunk of rows at a time, and
-    otherwise returns the text.
+    ``repr`` and ``json.dumps`` are applied to each distinct value of a
+    column in a chunk once. Writes to ``out`` when given, one chunk of rows
+    at a time, and otherwise returns the text.
     """
     buffer = io.StringIO() if out is None else out
-    members = ",\n".join(f"    {json.dumps(name)}: %s" for name in ROW_FIELD_NAMES)
-    cells = {
-        "float": lambda column: _texts(column, _json_float),
-        "bool": _bool_text,
-        "str": lambda column: _texts(column, json.dumps),
-    }
     chunks = row_chunks(rows)
     first = next(chunks, None)
     if first is None:
         buffer.write("[]\n")
     else:
         buffer.write("[\n")
-        line = "  {\n" + members + "\n  }"
-        _write_rows(buffer, line, itertools.chain([first], chunks), cells, ",\n")
+        encoders = {"float": _json_floats, "str": lambda values: list(map(json.dumps, values))}
+        keys = [f'    {json.dumps(name)}: ' for name in ROW_FIELD_NAMES]
+        layout = ["  {\n" + keys[0], *[",\n" + key for key in keys[1:]], "\n  }"]
+        _write_rows(buffer, itertools.chain([first], chunks), encoders, layout, ",\n")
         buffer.write("\n]\n")
     return buffer.getvalue() if out is None else None
 

@@ -181,6 +181,10 @@ _KERNEL_FIELDS = tuple(
 )
 
 
+#: The row fields without a default: the index and the inputs.
+_REQUIRED_FIELDS = len(ROW_FIELD_NAMES) - len(_ROW_DEFAULTS)
+
+
 def _row_columns(
     indices: np.ndarray,
     inputs: kernel.Inputs,
@@ -188,26 +192,40 @@ def _row_columns(
     r1: float,
     r2: float,
     regime_threshold: float,
-) -> list[list]:
-    """One list per row field, in ROW_FIELD_NAMES order, for the points at
-    ``indices``; a failed point keeps its inputs and gets the row defaults
-    and its error as status."""
+) -> list:
+    """One column per row field, in ROW_FIELD_NAMES order, for the points at
+    ``indices`` (see ``SweepResult``). A failed point keeps its inputs and
+    gets the row defaults and its error as status."""
     n = len(indices)
-    columns = {name: values[pos].tolist() for name, (values, pos) in inputs.items()}
-    columns.update((name, batch.values[name].tolist()) for name in _KERNEL_FIELDS)
+    failed = batch.failed
+    columns = {name: values[pos] for name, (values, pos) in inputs.items()}
     columns.update(
-        index=indices.tolist(),
-        r1=[r1] * n,
-        r2=[r2] * n,
-        regime_threshold=[regime_threshold] * n,
-        force_closed_form_unit=[FORCE_CLOSED_FORM_UNIT] * n,
-        status=["ok"] * n,
+        (name, np.where(failed, _ROW_DEFAULTS[name], batch.values[name])) for name in _KERNEL_FIELDS
     )
-    for i in np.flatnonzero(batch.failed).tolist():
-        for name, default in _ROW_DEFAULTS.items():
-            columns[name][i] = default
-        columns["status"][i] = batch.status(i)
+    status = ["ok"] * n
+    for i in np.flatnonzero(failed).tolist():
+        status[i] = batch.status(i)
+    columns.update(
+        index=indices,
+        r1=np.full(n, r1, dtype=np.float64),
+        r2=np.full(n, r2, dtype=np.float64),
+        regime_threshold=np.where(failed, math.nan, regime_threshold),
+        force_closed_form_unit=[FORCE_CLOSED_FORM_UNIT] * n,
+        status=status,
+    )
     return [columns[name] for name in ROW_FIELD_NAMES]
+
+
+def _rows(columns: list) -> Iterator[SweepRow]:
+    """The rows of one chunk of columns, Python-typed; a failed row holds
+    SweepRow's own defaults, as ``evaluate_point`` builds it."""
+    lists = [column.tolist() if isinstance(column, np.ndarray) else column for column in columns]
+    for values in zip(*lists):
+        status = values[-1]
+        if status == "ok":
+            yield SweepRow(*values)
+        else:
+            yield SweepRow(*values[:_REQUIRED_FIELDS], status=status)
 
 
 def evaluate_point(
@@ -222,15 +240,18 @@ def evaluate_point(
     """Run the full pipeline at one parameter point; failures land in status.
 
     No warning is emitted: the row's in_regime column carries the regime.
-    A parameter that is not a real number raises ``InputDomainError``.
+    A parameter that is not a real number raises ``InputDomainError``. The
+    row is Python-typed, as a sweep's rows are: the radii and the threshold
+    are echoed as floats.
     """
     point = kernel.evaluate_one(params, r1, r2, constants, regime_threshold, symmetrize_force)
     values = point.values
     inputs = {name: values[name] for name in SWEEP_PARAMETERS}
+    radii = dict(r1=float(r1), r2=float(r2))
     if point.error is not None:
-        return SweepRow(index, r1=r1, r2=r2, **inputs, status=point.status)
+        return SweepRow(index, **radii, **inputs, status=point.status)
     outputs = {name: values[name] for name in _KERNEL_FIELDS}
-    return SweepRow(index, r1=r1, r2=r2, **inputs, regime_threshold=regime_threshold, **outputs)
+    return SweepRow(index, **radii, **inputs, regime_threshold=float(regime_threshold), **outputs)
 
 
 class SweepResult(Sequence):
@@ -238,7 +259,11 @@ class SweepResult(Sequence):
 
     Rows are evaluated CHUNK_POINTS at a time when read, so no more than one
     chunk of them is held at once; reading the result twice evaluates it
-    twice.
+    twice. ``chunks`` gives each chunk as the writers take it, one column
+    per row field: the index array, a float64 array per float field and a
+    bool array per bool field, holding the row defaults nan and False where
+    a point failed, and a list per str field, the status naming each
+    failure. Iterating and indexing give Python-typed ``SweepRow`` objects.
     """
 
     def __init__(self, spec: SweepSpec) -> None:
@@ -248,7 +273,7 @@ class SweepResult(Sequence):
     def __len__(self) -> int:
         return self._size
 
-    def _columns(self, indices: np.ndarray) -> list[list]:
+    def _columns(self, indices: np.ndarray) -> list:
         spec = self.spec
         inputs = spec.inputs(indices)
         batch = kernel.evaluate(
@@ -256,21 +281,22 @@ class SweepResult(Sequence):
         )
         return _row_columns(indices, inputs, batch, spec.r1, spec.r2, spec.regime_threshold)
 
-    def chunks(self) -> Iterator[list[list]]:
-        """Consecutive chunks of rows, each as one list per row field."""
+    def chunks(self) -> Iterator[list]:
+        """Consecutive chunks of rows, each as one column per row field."""
         for start in range(0, self._size, CHUNK_POINTS):
             yield self._columns(np.arange(start, min(start + CHUNK_POINTS, self._size)))
 
     def __iter__(self) -> Iterator[SweepRow]:
         for columns in self.chunks():
-            yield from (SweepRow(*values) for values in zip(*columns))
+            yield from _rows(columns)
 
     def __getitem__(self, index):
         if isinstance(index, slice):
             indices = np.arange(self._size)[index]
-            return [SweepRow(*values) for values in zip(*self._columns(indices))]
+            return list(_rows(self._columns(indices)))
         position = range(self._size)[index]
-        return SweepRow(*(column[0] for column in self._columns(np.array([position]))))
+        (row,) = _rows(self._columns(np.array([position])))
+        return row
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, (SweepResult, list)):
@@ -278,14 +304,24 @@ class SweepResult(Sequence):
         return list(self) == list(other)
 
 
-def row_chunks(rows: Iterable[SweepRow]) -> Iterator[list[list]]:
-    """Rows as consecutive chunks, each as one list per row field."""
+#: The column type of each row field type but "str", whose columns are lists.
+_COLUMN_DTYPES = {"int": np.int64, "float": np.float64, "bool": np.bool_}
+
+
+def row_chunks(rows: Iterable[SweepRow]) -> Iterator[list]:
+    """Rows as consecutive chunks, each as one column per row field, typed as
+    ``SweepResult.chunks`` types them: a float field holds float64, whatever
+    number a hand-built row gives it."""
     if isinstance(rows, SweepResult):
         yield from rows.chunks()
         return
     rows = list(rows)
     if rows:
-        yield [[getattr(row, name) for row in rows] for name in ROW_FIELD_NAMES]
+        columns = ([getattr(row, name) for row in rows] for name in ROW_FIELD_NAMES)
+        yield [
+            column if kind == "str" else np.array(column, dtype=_COLUMN_DTYPES[kind])
+            for kind, column in zip(ROW_FIELD_TYPES, columns)
+        ]
 
 
 def run_sweep(spec: SweepSpec, workers: int = 1) -> SweepResult:
@@ -315,10 +351,13 @@ def time_to_max_entanglement(sys: PairSystem) -> float:
     if sys.constants.hbar == 0.0:
         raise NoEntanglementError("quantum correction is zero; entanglement never accumulates")
     # At tau = 0 a check that depends on tau fails only where the potential
-    # or the rate is not finite, which fails at tau* too.
+    # or the rate is not finite, which fails at tau* too. The phase there is
+    # rate*0, nan for an infinite rate, so the error raised is the one at
+    # tau = 1 s, as report mode gives it: every check failed at tau = 0 also
+    # fails at 1 s, the same or an earlier one.
     point = kernel.evaluate_system(sys, 0.0)
     if point.error is not None:
-        raise point.error
+        raise kernel.evaluate_system(sys, 1.0).error or point.error
     rate = point.values["phase_rate"]
     if rate == 0.0:
         raise NoEntanglementError("quantum correction is zero; entanglement never accumulates")

@@ -1,5 +1,6 @@
 """The columnar sweep engine: pinned CLI bytes, grid inputs, float64 range
-failures as error rows, and the names the benchmark harness relies on."""
+failures as error rows, the names the benchmark harness relies on, and the
+writers' vectorised ``%e`` kernel against the ``%`` operator."""
 
 import dataclasses
 import hashlib
@@ -19,6 +20,7 @@ from hypothesis import given, settings, strategies as st
 
 from gravent import cli, kernel, sweep
 from gravent.cli import main, rows_to_json
+from gravent.config import parse_config
 from gravent.dynamics import PhaseSet, accumulated_phase
 from gravent.errors import (
     ConvergenceDomainError,
@@ -203,6 +205,10 @@ TAU_STAR_FAILURES = [
     # The scalar correction was 0*inf = nan here, and tau-star printed nan.
     (dict(m1=1e-160, omega1=1e-150, m2=1e100, omega2=1e100, d=1e100),
      "|dr_sum/d| = 1.0269234718322505e+38 >= 1: geometric expansion diverges", True),
+    # The rate overflows: tau-star read the phase at tau = 0, inf*0, and
+    # printed "got nan".
+    (dict(m1=1e160, m2=1e160, omega1=1.0, omega2=1.0, d=1.0),
+     "phi must be finite, got -inf", True),
     # The rate after 1 s is subnormal; tau* is past the float64 range.
     (dict(m1=1e-100, m2=1e-100, omega1=1e150, omega2=1e150, d=1e21),
      "tau* = (pi/2)/2.5e-323 overflows", False),
@@ -222,7 +228,8 @@ def test_float_range_failures_exit_2_in_tau_star_mode(tmp_path, capsys, values, 
 
 @pytest.mark.filterwarnings("ignore::gravent.errors.RegimeWarning")
 @pytest.mark.parametrize("values, error, in_report", TAU_STAR_FAILURES,
-                         ids=["diverges", "nan-correction", "tau-star-overflow", "zero-rate"])
+                         ids=["diverges", "nan-correction", "rate-overflow", "tau-star-overflow",
+                              "zero-rate"])
 def test_tau_star_fails_where_the_kernel_does(tmp_path, capsys, values, error, in_report):
     doc = system_doc("tau-star", {**PAPER_BODIES, **values})
     assert main(["--config", write_config(tmp_path, doc)]) == 2
@@ -549,9 +556,7 @@ def test_numpy_typed_inputs_give_python_typed_results():
     assert row.status == "ok"
     builtin = {"int": int, "float": float, "bool": bool, "str": str}
     types = {n: type(getattr(row, n)) for n in sweep.ROW_FIELD_NAMES}
-    del types["regime_threshold"]  # echoed as given, on every path
-    assert types == {n: builtin[t] for n, t in zip(sweep.ROW_FIELD_NAMES, sweep.ROW_FIELD_TYPES)
-                     if n != "regime_threshold"}
+    assert types == {n: builtin[t] for n, t in zip(sweep.ROW_FIELD_NAMES, sweep.ROW_FIELD_TYPES)}
     body = MassiveBody(np.float64(1e-14), 0.0, np.float64(1e5))
     rep = report(PairSystem(body, body, np.float64(1e-6), constants), np.float64(1.0))
     assert {type(v) for v in dataclasses.astuple(rep)} == {float, bool}
@@ -599,3 +604,111 @@ def test_report_at_the_paper_scenario_is_entangled_to_float_precision():
         assert abs(getattr(rep, name) - ref[name]) <= 1e-12 * ref[name]
     # epsilon < 1e-12 is the separability verdict, unchanged.
     assert rep.separable_by_measures
+
+
+PRECISIONS = range(1, 18)
+
+
+def percent(values, precision):
+    return [f"%.{precision - 1}e" % v for v in np.asarray(values, dtype=np.float64).tolist()]
+
+
+def powers_of_ten_and_neighbours():
+    # 10**k and the floats on either side, across the kernel's range
+    # [1e-280, 1e280] and past both ends of it.
+    powers = np.array([float(f"1e{k}") for k in range(-330, 309)])
+    return np.concatenate([powers, np.nextafter(powers, 0.0), np.nextafter(powers, np.inf)])
+
+
+def ties():
+    # Values whose decimal expansion ends in a 5 that some precision cuts:
+    # %e rounds those exact halves to even.
+    halves = np.arange(2000) + 0.5
+    eighths = np.arange(1, 4000) * 0.125
+    return np.concatenate([halves, eighths, eighths * 2.0**-20, halves * 1024.0])
+
+
+def carries():
+    # 9.99...95 and its neighbours: rounding up adds a digit to the exponent.
+    nines = np.array([float(f"9.{'9' * j}5e{x}")
+                      for j in range(16) for x in (-250, -20, -1, 0, 3, 17, 200)])
+    return np.concatenate([nines, np.nextafter(nines, 0.0), np.nextafter(nines, np.inf)])
+
+
+FIXED = {
+    "powers-of-ten": powers_of_ten_and_neighbours(),
+    "ties": ties(),
+    "13-digit-integers": np.random.default_rng(13).integers(10**12, 10**13, 2000).astype(float),
+    "carries": carries(),
+    "specials": np.array([0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf, 5e-324, -5e-324,
+                          2.2250738585072014e-308, 2.225073858507201e-308, sys.float_info.max,
+                          -sys.float_info.max, 0.1, 0.3, -0.7, 1.0, 2.5, 1e-280, 1e280]),
+}
+
+
+@pytest.mark.parametrize("values", list(FIXED.values()), ids=list(FIXED))
+def test_format_e_matches_percent_on_fixed_values(values):
+    for precision in PRECISIONS:
+        assert cli._format_e(values, precision) == percent(values, precision)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+                min_size=1, max_size=40))
+def test_format_e_matches_percent_on_any_floats(values):
+    values = np.array(values, dtype=np.float64)
+    for precision in PRECISIONS:
+        assert cli._format_e(values, precision) == percent(values, precision)
+
+
+def test_format_e_formats_log_uniform_values_without_the_fallback(monkeypatch):
+    passed = []
+    fallback = cli._percent_e
+
+    def counting(values, precision):
+        passed.extend(values.tolist())
+        return fallback(values, precision)
+
+    monkeypatch.setattr(cli, "_percent_e", counting)
+    values = 10.0 ** np.random.default_rng(2401).uniform(-30.0, 30.0, 1024)
+    assert cli._format_e(values, 12) == percent(values, 12)
+    assert passed == []
+    # The counter sees what the fallback formats: zero and nan.
+    assert cli._format_e(np.array([1.5, 0.0, np.nan]), 12) == percent([1.5, 0.0, np.nan], 12)
+    assert len(passed) == 2
+
+
+def percent_csv(rows, precision):
+    """The CSV writer as a loop over cells."""
+    def cell(kind, value):
+        if kind == "float":
+            return f"%.{precision - 1}e" % value
+        if kind == "bool":
+            return "true" if value else "false"
+        return str(value)
+
+    lines = [",".join(sweep.ROW_FIELD_NAMES)]
+    for row in rows:
+        lines.append(",".join(cell(kind, getattr(row, name))
+                              for name, kind in zip(sweep.ROW_FIELD_NAMES, sweep.ROW_FIELD_TYPES)))
+    return "\n".join(lines) + "\n"
+
+
+def test_csv_writer_matches_a_per_cell_writer_at_every_precision():
+    # MIXED_DOC's grid has failed rows (nan cells, error statuses) and a tau
+    # axis through 0, over more than one chunk.
+    rows = run_sweep(parse_config(MIXED_DOC).sweep_spec())
+    listed = list(rows)
+    assert {row.status == "ok" for row in listed} == {True, False}
+    for precision in PRECISIONS:
+        text = cli.rows_to_csv(rows, precision)
+        assert text == percent_csv(listed, precision)
+        assert cli.rows_to_csv(listed, precision) == text
+
+
+def test_a_float_field_is_written_as_a_float_whatever_number_a_row_holds():
+    inputs = dict(index=0, m1=1e-14, m2=2e-14, r1=0.0, r2=0.0, omega1=1e5, omega2=3e5, d=1e-6)
+    floats = SweepRow(**inputs, tau=2.0, delta_phi=0.0)
+    others = SweepRow(**inputs, tau=2, delta_phi=np.float64(0.0))
+    assert cli.rows_to_csv([others]) == cli.rows_to_csv([floats])
+    assert cli.rows_to_json([others]) == cli.rows_to_json([floats])
