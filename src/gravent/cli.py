@@ -43,10 +43,6 @@ __all__ = ["main", "rows_to_csv", "rows_to_json"]
 CONSTANTS_ENV_VAR = "GRAVENT_CONSTANTS"
 
 
-def _format_float(value: float, precision: int) -> str:
-    return f"{value:.{precision - 1}e}"
-
-
 # _format_e certifies |v| in [1e-280, 1e280] at up to 15 significant digits:
 # in that range no product in _rounded_digits overflows or goes subnormal,
 # and a 15-digit integer is exact in float64 (10**15 < 2**53).
@@ -226,16 +222,7 @@ def _distinct(column: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
     the position is None when there is one value."""
     if (column == column[0]).all():
         return column[:1], None
-    # np.unique(column, return_inverse=True), on a stable argsort, which is
-    # as fast here and pages in a third of the default sort's machine code.
-    order = column.argsort(kind="stable")
-    ordered = column[order]
-    first = np.empty(len(column), dtype=bool)
-    first[0] = True
-    np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
-    inverse = np.empty(len(column), dtype=np.intp)
-    inverse[order] = np.cumsum(first) - 1
-    return ordered[first], inverse
+    return np.unique(column, return_inverse=True)
 
 
 def _field_texts(columns: list, encoders: dict[str, Callable]) -> list:
@@ -318,6 +305,14 @@ def _write_rows(
         out.write("".join(cells.ravel().tolist()))
 
 
+_CSV_SPECIAL = frozenset(',"\r\n')
+
+
+def _csv_texts(values: list[str]) -> list[str]:
+    """Each text as an RFC 4180 cell."""
+    return [v if _CSV_SPECIAL.isdisjoint(v) else '"' + v.replace('"', '""') + '"' for v in values]
+
+
 def rows_to_csv(
     rows: Iterable[SweepRow], precision: int = 12, out: TextIO | None = None
 ) -> str | None:
@@ -326,13 +321,14 @@ def rows_to_csv(
     Floats are written in scientific notation at ``precision`` significant
     digits, as ``'%.{precision - 1}e' % v`` writes them (``_format_e``, with
     the ``%`` fallback for what it cannot certify); numeric cells are never
-    quoted. Each distinct value of a column in a chunk is formatted once.
-    Writes to ``out`` when given, one chunk of rows at a time, and otherwise
-    returns the text.
+    quoted. A text cell that holds a comma, a double quote, CR or LF is
+    quoted, each double quote doubled. Each distinct value of a column in a
+    chunk is formatted once. Writes to ``out`` when given, one chunk of rows
+    at a time, and otherwise returns the text.
     """
     buffer = io.StringIO() if out is None else out
     buffer.write(",".join(ROW_FIELD_NAMES) + "\n")
-    encoders = {"float": lambda values: _format_e(values, precision), "str": list}
+    encoders = {"float": lambda values: _format_e(values, precision), "str": _csv_texts}
     layout = ["", *[","] * (len(ROW_FIELD_NAMES) - 1), "\n"]
     _write_rows(buffer, row_chunks(rows), encoders, layout)
     return buffer.getvalue() if out is None else None
@@ -437,8 +433,8 @@ def _serialize(rows: Iterable[SweepRow], config: RunConfig, out: TextIO) -> None
 
 def _run_tau_star(config: RunConfig) -> str:
     system = _build_system(config)
-    tau_star = time_to_max_entanglement(system)
-    return _format_float(tau_star, config.precision) + "\n"
+    (text,) = _percent_e(np.array([time_to_max_entanglement(system)]), config.precision)
+    return text + "\n"
 
 
 class _Parser(argparse.ArgumentParser):
@@ -491,7 +487,7 @@ def main(argv: list[str] | None = None) -> int:
                 if config.mode == "report":
                     rows = _run_report(config)
                 else:
-                    rows = run_sweep(config.sweep_spec(), workers=config.workers)
+                    rows = run_sweep(config.sweep_spec())
                 _emit(lambda out: _serialize(rows, config, out), config.output)
     except ConfigError as exc:
         print(f"gravent: error: {exc}", file=sys.stderr)

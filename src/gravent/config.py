@@ -24,7 +24,7 @@ The accepted format is flat sectioned key-value text (INI surface):
 
     [sweep]
     tau = 1.0:10.0:10        ; start:stop:count[:linear|log]
-    workers = 1
+    workers = 1              ; checked (>= 1), otherwise ignored
 
 Unknown sections or keys are rejected by name. [sweep] is read in sweep
 mode only, where swept parameters override any fixed value given for them
@@ -108,7 +108,6 @@ class RunConfig:
     regime_threshold: float = REGIME_THRESHOLD_DEFAULT
     symmetrize_force: bool = False
     sweep_axes: dict[str, AxisSpec] = field(default_factory=dict)
-    workers: int = 1
 
     def sweep_spec(self) -> SweepSpec:
         """The grid a table mode evaluates: one point in report mode."""
@@ -241,7 +240,6 @@ def parse_config(text: str, mode: str | None = None) -> RunConfig:
         raise ConfigError(f"[constants]: {exc}") from None
 
     axes: dict[str, AxisSpec] = {}
-    workers = 1
     if mode == "sweep" and parser.has_section("sweep"):
         for key in parser.options("sweep"):
             if key == "workers":
@@ -280,7 +278,6 @@ def parse_config(text: str, mode: str | None = None) -> RunConfig:
         regime_threshold=threshold,
         symmetrize_force=symmetrize,
         sweep_axes=axes,
-        workers=workers,
     )
 
 

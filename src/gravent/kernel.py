@@ -1,14 +1,15 @@
-"""Physics kernel: the one evaluation path behind sweeps, ``evaluate_point``,
+"""Physics kernel: the one set of expressions behind sweeps, ``evaluate_point``,
 ``report`` and ``time_to_max_entanglement``.
 
 ``evaluate`` takes columns, one entry per point, and returns columns of the
 validity ratio, the entangling phase, the matrix-derived measures and both
-forces, and for each point the first check it fails. ``evaluate_one``
-evaluates a single point. The checks are the ones the value objects and
-scalar functions make on the inputs (``MassiveBody``, ``PairSystem``,
-``assess_validity``, ``accumulated_phase``, ``expand_potential``,
-``PhaseSet``), in the order a scalar evaluation meets them, plus
-``FloatRangeError`` where the scalar arithmetic would divide by an
+forces, and for each point the first check it fails; every row, of a sweep
+or of one point, comes from it. ``evaluate_system`` evaluates one system on
+plain floats, without the forces, for ``report`` and tau-star. The checks are
+the ones the value objects and scalar functions make on the inputs
+(``MassiveBody``, ``PairSystem``, ``assess_validity``, ``accumulated_phase``,
+``expand_potential``, ``PhaseSet``), in the order a scalar evaluation meets
+them, plus ``FloatRangeError`` where the scalar arithmetic would divide by an
 underflowed zero or overflow a power, and ``PrecisionError`` where the phase
 is past float resolution.
 
@@ -31,7 +32,7 @@ its measures match the kernel's only where that route does not cancel.
 
 Both entry points run the same expressions, ``_physics`` and ``_measures``.
 ``evaluate`` runs them on numpy columns and records every check as a mask.
-``evaluate_one`` runs them on Python floats and raises at the first failed
+``evaluate_system`` runs them on Python floats and stops at the first failed
 check, which is the check ``evaluate`` reports first, as checks are made in
 evaluation order. Every divisor is checked non-zero before the division, so
 float arithmetic raises nothing else. The functions the expressions call
@@ -119,10 +120,6 @@ def _shown(arg, i: int) -> str:
     return repr(value.item() if isinstance(value, np.generic) else value)
 
 
-def _status(error: GraventError) -> str:
-    return f"error: {type(error).__name__}: {error}"
-
-
 class _Columns:
     """The array path: each input a column, each check a recorded mask.
 
@@ -205,12 +202,13 @@ class Batch:
         return exc(message.format(*(_shown(arg, i) for arg in args)))
 
     def status(self, i: int) -> str:
-        return _status(self.error(i))
+        error = self.error(i)
+        return f"error: {type(error).__name__}: {error}"
 
 
 @dataclass(frozen=True, slots=True)
 class Point:
-    """What ``evaluate_one`` returns.
+    """What ``evaluate_system`` returns.
 
     ``values`` maps the input and output names to floats and bools, up to
     the first failed check; ``error`` is that check's exception, or None.
@@ -218,10 +216,6 @@ class Point:
 
     values: dict[str, float | bool]
     error: GraventError | None
-
-    @property
-    def status(self) -> str:
-        return "ok" if self.error is None else _status(self.error)
 
     def warn_out_of_regime(self, stacklevel: int) -> None:
         """The ``RegimeWarning`` a scalar evaluation emits, if any: the ratio
@@ -257,37 +251,25 @@ def _real(name: str, value) -> float:
     return float(value)
 
 
-def evaluate_one(
-    params: Mapping[str, float],
-    r1: float,
-    r2: float,
-    constants: PhysicalConstants,
-    threshold: float = REGIME_THRESHOLD_DEFAULT,
-    symmetrize: bool = False,
-    force: bool = True,
-) -> Point:
-    """``evaluate`` at one point, given each of PARAMETERS as a real number:
-    the same outputs and, for a failed point, the same error.
+def evaluate_system(sys: PairSystem, tau: float) -> Point:
+    """``sys`` at interaction time ``tau``: ``evaluate`` at one point, without
+    the forces and at the default regime threshold, the same outputs and,
+    for a failed point, the same error. The system's values are taken as
+    floats, as its value objects have checked them.
 
-    Raises ``InputDomainError`` for a parameter that is not a real number.
+    Raises ``InputDomainError`` for a ``tau`` that is not a real number.
     """
-    values = {name: _real(name, params[name]) for name in PARAMETERS}
+    body1, body2 = sys.body1, sys.body2
+    values = dict(
+        m1=float(body1.mass), m2=float(body2.mass), omega1=float(body1.omega),
+        omega2=float(body2.omega), d=float(sys.separation_d), tau=_real("tau", tau),
+    )
     try:
-        _physics(_Floats(values), r1, r2, constants, threshold, symmetrize, force, values)
+        _physics(_Floats(values), body1.radius, body2.radius, sys.constants,
+                 REGIME_THRESHOLD_DEFAULT, False, False, values)
     except GraventError as error:
         return Point(values, error)
     return Point(values, None)
-
-
-def evaluate_system(sys: PairSystem, tau: float) -> Point:
-    """``sys`` at interaction time ``tau``, without the forces. The system's
-    values are taken as floats, as its value objects have checked them."""
-    body1, body2 = sys.body1, sys.body2
-    params = dict(
-        m1=float(body1.mass), m2=float(body2.mass), omega1=float(body1.omega),
-        omega2=float(body2.omega), d=float(sys.separation_d), tau=tau,
-    )
-    return evaluate_one(params, body1.radius, body2.radius, sys.constants, force=False)
 
 
 def _physics(path, r1, r2, constants, threshold, symmetrize, force, out) -> None:

@@ -194,12 +194,13 @@ def report(sys: PairSystem, tau: float) -> EntanglementReport:
     Accumulates the entangling phase, evolves the canonical state in closed
     form and takes every measure from its 2x2 amplitude matrix A: the
     linear entropy 2|det A|^2, the reduced spectrum from it, and the full
-    purity from the norm. The kernel's expressions on plain floats
-    (``kernel.evaluate_system``): the values of a sweep row at the same
-    point, bit for bit; the first failed check raises what the scalar
-    pipeline raises, after ``RegimeWarning`` if the ratio, reached before
-    it, is past the default regime threshold. A ``tau`` that is not a real
-    number raises ``InputDomainError``.
+    purity from the norm. Rows come from the kernel's array path; report()
+    runs the same expressions on plain floats (``kernel.evaluate_system``)
+    and gives the values of a sweep row at the same point, bit for bit. The
+    first failed check raises what the scalar pipeline raises, after
+    ``RegimeWarning`` if the ratio, reached before it, is past the default
+    regime threshold. A ``tau`` that is not a real number raises
+    ``InputDomainError``.
 
     The evolution runs in the same-direction gauge (common branch phase
     subtracted): every measure is invariant under a global phase, and the

@@ -6,8 +6,9 @@ maximal entanglement.
 from __future__ import annotations
 
 import math
+import numbers
 from collections.abc import Iterable, Iterator, Sequence
-from dataclasses import MISSING, dataclass, field, fields
+from dataclasses import MISSING, dataclass, field, fields, replace
 
 import numpy as np
 
@@ -53,10 +54,14 @@ class AxisSpec:
     spacing: str = "linear"
 
     def __post_init__(self) -> None:
+        if not isinstance(self.count, numbers.Integral):
+            raise InputDomainError(f"count must be an integer, got {self.count!r}")
         if self.count < 1:
             raise InputDomainError(f"count must be >= 1, got {self.count!r}")
         if self.spacing not in ("linear", "log"):
             raise InputDomainError(f"spacing must be 'linear' or 'log', got {self.spacing!r}")
+        for name in ("start", "stop"):
+            kernel._real(name, getattr(self, name))
         if not (math.isfinite(self.start) and math.isfinite(self.stop)):
             raise InputDomainError("axis endpoints must be finite")
         if self.spacing == "log" and (self.start <= 0 or self.stop <= 0):
@@ -72,7 +77,8 @@ class AxisSpec:
 
 @dataclass(frozen=True, slots=True)
 class SweepSpec:
-    """Grid description: axes for swept parameters, fixed values for the rest."""
+    """Grid description: axes for swept parameters, fixed values for the rest.
+    A fixed value that is not a real number raises ``InputDomainError``."""
 
     axes: dict[str, AxisSpec]
     fixed: dict[str, float]
@@ -99,6 +105,9 @@ class SweepSpec:
         ]
         if missing:
             raise InputDomainError(f"parameters neither swept nor fixed: {missing}")
+        for name in SWEEP_PARAMETERS:
+            if name in self.fixed:
+                kernel._real(name, self.fixed[name])
         total = self.grid_size()
         if total > self.max_points:
             raise InputDomainError(
@@ -115,14 +124,8 @@ class SweepSpec:
 
     def point(self, index: int) -> dict[str, float]:
         """Parameter values at flat grid index, canonical row-major order."""
-        values = dict(self.fixed)
-        remainder = index
-        for name in reversed(SWEEP_PARAMETERS):
-            if name in self.axis_values:
-                axis_values = self.axis_values[name]
-                remainder, pos = divmod(remainder, len(axis_values))
-                values[name] = float(axis_values[pos])
-        return values
+        inputs = self.inputs(np.array([index]))
+        return {name: float(values[pos[0]]) for name, (values, pos) in inputs.items()}
 
     def inputs(self, indices: np.ndarray) -> kernel.Inputs:
         """The kernel's inputs at flat grid ``indices``, ordered as in ``point``:
@@ -218,7 +221,7 @@ def _row_columns(
 
 def _rows(columns: list) -> Iterator[SweepRow]:
     """The rows of one chunk of columns, Python-typed; a failed row holds
-    SweepRow's own defaults, as ``evaluate_point`` builds it."""
+    SweepRow's own defaults."""
     lists = [column.tolist() if isinstance(column, np.ndarray) else column for column in columns]
     for values in zip(*lists):
         status = values[-1]
@@ -237,21 +240,17 @@ def evaluate_point(
     regime_threshold: float = REGIME_THRESHOLD_DEFAULT,
     symmetrize_force: bool = False,
 ) -> SweepRow:
-    """Run the full pipeline at one parameter point; failures land in status.
+    """The row at one parameter point, as a one-point sweep gives it, at
+    ``index``; failures land in status.
 
     No warning is emitted: the row's in_regime column carries the regime.
-    A parameter that is not a real number raises ``InputDomainError``. The
-    row is Python-typed, as a sweep's rows are: the radii and the threshold
-    are echoed as floats.
+    A parameter that is not a real number raises ``InputDomainError``, as
+    ``SweepSpec`` does.
     """
-    point = kernel.evaluate_one(params, r1, r2, constants, regime_threshold, symmetrize_force)
-    values = point.values
-    inputs = {name: values[name] for name in SWEEP_PARAMETERS}
-    radii = dict(r1=float(r1), r2=float(r2))
-    if point.error is not None:
-        return SweepRow(index, **radii, **inputs, status=point.status)
-    outputs = {name: values[name] for name in _KERNEL_FIELDS}
-    return SweepRow(index, **radii, **inputs, regime_threshold=float(regime_threshold), **outputs)
+    spec = SweepSpec(axes={}, fixed=dict(params), r1=r1, r2=r2, constants=constants,
+                     regime_threshold=regime_threshold, symmetrize_force=symmetrize_force)
+    (row,) = SweepResult(spec)
+    return replace(row, index=index)
 
 
 class SweepResult(Sequence):

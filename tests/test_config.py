@@ -30,7 +30,6 @@ class TestParseConfig:
         assert config.constants.hbar == HBAR_DEFAULT
         assert config.regime_threshold == 0.1
         assert config.symmetrize_force is False
-        assert config.workers == 1
         assert config.sweep_axes == {}
 
     def test_system_numbers_parsed(self):
@@ -135,7 +134,6 @@ class TestSweepConfig:
         doc = MINIMAL_REPORT.replace("mode = report", "mode = sweep")
         doc += "\n[sweep]\ntau = 1.0:10.0:10\nd = 1e-6:1e-5:5:log\nworkers = 3\n"
         config = parse_config(doc)
-        assert config.workers == 3
         assert set(config.sweep_axes) == {"tau", "d"}
         assert config.sweep_axes["tau"].count == 10
         assert config.sweep_axes["tau"].spacing == "linear"

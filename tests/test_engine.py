@@ -2,8 +2,10 @@
 failures as error rows, the names the benchmark harness relies on, and the
 writers' vectorised ``%e`` kernel against the ``%`` operator."""
 
+import csv
 import dataclasses
 import hashlib
+import io
 import json
 import math
 import os
@@ -85,9 +87,11 @@ tau = 1.0:1.0:1
 # object pipeline that preceded the columnar engine wrote it; the measures
 # come from the amplitude matrix's determinant and were checked cell by cell
 # against the closed forms at 60 digits (within each format's rounding, and
-# 7e-16 relative in JSON) before these hashes were recorded.
+# 7e-16 relative in JSON) before these hashes were recorded. The CSV status
+# cells that hold a comma are quoted (RFC 4180); the rows read back are the
+# same as before they were.
 PINNED = {
-    (MIXED_DOC, "csv"): "5049a2506c5201983364a4cbcce9ce060212f2d0c89a1997944e5d89eba0933b",
+    (MIXED_DOC, "csv"): "ea0df14b974136a74811672872230a48c16581340711238c142c0c2832294d45",
     (MIXED_DOC, "json"): "3bb9136f8bfb765338a578dfc82509fb00c089d6a269f8290be034fbd56a7935",
     (ONE_POINT_DOC, "csv"): "520562299d111b2fdd861b397bff993aaeecc5e7f8f95139f5cc9487bf4d345d",
     (ONE_POINT_DOC, "json"): "783e9066bd8495e82da4c18a0d38ef6738890785025d3750fef1e335b27615f0",
@@ -106,6 +110,15 @@ def test_cli_output_bytes_pinned(tmp_path, doc, fmt):
     argv = ["--config", write_config(tmp_path, doc), "--format", fmt, "--output", str(target)]
     assert main(argv) == 0
     assert hashlib.sha256(target.read_bytes()).hexdigest() == PINNED[(doc, fmt)]
+
+
+def test_every_csv_line_reads_as_one_cell_per_field(tmp_path):
+    target = tmp_path / "out.csv"
+    assert main(["--config", write_config(tmp_path, MIXED_DOC), "--output", str(target)]) == 0
+    lines = list(csv.reader(io.StringIO(target.read_text(encoding="utf-8"))))
+    assert len(lines) == 37 * 31 + 1
+    assert {len(cells) for cells in lines} == {len(sweep.ROW_FIELD_NAMES)}
+    assert any("," in cells[-1] for cells in lines)
 
 
 def test_mixed_grid_spans_chunks():
@@ -477,13 +490,13 @@ def test_kernel_matches_scalar_pipeline(params, r1, hbar, threshold, symmetrize)
     symmetrize=st.booleans(),
 )
 def test_batch_of_one_matches_the_array_path(params, r1, hbar, threshold, symmetrize):
-    """A batch of one runs the kernel on floats and stops at the first failed
-    check; the array path records every check. Both give the same row, bit
-    for bit, status text included. report() raises the class and message,
-    or returns the measures, of the array path without the forces at the
-    default threshold; a system its value objects reject fails with that
-    same error. Numpy-typed constants and thresholds give Python-typed rows
-    on both paths."""
+    """evaluate_point is the one-point sweep: the same row, bit for bit,
+    status text included, and Python-typed for numpy-typed constants and
+    thresholds. report() runs the kernel on floats and stops at the first
+    failed check; the array path records every check. report() raises the
+    class and message, or returns the measures, of the array path without
+    the forces at the default threshold; a system its value objects reject
+    fails with that same error."""
     constants = PhysicalConstants(hbar=hbar)
     spec = SweepSpec(axes={}, fixed=params, r1=r1, constants=constants,
                      regime_threshold=threshold, symmetrize_force=symmetrize)
@@ -537,6 +550,9 @@ def test_non_real_tau_is_an_input_domain_error(tau):
     assert str(info.value) == message
     with pytest.raises(InputDomainError) as info:
         evaluate_point(0, {**PAPER_BODIES, "tau": tau}, 0.0, 0.0, PhysicalConstants())
+    assert str(info.value) == message
+    with pytest.raises(InputDomainError) as info:
+        run_sweep(SweepSpec(axes={}, fixed={**PAPER_BODIES, "tau": tau}))
     assert str(info.value) == message
 
 
@@ -685,6 +701,8 @@ def percent_csv(rows, precision):
             return f"%.{precision - 1}e" % value
         if kind == "bool":
             return "true" if value else "false"
+        if kind == "str" and any(c in value for c in ',"\r\n'):
+            return '"' + value.replace('"', '""') + '"'
         return str(value)
 
     lines = [",".join(sweep.ROW_FIELD_NAMES)]

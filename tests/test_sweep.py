@@ -49,6 +49,8 @@ class TestAxisSpec:
             dict(start=1.0, stop=2.0, count=2, spacing="cubic"),
             dict(start=-1.0, stop=2.0, count=2, spacing="log"),
             dict(start=math.inf, stop=2.0, count=2),
+            dict(start=1.0, stop=2.0, count=2.5),
+            dict(start="1", stop=2.0, count=3),
         ],
     )
     def test_validation(self, kwargs):
