@@ -28,7 +28,7 @@ import numpy as np
 from .config import MODES, FORMATS, RunConfig, parse_config, parse_constants_overrides
 from .errors import ConfigError, GraventError, WidthWarning
 from .model import MassiveBody, PairSystem, PhysicalConstants, zero_point_width
-from .potential import warn_out_of_regime
+from .kernel import warn_out_of_regime
 from .sweep import (
     ROW_FIELD_NAMES,
     ROW_FIELD_TYPES,

@@ -7,6 +7,9 @@ Basis order is fixed everywhere as
 
 i.e. same-direction displacement branches occupy the outer slots and
 opposite-direction branches the inner ones.
+
+``accumulated_phase`` and ``delta_phi_to_tau`` evaluate the kernel's
+expressions; ``tests/oracles.py`` keeps the scalar phase as the reference.
 """
 
 from __future__ import annotations
@@ -17,8 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputDomainError, NoEntanglementError, PrecisionError
-from .kernel import PHASE_RESOLUTION_LIMIT
+from . import kernel
+from .errors import InputDomainError
 from .model import PairSystem, PhysicalConstants
 from .potential import corrected_potential
 
@@ -179,30 +182,15 @@ def accumulated_phase(sys: PairSystem, tau: float) -> PhaseSet:
     ``delta_phi`` is evaluated from the last expression, which contains no
     hbar at all: the hbar in the correction energy cancels against the one
     in the phase accumulation. A ``delta_phi`` of 2**33 rad or more, whose
-    ulp exceeds 1e-6 rad, raises ``PrecisionError``.
+    ulp exceeds 1e-6 rad, raises ``PrecisionError``; the other checks, and
+    the ``RegimeWarning``, are ``report``'s.
     """
-    if not math.isfinite(tau):
-        raise InputDomainError(f"tau must be finite, got {tau!r}")
-    if tau < 0:
-        raise InputDomainError(f"tau must be non-negative, got {tau!r}")
-    c = sys.constants
-    if c.hbar <= 0:
-        raise InputDomainError("hbar must be positive to accumulate phases")
-    breakdown = corrected_potential(sys)
-    v0 = breakdown.v_g_total - breakdown.delta_v_g
-    phi = v0 * tau / c.hbar
-    phi_prime = breakdown.v_g_total * tau / c.hbar
-    m1, w1 = sys.body1.mass, sys.body1.omega
-    m2, w2 = sys.body2.mass, sys.body2.omega
-    bracket = 1.0 / (m1 * w1) + 1.0 / (m2 * w2) + 2.0 / math.sqrt(m1 * m2 * w1 * w2)
-    # rate first, then * tau: keeps delta_phi exactly linear in tau
-    rate = (c.G * m1 * m2 / sys.separation_d**3) * bracket
-    phases = PhaseSet(phi=phi, phi_prime=phi_prime, delta_phi=rate * tau)
-    if phases.delta_phi >= PHASE_RESOLUTION_LIMIT:
-        raise PrecisionError(
-            f"delta_phi = {phases.delta_phi!r} rad >= 2**33: its ulp exceeds 1e-6 rad"
-        )
-    return phases
+    point = kernel.evaluate_system(sys, tau)
+    point.warn_out_of_regime(stacklevel=2)
+    if point.error is not None:
+        raise point.error
+    values = point.values
+    return PhaseSet(phi=values["phi"], phi_prime=values["phi_prime"], delta_phi=values["delta_phi"])
 
 
 def evolve_closed_form(psi0: TwoQubitState, phases: PhaseSet) -> TwoQubitState:
@@ -277,12 +265,10 @@ def is_product_state(state: TwoQubitState, tol: float = 1e-12) -> bool:
 def delta_phi_to_tau(sys: PairSystem, delta_phi: float) -> float:
     """Interaction time at which the entangling phase reaches ``delta_phi``.
 
-    Inverts the linear relation delta_phi(tau); requires a non-zero
-    quantum correction.
+    Inverts the linear relation delta_phi(tau) through the kernel's phase
+    rate, as ``time_to_max_entanglement`` does; requires a non-zero quantum
+    correction (``NoEntanglementError``).
     """
     if delta_phi < 0:
         raise InputDomainError(f"delta_phi must be non-negative, got {delta_phi!r}")
-    rate = accumulated_phase(sys, 1.0).delta_phi
-    if rate == 0.0:
-        raise NoEntanglementError("quantum correction is zero; no phase accumulates")
-    return delta_phi / rate
+    return delta_phi / kernel.phase_rate(sys)

@@ -1,15 +1,18 @@
 """Physics kernel: the one set of expressions behind sweeps, ``evaluate_point``,
-``report`` and ``time_to_max_entanglement``.
+``report``, ``time_to_max_entanglement`` and the public scalar functions.
 
 ``evaluate`` takes columns, one entry per point, and returns columns of the
-validity ratio, the entangling phase, the matrix-derived measures and both
-forces, and for each point the first check it fails; every row, of a sweep
-or of one point, comes from it. ``evaluate_system`` evaluates one system on
-plain floats, without the forces, for ``report`` and tau-star. The checks are
-the ones the value objects and scalar functions make on the inputs
-(``MassiveBody``, ``PairSystem``, ``assess_validity``, ``accumulated_phase``,
-``expand_potential``, ``PhaseSet``), in the order a scalar evaluation meets
-them, plus ``FloatRangeError`` where the scalar arithmetic would divide by an
+validity ratio, the correction, the phases, the matrix-derived measures and
+both forces, and for each point the first check it fails; every row, of a
+sweep or of one point, comes from it. ``evaluate_system`` evaluates one
+system on plain floats, without the forces, for ``report``,
+``accumulated_phase`` and tau-star; ``evaluate_correction`` runs only the
+correction and the forces, for ``quantum_correction`` and
+``entanglement_force``. The checks are the ones the value objects and scalar
+functions make on the inputs (``MassiveBody``, ``PairSystem``,
+``assess_validity``, ``accumulated_phase``, ``expand_potential``,
+``PhaseSet``), in the order a scalar evaluation meets them, plus
+``FloatRangeError`` where the scalar arithmetic would divide by an
 underflowed zero or overflow a power, and ``PrecisionError`` where the phase
 is past float resolution.
 
@@ -22,33 +25,36 @@ epsilon is a normal float, the reference scenario's 2.7e-11 rad included
 (delta_phi above ~2e-154 rad, away from multiples of pi). The state is not
 checked: the kernel builds it itself from a phase it has checked finite.
 
-The inputs, the ratio, the phase and the forces agree bit for bit with the
-scalar functions. That rests on evaluating each expression in the same order
-(left-to-right products, the phase rate before the multiplication by tau)
-and on taking single-parameter powers with Python float ``**`` on each axis's
-distinct values (numpy's ``power`` rounds differently). The scalar
-``report_from_phases`` still measures through rho and its eigenvalues, so
-its measures match the kernel's only where that route does not cancel.
+The inputs, the ratio, the correction, the phases and the forces agree bit
+for bit, errors included, with the hand-written scalar pipeline kept as the
+reference in ``tests/oracles.py``. That rests on evaluating each expression
+in the same order (left-to-right products, the phase rate before the
+multiplication by tau) and on taking single-parameter powers with Python
+float ``**`` on each axis's distinct values (numpy's ``power`` rounds
+differently). The scalar ``report_from_phases`` still measures through rho
+and its eigenvalues, so its measures match the kernel's only where that
+route does not cancel.
 
-Both entry points run the same expressions, ``_physics`` and ``_measures``.
-``evaluate`` runs them on numpy columns and records every check as a mask.
-``evaluate_system`` runs them on Python floats and stops at the first failed
-check, which is the check ``evaluate`` reports first, as checks are made in
-evaluation order. Every divisor is checked non-zero before the division, so
-float arithmetic raises nothing else. The functions the expressions call
-come from a table per path: on floats, ``math.sqrt``, ``math.fmod`` and the
-builtins ``max`` and ``min``, which are correctly rounded or exact and so
-round as numpy's ufuncs do. ``log`` and ``log1p`` stay numpy's ufuncs on
-both paths, because numpy's and the C library's differ in the last bit on
-some arguments (``log1p`` on about 7% of [-0.5, 0] on an AVX-512 host);
-``cos`` and ``sin`` stay numpy's too, so that no result rests on the two
-libraries agreeing.
+Every entry runs the same stages (the m*omega divisors, the correction,
+the phases and measures, the forces). ``evaluate`` runs them on numpy
+columns and records every check as a mask; the float entries run them on
+Python floats and stop at the first failed check, which is the check
+``evaluate`` reports first, as checks are made in evaluation order. Every
+divisor is checked non-zero before the division, so float arithmetic
+raises nothing else. The functions the expressions call come from a table
+per path: on floats, ``math.sqrt``, ``math.fmod`` and the builtins ``max``
+and ``min``, which are correctly rounded or exact and so round as numpy's
+ufuncs do. ``log`` and ``log1p`` stay numpy's ufuncs on both paths, because
+numpy's and the C library's differ in the last bit on some arguments
+(``log1p`` on about 7% of [-0.5, 0] on an AVX-512 host); ``cos`` and ``sin``
+stay numpy's too, so that no result rests on the two libraries agreeing.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
+import warnings
 from collections.abc import Mapping
 from dataclasses import dataclass
 from operator import itemgetter
@@ -61,10 +67,11 @@ from .errors import (
     FloatRangeError,
     GraventError,
     InputDomainError,
+    NoEntanglementError,
     PrecisionError,
+    RegimeWarning,
 )
 from .model import REGIME_THRESHOLD_DEFAULT, PairSystem, PhysicalConstants
-from .potential import warn_out_of_regime
 
 LN2 = math.log(2.0)
 
@@ -206,6 +213,16 @@ class Batch:
         return f"error: {type(error).__name__}: {error}"
 
 
+def warn_out_of_regime(ratio_x: float, threshold: float, stacklevel: int) -> None:
+    """Emit ``RegimeWarning``; ``stacklevel`` counts from the caller, as in ``warnings.warn``."""
+    warnings.warn(
+        f"displacement ratio x = {ratio_x:.3e} >= {threshold:.3e}: "
+        "the quadratic truncation is unreliable here",
+        RegimeWarning,
+        stacklevel=stacklevel + 1,
+    )
+
+
 @dataclass(frozen=True, slots=True)
 class Point:
     """What ``evaluate_system`` returns.
@@ -248,34 +265,70 @@ def evaluate(
 def _real(name: str, value) -> float:
     if not isinstance(value, (float, numbers.Real)):
         raise InputDomainError(f"{name} must be a real number, got {value!r}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:  # an int past the float64 range
+        raise InputDomainError(f"{name} is outside the float64 range") from None
+
+
+def _system_values(sys: PairSystem) -> dict[str, float]:
+    """The system's values as floats, as its value objects have checked them."""
+    body1, body2 = sys.body1, sys.body2
+    return dict(m1=float(body1.mass), m2=float(body2.mass), omega1=float(body1.omega),
+                omega2=float(body2.omega), d=float(sys.separation_d))
 
 
 def evaluate_system(sys: PairSystem, tau: float) -> Point:
     """``sys`` at interaction time ``tau``: ``evaluate`` at one point, without
     the forces and at the default regime threshold, the same outputs and,
-    for a failed point, the same error. The system's values are taken as
-    floats, as its value objects have checked them.
-
-    Raises ``InputDomainError`` for a ``tau`` that is not a real number.
-    """
-    body1, body2 = sys.body1, sys.body2
-    values = dict(
-        m1=float(body1.mass), m2=float(body2.mass), omega1=float(body1.omega),
-        omega2=float(body2.omega), d=float(sys.separation_d), tau=_real("tau", tau),
-    )
+    for a failed point, the same error. A ``tau`` that is not a real number
+    raises ``InputDomainError``."""
+    values = _system_values(sys)
+    values["tau"] = _real("tau", tau)
     try:
-        _physics(_Floats(values), body1.radius, body2.radius, sys.constants,
+        _physics(_Floats(values), sys.body1.radius, sys.body2.radius, sys.constants,
                  REGIME_THRESHOLD_DEFAULT, False, False, values)
     except GraventError as error:
         return Point(values, error)
     return Point(values, None)
 
 
+def evaluate_correction(sys: PairSystem, force: bool = False, symmetrize: bool = False) -> dict:
+    """``sys``'s ``delta_v_g`` and phase rate and, with ``force``, both forces,
+    on floats, making only the checks of the divisors, the correction and the
+    forces (so hbar = 0 and |x| >= 1 give values); the first that fails raises."""
+    values = _system_values(sys)
+    path = _Floats(values)
+    m1, m2, w1, w2, d = values.values()
+    G, hbar = float(sys.constants.G), float(sys.constants.hbar)
+    mw1, mw2 = _divisors(path, m1, m2, w1, w2)
+    correction, scale = _correction(path, G, hbar, m1, m2, w1, w2, mw1, mw2, values)
+    if force:
+        _forces(path, correction, scale, m1, m2, w1, w2, d, symmetrize, values)
+    return values
+
+
+def phase_rate(sys: PairSystem) -> float:
+    """``sys``'s delta_phi per second, which tau-star and ``delta_phi_to_tau``
+    invert. A system that fails a check at tau = 0 raises the error report
+    mode gives at tau = 1 s; a zero rate, or hbar = 0, ``NoEntanglementError``."""
+    if sys.constants.hbar != 0.0:
+        # A check that depends on tau fails at tau = 0 only where the
+        # potential or the rate is not finite, and then at every tau. The
+        # error raised is report mode's at tau = 1 s, where each check failed
+        # at tau = 0 fails too, or an earlier one does.
+        point = evaluate_system(sys, 0.0)
+        if point.error is not None:
+            raise evaluate_system(sys, 1.0).error or point.error
+        if point.values["phase_rate"] != 0.0:
+            return point.values["phase_rate"]
+    raise NoEntanglementError("quantum correction is zero; entanglement never accumulates")
+
+
 def _physics(path, r1, r2, constants, threshold, symmetrize, force, out) -> None:
     """Evaluate the inputs ``path`` gives, making its checks, into ``out``:
-    the ratio, the phase rate and phase, the measures and, with ``force``,
-    both forces."""
+    the ratio, the correction, the phase rate, the branch phases and phase,
+    the measures and, with ``force``, both forces."""
     m1, m2, w1, w2, d, tau = path.parameters()
     fn, add = path.fn, path.add
     # Plain floats: a numpy scalar would turn a point's outputs into numpy
@@ -298,9 +351,7 @@ def _physics(path, r1, r2, constants, threshold, symmetrize, force, out) -> None
     add(hbar <= 0, InputDomainError, "hbar must be positive to accumulate phases")
 
     # zero-point widths and the validity ratio
-    mw1, mw2 = m1 * w1, m2 * w2
-    add(mw1 == 0, FloatRangeError, "mass*omega underflows to 0 at {} and {}", m1, w1)
-    add(mw2 == 0, FloatRangeError, "mass*omega underflows to 0 at {} and {}", m2, w2)
+    mw1, mw2 = _divisors(path, m1, m2, w1, w2)
     dr_sum = fn.sqrt(hbar / mw1) + fn.sqrt(hbar / mw2)
     ratio = dr_sum / d
     # Set before the expansion's checks: a point that has a ratio has been
@@ -308,61 +359,81 @@ def _physics(path, r1, r2, constants, threshold, symmetrize, force, out) -> None
     out["ratio_x"] = ratio
     out["in_regime"] = ratio < float(threshold)
 
-    # expand_potential and quantum_correction
+    # expand_potential
     add(_nonfinite(dr_sum), InputDomainError, "dr_sum must be finite")
     abs_x = abs(ratio)
     add(abs_x >= 1, ConvergenceDomainError,
         "|dr_sum/d| = {} >= 1: geometric expansion diverges", abs_x)
     v0 = -G * m1 * m2 / d
-    product = m1 * m2 * w1 * w2
-    add(product == 0, FloatRangeError, "m1*m2*omega1*omega2 underflows to 0")
-    bracket = 1.0 / mw1 + 1.0 / mw2 + 2.0 / fn.sqrt(product)
-    d3 = path.power("d", 3)
-    add(d3 == math.inf, FloatRangeError, "d**3 overflows")
-    add(d3 == 0, FloatRangeError, "d**3 underflows to 0")
-    correction = hbar * G * m1 * m2 / d3 * bracket  # |delta_v_g|
-    delta = -correction
-    # delta_phi per unit tau: |delta_v_g|/hbar, with hbar cancelled
-    rate = G * m1 * m2 / d3 * bracket
-    out["phase_rate"] = rate
+    correction, scale = _correction(path, G, hbar, m1, m2, w1, w2, mw1, mw2, out)
 
     # PhaseSet
+    delta = out["delta_v_g"]
     v_total = v0 + delta
     phi, phi_prime = (v_total - delta) * tau / hbar, v_total * tau / hbar
     add(_nonfinite(phi), InputDomainError, "phi must be finite, got {}", phi)
     add(_nonfinite(phi_prime), InputDomainError, "phi_prime must be finite, got {}", phi_prime)
-    delta_phi = rate * tau
+    delta_phi = out["phase_rate"] * tau
     add(_nonfinite(delta_phi), InputDomainError, "delta_phi must be finite, got {}", delta_phi)
     add(delta_phi >= PHASE_RESOLUTION_LIMIT, PrecisionError,
         "delta_phi = {} rad >= 2**33: its ulp exceeds 1e-6 rad", delta_phi)
-    out["delta_phi"] = delta_phi
+    out["phi"], out["phi_prime"], out["delta_phi"] = phi, phi_prime, delta_phi
     out.update(_measures(delta_phi, fn))
 
     if force:
-        power = path.power
-        w1_2, w1_3 = power("omega1", 2), power("omega1", 3)
-        w2_2, w2_3 = power("omega2", 2), power("omega2", 3)
-        second, second_name = (m2, "m2") if symmetrize else (m1, "m1")
-        first_term, second_term = m1 * w1_2, second * w2_2
-        masses, cross1, cross2 = m1 * m2, w1_3 * w2, w1 * w2_3
-        # entanglement_force, its float64 range checks in the order the
-        # scalar expression meets them; m1*m2 is not 0 where
-        # m1*m2*omega1*omega2 is not
-        add(w1_2 == math.inf, FloatRangeError, "omega1**2 overflows")
-        add(first_term == 0, FloatRangeError, "m1*omega1**2 underflows to 0")
-        add(w2_2 == math.inf, FloatRangeError, "omega2**2 overflows")
-        add(second_term == 0, FloatRangeError, f"{second_name}*omega2**2 underflows to 0")
-        add(w1_3 == math.inf, FloatRangeError, "omega1**3 overflows")
-        add(cross1 == 0, FloatRangeError, "omega1**3*omega2 underflows to 0")
-        add(w2_3 == math.inf, FloatRangeError, "omega2**3 overflows")
-        add(cross2 == 0, FloatRangeError, "omega1*omega2**3 underflows to 0")
-        force_bracket = (
-            1.0 / first_term
-            + 1.0 / second_term
-            + (1.0 / fn.sqrt(masses)) * (1.0 / fn.sqrt(cross1) + 1.0 / fn.sqrt(cross2))
-        )
-        out["force_closed_form"] = hbar * G * m1 * m2 / d3 * force_bracket
-        out["force_gradient"] = 3.0 * correction / d
+        _forces(path, correction, scale, m1, m2, w1, w2, d, symmetrize, out)
+
+
+def _divisors(path, m1, m2, w1, w2):
+    """m1*omega1 and m2*omega2, which the widths and the correction divide by."""
+    mw1, mw2 = m1 * w1, m2 * w2
+    path.add(mw1 == 0, FloatRangeError, "mass*omega underflows to 0 at {} and {}", m1, w1)
+    path.add(mw2 == 0, FloatRangeError, "mass*omega underflows to 0 at {} and {}", m2, w2)
+    return mw1, mw2
+
+
+def _correction(path, G, hbar, m1, m2, w1, w2, mw1, mw2, out):
+    """quantum_correction: ``out`` gets delta_v_g and the phase rate. Returns
+    |delta_v_g| and hbar*G*m1*m2/d**3, the scale the closed-form force shares."""
+    product = m1 * m2 * w1 * w2
+    path.add(product == 0, FloatRangeError, "m1*m2*omega1*omega2 underflows to 0")
+    bracket = 1.0 / mw1 + 1.0 / mw2 + 2.0 / path.fn.sqrt(product)
+    d3 = path.power("d", 3)
+    path.add(d3 == math.inf, FloatRangeError, "d**3 overflows")
+    path.add(d3 == 0, FloatRangeError, "d**3 underflows to 0")
+    scale = hbar * G * m1 * m2 / d3
+    correction = scale * bracket
+    out["delta_v_g"] = -correction
+    # delta_phi per unit tau: |delta_v_g|/hbar, with hbar cancelled
+    out["phase_rate"] = G * m1 * m2 / d3 * bracket
+    return correction, scale
+
+
+def _forces(path, correction, scale, m1, m2, w1, w2, d, symmetrize, out) -> None:
+    """entanglement_force, its float64 range checks in the order its
+    expression meets them; m1*m2 is not 0 where m1*m2*omega1*omega2 is not."""
+    add, power = path.add, path.power
+    w1_2, w1_3 = power("omega1", 2), power("omega1", 3)
+    w2_2, w2_3 = power("omega2", 2), power("omega2", 3)
+    second, second_name = (m2, "m2") if symmetrize else (m1, "m1")
+    first_term, second_term = m1 * w1_2, second * w2_2
+    masses, cross1, cross2 = m1 * m2, w1_3 * w2, w1 * w2_3
+    add(w1_2 == math.inf, FloatRangeError, "omega1**2 overflows")
+    add(first_term == 0, FloatRangeError, "m1*omega1**2 underflows to 0")
+    add(w2_2 == math.inf, FloatRangeError, "omega2**2 overflows")
+    add(second_term == 0, FloatRangeError, f"{second_name}*omega2**2 underflows to 0")
+    add(w1_3 == math.inf, FloatRangeError, "omega1**3 overflows")
+    add(cross1 == 0, FloatRangeError, "omega1**3*omega2 underflows to 0")
+    add(w2_3 == math.inf, FloatRangeError, "omega2**3 overflows")
+    add(cross2 == 0, FloatRangeError, "omega1*omega2**3 underflows to 0")
+    sqrt = path.fn.sqrt
+    force_bracket = (
+        1.0 / first_term
+        + 1.0 / second_term
+        + (1.0 / sqrt(masses)) * (1.0 / sqrt(cross1) + 1.0 / sqrt(cross2))
+    )
+    out["force_closed_form"] = scale * force_bracket
+    out["force_gradient"] = 3.0 * correction / d
 
 
 def _measures(delta_phi, fn=_ARRAY_MATH) -> dict:

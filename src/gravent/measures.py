@@ -5,10 +5,11 @@ The measures are always computed from the state's matrices; the
 cos(delta_phi) closed forms of the canonical family live in the test suite
 as independent oracles, not here. ``report`` takes them from the 2x2
 amplitude matrix's determinant through the kernel, exact to a few ulp
-wherever epsilon is a normal float. The density-matrix route
-below (``report_from_phases``: rho, its partial trace, Tr(rho1^2) and the
-eigenvalues) is kept as the scalar reference; its ``1 - Tr(rho1^2)``
-cancels to 0 for delta_phi below ~1e-8 rad.
+wherever epsilon is a normal float, and its phase from the kernel, whose
+scalar reference is ``tests/oracles.py``. The density-matrix route below
+(``report_from_phases``: rho, its partial trace, Tr(rho1^2) and the
+eigenvalues) is kept as the scalar reference for the measures; its
+``1 - Tr(rho1^2)`` cancels to 0 for delta_phi below ~1e-8 rad.
 """
 
 from __future__ import annotations

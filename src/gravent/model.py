@@ -23,7 +23,11 @@ REGIME_THRESHOLD_DEFAULT = 0.1
 
 def _require_finite(**values: float) -> None:
     for name, value in values.items():
-        if not math.isfinite(value):
+        try:
+            finite = math.isfinite(value)
+        except OverflowError:  # an int past the float64 range
+            raise InputDomainError(f"{name} is outside the float64 range") from None
+        if not finite:
             raise InputDomainError(f"{name} must be finite, got {value!r}")
 
 

@@ -1,6 +1,9 @@
 """Potential engine: classical, size-corrected, expanded, and quantum-corrected
 gravitational potential energies, plus the entanglement energy and force.
 
+``quantum_correction`` and ``entanglement_force`` evaluate the kernel's
+expressions; ``tests/oracles.py`` keeps their scalar forms as the reference.
+
 Conventions
 -----------
 All potentials are energies in joules and are negative for attracting
@@ -11,16 +14,11 @@ consumers that need a positive scale take its magnitude.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
-from .errors import (
-    ConvergenceDomainError,
-    FloatRangeError,
-    InputDomainError,
-    RegimeWarning,
-    SingularityError,
-)
+from . import kernel
+from .errors import ConvergenceDomainError, InputDomainError, SingularityError
+from .kernel import warn_out_of_regime
 from .model import (
     REGIME_THRESHOLD_DEFAULT,
     PairSystem,
@@ -158,20 +156,6 @@ def expand_potential(
     )
 
 
-def _power(base: float, exponent: int, name: str) -> float:
-    try:
-        return base**exponent
-    except OverflowError:
-        raise FloatRangeError(f"{name}**{exponent} overflows") from None
-
-
-def _nonzero(value: float, name: str) -> float:
-    """``value``, which a later step divides by; 0 means ``name`` underflowed."""
-    if value == 0:
-        raise FloatRangeError(f"{name} underflows to 0")
-    return value
-
-
 def quantum_correction(sys: PairSystem) -> float:
     """Planck-linear correction to the pair potential, in joules (<= 0).
 
@@ -183,16 +167,7 @@ def quantum_correction(sys: PairSystem) -> float:
     ``FloatRangeError`` when a product in it underflows to 0 or d^3
     leaves the float64 range.
     """
-    m1, w1 = sys.body1.mass, sys.body1.omega
-    m2, w2 = sys.body2.mass, sys.body2.omega
-    c = sys.constants
-    for m, w in ((m1, w1), (m2, w2)):
-        if m * w == 0:
-            raise FloatRangeError(f"mass*omega underflows to 0 at {m!r} and {w!r}")
-    product = _nonzero(m1 * m2 * w1 * w2, "m1*m2*omega1*omega2")
-    bracket = 1.0 / (m1 * w1) + 1.0 / (m2 * w2) + 2.0 / math.sqrt(product)
-    d3 = _nonzero(_power(sys.separation_d, 3, "d"), "d**3")
-    return -(c.hbar * c.G * m1 * m2 / d3) * bracket
+    return kernel.evaluate_correction(sys)["delta_v_g"]
 
 
 def corrected_potential(
@@ -227,16 +202,6 @@ def corrected_potential(
     )
 
 
-def warn_out_of_regime(ratio_x: float, threshold: float, stacklevel: int) -> None:
-    """Emit ``RegimeWarning``; ``stacklevel`` counts from the caller, as in ``warnings.warn``."""
-    warnings.warn(
-        f"displacement ratio x = {ratio_x:.3e} >= {threshold:.3e}: "
-        "the quadratic truncation is unreliable here",
-        RegimeWarning,
-        stacklevel=stacklevel + 1,
-    )
-
-
 def entanglement_force(sys: PairSystem, symmetrize: bool = False) -> ForceEstimate:
     """Two routes to the force scale tied to the correction energy.
 
@@ -251,26 +216,5 @@ def entanglement_force(sys: PairSystem, symmetrize: bool = False) -> ForceEstima
     Raises ``FloatRangeError`` where ``quantum_correction`` does, and when
     a power of omega overflows or a denominator underflows to 0.
     """
-    m1, w1 = sys.body1.mass, sys.body1.omega
-    m2, w2 = sys.body2.mass, sys.body2.omega
-    c = sys.constants
-    d = sys.separation_d
-    # checks m1*m2 and d**3 first, as the batched kernel does
-    correction = quantum_correction(sys)
-    second_mass, second_name = (m2, "m2") if symmetrize else (m1, "m1")
-    first_term = _nonzero(m1 * _power(w1, 2, "omega1"), "m1*omega1**2")
-    second_term = _nonzero(second_mass * _power(w2, 2, "omega2"), f"{second_name}*omega2**2")
-    cross1 = _nonzero(_power(w1, 3, "omega1") * w2, "omega1**3*omega2")
-    cross2 = _nonzero(w1 * _power(w2, 3, "omega2"), "omega1*omega2**3")
-    bracket = (
-        1.0 / first_term
-        + 1.0 / second_term
-        + (1.0 / math.sqrt(m1 * m2)) * (1.0 / math.sqrt(cross1) + 1.0 / math.sqrt(cross2))
-    )
-    closed_form = (c.hbar * c.G * m1 * m2 / d**3) * bracket
-    gradient = 3.0 * abs(correction) / d
-    return ForceEstimate(
-        closed_form=closed_form,
-        closed_form_unit=FORCE_CLOSED_FORM_UNIT,
-        gradient_based=gradient,
-    )
+    values = kernel.evaluate_correction(sys, force=True, symmetrize=symmetrize)
+    return ForceEstimate(values["force_closed_form"], FORCE_CLOSED_FORM_UNIT, values["force_gradient"])

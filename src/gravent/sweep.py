@@ -13,7 +13,7 @@ from dataclasses import MISSING, dataclass, field, fields, replace
 import numpy as np
 
 from . import kernel
-from .errors import FloatRangeError, InputDomainError, NoEntanglementError
+from .errors import FloatRangeError, InputDomainError
 from .model import REGIME_THRESHOLD_DEFAULT, PairSystem, PhysicalConstants
 from .potential import FORCE_CLOSED_FORM_UNIT
 
@@ -78,7 +78,8 @@ class AxisSpec:
 @dataclass(frozen=True, slots=True)
 class SweepSpec:
     """Grid description: axes for swept parameters, fixed values for the rest.
-    A fixed value that is not a real number raises ``InputDomainError``."""
+    A fixed value, radius or regime threshold that is not a real number, or
+    an int outside the float64 range, raises ``InputDomainError``."""
 
     axes: dict[str, AxisSpec]
     fixed: dict[str, float]
@@ -108,6 +109,8 @@ class SweepSpec:
         for name in SWEEP_PARAMETERS:
             if name in self.fixed:
                 kernel._real(name, self.fixed[name])
+        for name in ("r1", "r2", "regime_threshold"):
+            kernel._real(name, getattr(self, name))
         total = self.grid_size()
         if total > self.max_points:
             raise InputDomainError(
@@ -344,22 +347,11 @@ def time_to_max_entanglement(sys: PairSystem) -> float:
     as hbar cancels, that is (pi/2)*hbar/|delta_v_g|. The system at tau*
     meets the checks report mode makes and raises what they raise. With
     hbar = 0, or a rate that underflows to 0, the correction vanishes and
-    ``NoEntanglementError`` is raised; a tau* past the float64 range is a
+    ``NoEntanglementError`` is raised (``kernel.phase_rate``, which
+    ``delta_phi_to_tau`` shares); a tau* past the float64 range is a
     ``FloatRangeError``.
     """
-    if sys.constants.hbar == 0.0:
-        raise NoEntanglementError("quantum correction is zero; entanglement never accumulates")
-    # At tau = 0 a check that depends on tau fails only where the potential
-    # or the rate is not finite, which fails at tau* too. The phase there is
-    # rate*0, nan for an infinite rate, so the error raised is the one at
-    # tau = 1 s, as report mode gives it: every check failed at tau = 0 also
-    # fails at 1 s, the same or an earlier one.
-    point = kernel.evaluate_system(sys, 0.0)
-    if point.error is not None:
-        raise kernel.evaluate_system(sys, 1.0).error or point.error
-    rate = point.values["phase_rate"]
-    if rate == 0.0:
-        raise NoEntanglementError("quantum correction is zero; entanglement never accumulates")
+    rate = kernel.phase_rate(sys)
     tau_star = (math.pi / 2.0) / rate
     if tau_star == math.inf:
         raise FloatRangeError(f"tau* = (pi/2)/{rate!r} overflows")

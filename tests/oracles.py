@@ -1,0 +1,117 @@
+"""Hand-written scalar forms of the correction, the entanglement force and the
+accumulated phase: the reference the kernel's expressions are held to.
+
+``gravent.quantum_correction``, ``gravent.entanglement_force`` and
+``gravent.accumulated_phase`` evaluate the kernel (``gravent.kernel``);
+these are the bodies they had before, written out one expression at a
+time, and they must agree with the kernel bit for bit: values, error class
+and message, and the ``RegimeWarning`` text. Nothing here calls the
+kernel, nor a public function that does.
+"""
+
+import math
+import warnings
+
+from gravent.dynamics import PhaseSet
+from gravent.errors import FloatRangeError, InputDomainError, PrecisionError, RegimeWarning
+from gravent.model import PairSystem, assess_validity, zero_point_width
+from gravent.potential import FORCE_CLOSED_FORM_UNIT, ForceEstimate, expand_potential
+
+#: The smallest delta_phi whose ulp exceeds 1e-6 rad.
+PHASE_RESOLUTION_LIMIT = 2.0**33
+
+
+def _power(base: float, exponent: int, name: str) -> float:
+    try:
+        return base**exponent
+    except OverflowError:
+        raise FloatRangeError(f"{name}**{exponent} overflows") from None
+
+
+def _nonzero(value: float, name: str) -> float:
+    """``value``, which a later step divides by; 0 means ``name`` underflowed."""
+    if value == 0:
+        raise FloatRangeError(f"{name} underflows to 0")
+    return value
+
+
+def quantum_correction(sys: PairSystem) -> float:
+    """delta_v_g = -(hbar*G*m1*m2/d^3) * (1/(m1*w1) + 1/(m2*w2) + 2/sqrt(m1*m2*w1*w2))."""
+    m1, w1 = sys.body1.mass, sys.body1.omega
+    m2, w2 = sys.body2.mass, sys.body2.omega
+    c = sys.constants
+    for m, w in ((m1, w1), (m2, w2)):
+        if m * w == 0:
+            raise FloatRangeError(f"mass*omega underflows to 0 at {m!r} and {w!r}")
+    product = _nonzero(m1 * m2 * w1 * w2, "m1*m2*omega1*omega2")
+    bracket = 1.0 / (m1 * w1) + 1.0 / (m2 * w2) + 2.0 / math.sqrt(product)
+    d3 = _nonzero(_power(sys.separation_d, 3, "d"), "d**3")
+    return -(c.hbar * c.G * m1 * m2 / d3) * bracket
+
+
+def entanglement_force(sys: PairSystem, symmetrize: bool = False) -> ForceEstimate:
+    """The closed-form bracket, with m1 (or, symmetrized, m2) in the second
+    denominator, and the gradient 3*|delta_v_g|/d."""
+    m1, w1 = sys.body1.mass, sys.body1.omega
+    m2, w2 = sys.body2.mass, sys.body2.omega
+    c = sys.constants
+    d = sys.separation_d
+    # checks m1*m2 and d**3 first, as the batched kernel does
+    correction = quantum_correction(sys)
+    second_mass, second_name = (m2, "m2") if symmetrize else (m1, "m1")
+    first_term = _nonzero(m1 * _power(w1, 2, "omega1"), "m1*omega1**2")
+    second_term = _nonzero(second_mass * _power(w2, 2, "omega2"), f"{second_name}*omega2**2")
+    cross1 = _nonzero(_power(w1, 3, "omega1") * w2, "omega1**3*omega2")
+    cross2 = _nonzero(w1 * _power(w2, 3, "omega2"), "omega1*omega2**3")
+    bracket = (
+        1.0 / first_term
+        + 1.0 / second_term
+        + (1.0 / math.sqrt(m1 * m2)) * (1.0 / math.sqrt(cross1) + 1.0 / math.sqrt(cross2))
+    )
+    closed_form = (c.hbar * c.G * m1 * m2 / d**3) * bracket
+    gradient = 3.0 * abs(correction) / d
+    return ForceEstimate(
+        closed_form=closed_form,
+        closed_form_unit=FORCE_CLOSED_FORM_UNIT,
+        gradient_based=gradient,
+    )
+
+
+def accumulated_phase(sys: PairSystem, tau: float) -> PhaseSet:
+    """phi = v0*tau/hbar, phi_prime = (v0 + delta_v_g)*tau/hbar and
+    delta_phi = rate*tau, the rate (G*m1*m2/d^3)*bracket free of hbar, after
+    the checks and the RegimeWarning of ``corrected_potential`` at its
+    defaults."""
+    if not math.isfinite(tau):
+        raise InputDomainError(f"tau must be finite, got {tau!r}")
+    if tau < 0:
+        raise InputDomainError(f"tau must be non-negative, got {tau!r}")
+    c = sys.constants
+    if c.hbar <= 0:
+        raise InputDomainError("hbar must be positive to accumulate phases")
+    check = assess_validity(sys)
+    if not check.in_regime:
+        warnings.warn(
+            f"displacement ratio x = {check.ratio_x:.3e} >= {check.threshold:.3e}: "
+            "the quadratic truncation is unreliable here",
+            RegimeWarning,
+            stacklevel=2,
+        )
+    dr1 = zero_point_width(sys.body1.mass, sys.body1.omega, c)
+    dr2 = zero_point_width(sys.body2.mass, sys.body2.omega, c)
+    v0 = expand_potential(sys, dr1 + dr2, 2)[0].value
+    delta = quantum_correction(sys)
+    v_g_total = v0 + delta
+    phi = (v_g_total - delta) * tau / c.hbar
+    phi_prime = v_g_total * tau / c.hbar
+    m1, w1 = sys.body1.mass, sys.body1.omega
+    m2, w2 = sys.body2.mass, sys.body2.omega
+    bracket = 1.0 / (m1 * w1) + 1.0 / (m2 * w2) + 2.0 / math.sqrt(m1 * m2 * w1 * w2)
+    # rate first, then * tau: keeps delta_phi exactly linear in tau
+    rate = (c.G * m1 * m2 / sys.separation_d**3) * bracket
+    phases = PhaseSet(phi=phi, phi_prime=phi_prime, delta_phi=rate * tau)
+    if phases.delta_phi >= PHASE_RESOLUTION_LIMIT:
+        raise PrecisionError(
+            f"delta_phi = {phases.delta_phi!r} rad >= 2**33: its ulp exceeds 1e-6 rad"
+        )
+    return phases

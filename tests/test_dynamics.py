@@ -20,6 +20,7 @@ from gravent.dynamics import (
 from gravent.errors import InputDomainError, NoEntanglementError
 from gravent.model import MassiveBody, PairSystem, PhysicalConstants
 from gravent.potential import corrected_potential, quantum_correction
+from gravent.sweep import time_to_max_entanglement
 
 C = PhysicalConstants()
 
@@ -205,6 +206,12 @@ class TestAccumulatedPhase:
         assert accumulated_phase(sys, tau).delta_phi == pytest.approx(
             math.pi / 2, rel=1e-12
         )
+
+    def test_delta_phi_to_tau_shares_tau_stars_rate(self):
+        # The phase passes 2**33 rad (PrecisionError) within 1 s; the
+        # inversion takes the kernel's rate without evaluating the phase there.
+        sys = make_system(m1=1e3, m2=1e3, w1=1.0, w2=1.0)
+        assert delta_phi_to_tau(sys, math.pi / 2) == time_to_max_entanglement(sys)
 
     def test_delta_phi_to_tau_no_entanglement(self):
         # separation so large the phase rate underflows to zero

@@ -34,7 +34,6 @@ from gravent.errors import (
 )
 from gravent.measures import report, report_from_phases
 from gravent.model import MassiveBody, PairSystem, PhysicalConstants
-from gravent.potential import entanglement_force
 from gravent.sweep import (
     CHUNK_POINTS,
     AxisSpec,
@@ -44,6 +43,7 @@ from gravent.sweep import (
     run_sweep,
     time_to_max_entanglement,
 )
+from oracles import entanglement_force
 
 # 37 x 31 = 1147 points, not a multiple of CHUNK_POINTS: ok rows, rows past
 # the 0.2 threshold, ConvergenceDomainError rows (d below the summed widths),
@@ -362,11 +362,11 @@ class TestBenchmarkContract:
 def scalar_row(index, params, r1, r2, constants, threshold, symmetrize):
     """The per-point pipeline the kernel replaced, built from the scalar
     functions: the reference the kernel must match bit for bit."""
-    from gravent.dynamics import PhaseSet, accumulated_phase
+    from gravent.dynamics import PhaseSet
     from gravent.errors import GraventError
     from gravent.measures import report_from_phases
     from gravent.model import assess_validity
-    from gravent.potential import entanglement_force
+    from oracles import accumulated_phase, entanglement_force
 
     inputs = dict(index=index, r1=r1, r2=r2, **params)
     try:
@@ -541,19 +541,40 @@ def test_report_warns_out_of_regime_before_it_raises(d, tau, error):
     assert [type(w.message) for w in caught] == expected
 
 
-@pytest.mark.parametrize("tau", ["1", None, 1 + 0j, b"1"], ids=["str", "none", "complex", "bytes"])
+@pytest.mark.parametrize("tau", ["1", None, 1 + 0j, b"1", 10**400],
+                         ids=["str", "none", "complex", "bytes", "int-past-float64"])
 def test_non_real_tau_is_an_input_domain_error(tau):
+    """The same holds for the radii and the regime threshold of a sweep, and
+    for an int that float64 cannot hold."""
+    def message(name):
+        if isinstance(tau, int):
+            return f"{name} is outside the float64 range"
+        return f"{name} must be a real number, got {tau!r}"
+
     body = MassiveBody(1e-14, 0.0, 1e5)
-    message = f"tau must be a real number, got {tau!r}"
     with pytest.raises(InputDomainError) as info:
         report(PairSystem(body, body, 1e-6), tau)
-    assert str(info.value) == message
+    assert str(info.value) == message("tau")
+    with pytest.raises(InputDomainError) as info:
+        accumulated_phase(PairSystem(body, body, 1e-6), tau)
+    assert str(info.value) == message("tau")
     with pytest.raises(InputDomainError) as info:
         evaluate_point(0, {**PAPER_BODIES, "tau": tau}, 0.0, 0.0, PhysicalConstants())
-    assert str(info.value) == message
+    assert str(info.value) == message("tau")
     with pytest.raises(InputDomainError) as info:
         run_sweep(SweepSpec(axes={}, fixed={**PAPER_BODIES, "tau": tau}))
-    assert str(info.value) == message
+    assert str(info.value) == message("tau")
+    point = {**PAPER_BODIES, "tau": 1.0}
+    for name in ("r1", "r2", "regime_threshold"):
+        with pytest.raises(InputDomainError) as info:
+            SweepSpec(axes={}, fixed=point, **{name: tau})
+        assert str(info.value) == message(name)
+    with pytest.raises(InputDomainError) as info:
+        evaluate_point(0, point, tau, 0.0, PhysicalConstants())
+    assert str(info.value) == message("r1")
+    with pytest.raises(InputDomainError) as info:
+        evaluate_point(0, point, 0.0, 0.0, PhysicalConstants(), regime_threshold=tau)
+    assert str(info.value) == message("regime_threshold")
 
 
 @pytest.mark.parametrize("tau", [1, True, np.float32(0.5), np.float64(2.0), np.int64(3)],

@@ -40,3 +40,24 @@ def test_readme_snippet_gives_the_values_in_its_comments():
     assert namespace["accumulated_phase"](pair, 1.0).delta_phi == pytest.approx(2.66972e-11, rel=1e-6)
     assert namespace["report"](pair, 1.0).delta_phi == pytest.approx(2.66972e-11, rel=1e-6)
     assert namespace["time_to_max_entanglement"](pair) == pytest.approx(5.884e10, rel=1e-3)
+
+
+def test_readme_snippet_comments_hold_to_the_digits_shown():
+    """Each commented number in the snippet is its line's value rounded to the
+    significant digits the comment shows (the ``delta_phi`` of a PhaseSet)."""
+    snippet = library_section().split("```python\n")[1].split("```")[0]
+    namespace = {}
+    exec(snippet, namespace)
+    checked = []
+    for line in snippet.splitlines():
+        code, _, comment = line.partition("#")
+        shown = re.search(r"(-?\d\.(\d+)e[-+]?\d+)", comment)
+        if shown is None:
+            continue
+        value = eval(code, namespace)
+        if "delta_phi" in comment:
+            value = value.delta_phi
+        digits = len(shown.group(2))
+        assert float(f"{value:.{digits}e}") == float(shown.group(1)), line
+        checked.append(shown.group(1))
+    assert checked == ["-2.815e-45", "2.66972e-11", "5.884e10"]

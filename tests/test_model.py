@@ -37,24 +37,27 @@ class TestConstruction:
         assert PhysicalConstants(hbar=0.0).hbar == 0.0
 
     @pytest.mark.parametrize("kwargs", [dict(G=0.0), dict(G=-1.0), dict(hbar=-1e-34),
-                                        dict(G=math.inf), dict(hbar=math.nan)])
+                                        dict(G=math.inf), dict(hbar=math.nan),
+                                        dict(hbar=10**400)])
     def test_bad_constants_rejected(self, kwargs):
-        with pytest.raises(InputDomainError):
+        (name,) = kwargs
+        with pytest.raises(InputDomainError, match=f"^{name} "):
             PhysicalConstants(**kwargs)
 
     @pytest.mark.parametrize("kwargs", [dict(mass=0.0), dict(mass=-1.0),
                                         dict(radius=-1.0), dict(omega=0.0),
-                                        dict(omega=math.inf)])
+                                        dict(omega=math.inf), dict(radius=10**400)])
     def test_bad_body_rejected(self, kwargs):
         base = dict(mass=1e-14, radius=0.0, omega=1e5)
         base.update(kwargs)
-        with pytest.raises(InputDomainError):
+        (name,) = kwargs
+        with pytest.raises(InputDomainError, match=f"^{name} "):
             MassiveBody(**base)
 
-    @pytest.mark.parametrize("d", [0.0, -1.0, math.nan])
+    @pytest.mark.parametrize("d", [0.0, -1.0, math.nan, pytest.param(10**400, id="int-past-float64")])
     def test_bad_separation_rejected(self, d):
         body = MassiveBody(1e-14, 0.0, 1e5)
-        with pytest.raises(InputDomainError):
+        with pytest.raises(InputDomainError, match="^separation_d "):
             PairSystem(body, body, d)
 
 

@@ -51,6 +51,7 @@ class TestAxisSpec:
             dict(start=math.inf, stop=2.0, count=2),
             dict(start=1.0, stop=2.0, count=2.5),
             dict(start="1", stop=2.0, count=3),
+            dict(start=1.0, stop=10**400, count=3),
         ],
     )
     def test_validation(self, kwargs):
