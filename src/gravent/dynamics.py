@@ -21,8 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernel
-from .errors import InputDomainError
-from .model import PairSystem, PhysicalConstants
+from .errors import FloatRangeError, InputDomainError
+from .model import PairSystem, PhysicalConstants, _require_finite
 from .potential import corrected_potential
 
 __all__ = [
@@ -267,8 +267,15 @@ def delta_phi_to_tau(sys: PairSystem, delta_phi: float) -> float:
 
     Inverts the linear relation delta_phi(tau) through the kernel's phase
     rate, as ``time_to_max_entanglement`` does; requires a non-zero quantum
-    correction (``NoEntanglementError``).
+    correction (``NoEntanglementError``). A ``delta_phi`` that is not a
+    finite real number is an ``InputDomainError``, and a tau past the
+    float64 range a ``FloatRangeError``.
     """
+    _require_finite(delta_phi=delta_phi)
     if delta_phi < 0:
         raise InputDomainError(f"delta_phi must be non-negative, got {delta_phi!r}")
-    return delta_phi / kernel.phase_rate(sys)
+    rate = kernel.phase_rate(sys)
+    tau = delta_phi / rate
+    if tau == math.inf:
+        raise FloatRangeError(f"tau = {delta_phi!r}/{rate!r} overflows")
+    return tau

@@ -28,12 +28,11 @@ checked: the kernel builds it itself from a phase it has checked finite.
 The inputs, the ratio, the correction, the phases and the forces agree bit
 for bit, errors included, with the hand-written scalar pipeline kept as the
 reference in ``tests/oracles.py``. That rests on evaluating each expression
-in the same order (left-to-right products, the phase rate before the
-multiplication by tau) and on taking single-parameter powers with Python
-float ``**`` on each axis's distinct values (numpy's ``power`` rounds
-differently). The scalar ``report_from_phases`` still measures through rho
-and its eigenvalues, so its measures match the kernel's only where that
-route does not cancel.
+in the same order: left-to-right products, the cubes and squares among them
+(``d*d*d``, ``w*w``, ``(w*w)*w``), and the phase rate before the
+multiplication by tau. The scalar ``report_from_phases`` still measures
+through rho and its eigenvalues, so its measures match the kernel's only
+where that route does not cancel.
 
 Every entry runs the same stages (the m*omega divisors, the correction,
 the phases and measures, the forces). ``evaluate`` runs them on numpy
@@ -53,7 +52,6 @@ stay numpy's too, so that no result rests on the two libraries agreeing.
 from __future__ import annotations
 
 import math
-import numbers
 import warnings
 from collections.abc import Mapping
 from dataclasses import dataclass
@@ -71,7 +69,7 @@ from .errors import (
     PrecisionError,
     RegimeWarning,
 )
-from .model import REGIME_THRESHOLD_DEFAULT, PairSystem, PhysicalConstants
+from .model import REGIME_THRESHOLD_DEFAULT, PairSystem, PhysicalConstants, _real
 
 LN2 = math.log(2.0)
 
@@ -89,21 +87,13 @@ PHASE_RESOLUTION_LIMIT = 2.0**33
 PARAMETERS = ("m1", "m2", "omega1", "omega2", "d", "tau")
 _parameters = itemgetter(*PARAMETERS)
 
-#: ``inputs`` maps each of PARAMETERS to its distinct values and the
-#: position of each point in them.
-Inputs = Mapping[str, tuple[np.ndarray, np.ndarray]]
+#: ``inputs`` maps each of PARAMETERS to a float64 column, one entry per point.
+Inputs = Mapping[str, np.ndarray]
 
 
 def _nonfinite(x):
     """Where x is inf or nan: x - x is 0 exactly when x is finite."""
     return x - x != 0
-
-
-def _power(value: float, exponent: int) -> float:
-    try:
-        return value**exponent
-    except OverflowError:
-        return math.inf
 
 
 def _on_float(ufunc):
@@ -136,21 +126,10 @@ class _Columns:
 
     fn = _ARRAY_MATH
 
-    def __init__(self, inputs: Inputs) -> None:
-        self.inputs = inputs
-        self.n = len(inputs["tau"][1])
+    def __init__(self, n: int) -> None:
+        self.n = n
         self.masks: list[np.ndarray] = []
         self.errors: list[tuple[type[GraventError], str, tuple]] = []
-
-    def parameters(self) -> tuple:
-        return tuple(values[pos] for values, pos in (self.inputs[name] for name in PARAMETERS))
-
-    def power(self, name: str, exponent: int) -> np.ndarray:
-        """The column of ``name``**exponent, taken with Python float ``**`` on
-        the distinct values; an overflow becomes inf (and nothing else does,
-        as the inputs are finite by the time a power is taken)."""
-        values, pos = self.inputs[name]
-        return np.array([_power(value, exponent) for value in values.tolist()])[pos]
 
     def add(self, fails, exc: type[GraventError], message: str, *args) -> None:
         """``message`` is formatted with the repr of each of ``args`` at the point."""
@@ -170,18 +149,10 @@ class _Columns:
 
 
 class _Floats:
-    """The one-point path: each input a float, and the first failed check raises."""
+    """The one-point path, used as the class itself: each input a float, and
+    the first failed check raises."""
 
     fn = _FLOAT_MATH
-
-    def __init__(self, values: dict[str, float]) -> None:
-        self.values = values
-
-    def parameters(self) -> tuple:
-        return _parameters(self.values)
-
-    def power(self, name: str, exponent: int) -> float:
-        return _power(self.values[name], exponent)
 
     @staticmethod
     def add(fails, exc: type[GraventError], message: str, *args) -> None:
@@ -254,21 +225,18 @@ def evaluate(
 ) -> Batch:
     """Evaluate every point of ``inputs``; ``force=False`` leaves out the forces
     and their checks, as ``report`` does."""
-    columns = _Columns(inputs)
+    columns = _Columns(len(inputs["tau"]))
     values: dict[str, np.ndarray] = {}
     with np.errstate(all="ignore"):
-        _physics(columns, r1, r2, constants, threshold, symmetrize, force, values)
+        _physics(columns, inputs, r1, r2, constants, threshold, symmetrize, force, values)
     failed, first = columns.first_failures()
     return Batch(values, failed, first, columns.errors)
 
 
-def _real(name: str, value) -> float:
-    if not isinstance(value, (float, numbers.Real)):
-        raise InputDomainError(f"{name} must be a real number, got {value!r}")
-    try:
-        return float(value)
-    except OverflowError:  # an int past the float64 range
-        raise InputDomainError(f"{name} is outside the float64 range") from None
+def _bool(name: str, value) -> bool:
+    if not isinstance(value, (bool, np.bool_)):
+        raise InputDomainError(f"{name} must be a bool, got {value!r}")
+    return bool(value)
 
 
 def _system_values(sys: PairSystem) -> dict[str, float]:
@@ -286,7 +254,7 @@ def evaluate_system(sys: PairSystem, tau: float) -> Point:
     values = _system_values(sys)
     values["tau"] = _real("tau", tau)
     try:
-        _physics(_Floats(values), sys.body1.radius, sys.body2.radius, sys.constants,
+        _physics(_Floats, values, sys.body1.radius, sys.body2.radius, sys.constants,
                  REGIME_THRESHOLD_DEFAULT, False, False, values)
     except GraventError as error:
         return Point(values, error)
@@ -296,15 +264,16 @@ def evaluate_system(sys: PairSystem, tau: float) -> Point:
 def evaluate_correction(sys: PairSystem, force: bool = False, symmetrize: bool = False) -> dict:
     """``sys``'s ``delta_v_g`` and phase rate and, with ``force``, both forces,
     on floats, making only the checks of the divisors, the correction and the
-    forces (so hbar = 0 and |x| >= 1 give values); the first that fails raises."""
+    forces (so hbar = 0 and |x| >= 1 give values); the first that fails raises.
+    A ``symmetrize`` that is not a bool raises ``InputDomainError``."""
+    symmetrize = _bool("symmetrize", symmetrize)
     values = _system_values(sys)
-    path = _Floats(values)
     m1, m2, w1, w2, d = values.values()
     G, hbar = float(sys.constants.G), float(sys.constants.hbar)
-    mw1, mw2 = _divisors(path, m1, m2, w1, w2)
-    correction, scale = _correction(path, G, hbar, m1, m2, w1, w2, mw1, mw2, values)
+    mw1, mw2 = _divisors(_Floats, m1, m2, w1, w2)
+    correction, scale = _correction(_Floats, G, hbar, m1, m2, w1, w2, mw1, mw2, d, values)
     if force:
-        _forces(path, correction, scale, m1, m2, w1, w2, d, symmetrize, values)
+        _forces(_Floats, correction, scale, m1, m2, w1, w2, d, symmetrize, values)
     return values
 
 
@@ -325,11 +294,11 @@ def phase_rate(sys: PairSystem) -> float:
     raise NoEntanglementError("quantum correction is zero; entanglement never accumulates")
 
 
-def _physics(path, r1, r2, constants, threshold, symmetrize, force, out) -> None:
-    """Evaluate the inputs ``path`` gives, making its checks, into ``out``:
-    the ratio, the correction, the phase rate, the branch phases and phase,
-    the measures and, with ``force``, both forces."""
-    m1, m2, w1, w2, d, tau = path.parameters()
+def _physics(path, inputs, r1, r2, constants, threshold, symmetrize, force, out) -> None:
+    """Evaluate ``inputs`` on ``path``, making its checks, into ``out``: the
+    ratio, the correction, the phase rate, the branch phases and phase, the
+    measures and, with ``force``, both forces."""
+    m1, m2, w1, w2, d, tau = _parameters(inputs)
     fn, add = path.fn, path.add
     # Plain floats: a numpy scalar would turn a point's outputs into numpy
     # scalars (the threshold, too, where it is compared below).
@@ -365,7 +334,7 @@ def _physics(path, r1, r2, constants, threshold, symmetrize, force, out) -> None
     add(abs_x >= 1, ConvergenceDomainError,
         "|dr_sum/d| = {} >= 1: geometric expansion diverges", abs_x)
     v0 = -G * m1 * m2 / d
-    correction, scale = _correction(path, G, hbar, m1, m2, w1, w2, mw1, mw2, out)
+    correction, scale = _correction(path, G, hbar, m1, m2, w1, w2, mw1, mw2, d, out)
 
     # PhaseSet
     delta = out["delta_v_g"]
@@ -392,13 +361,13 @@ def _divisors(path, m1, m2, w1, w2):
     return mw1, mw2
 
 
-def _correction(path, G, hbar, m1, m2, w1, w2, mw1, mw2, out):
+def _correction(path, G, hbar, m1, m2, w1, w2, mw1, mw2, d, out):
     """quantum_correction: ``out`` gets delta_v_g and the phase rate. Returns
     |delta_v_g| and hbar*G*m1*m2/d**3, the scale the closed-form force shares."""
     product = m1 * m2 * w1 * w2
     path.add(product == 0, FloatRangeError, "m1*m2*omega1*omega2 underflows to 0")
     bracket = 1.0 / mw1 + 1.0 / mw2 + 2.0 / path.fn.sqrt(product)
-    d3 = path.power("d", 3)
+    d3 = d * d * d
     path.add(d3 == math.inf, FloatRangeError, "d**3 overflows")
     path.add(d3 == 0, FloatRangeError, "d**3 underflows to 0")
     scale = hbar * G * m1 * m2 / d3
@@ -412,9 +381,9 @@ def _correction(path, G, hbar, m1, m2, w1, w2, mw1, mw2, out):
 def _forces(path, correction, scale, m1, m2, w1, w2, d, symmetrize, out) -> None:
     """entanglement_force, its float64 range checks in the order its
     expression meets them; m1*m2 is not 0 where m1*m2*omega1*omega2 is not."""
-    add, power = path.add, path.power
-    w1_2, w1_3 = power("omega1", 2), power("omega1", 3)
-    w2_2, w2_3 = power("omega2", 2), power("omega2", 3)
+    add = path.add
+    w1_2, w2_2 = w1 * w1, w2 * w2
+    w1_3, w2_3 = w1_2 * w1, w2_2 * w2
     second, second_name = (m2, "m2") if symmetrize else (m1, "m1")
     first_term, second_term = m1 * w1_2, second * w2_2
     masses, cross1, cross2 = m1 * m2, w1_3 * w2, w1 * w2_3

@@ -7,6 +7,7 @@ engines consume these and nothing else.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 from .errors import FloatRangeError, InputDomainError
@@ -21,13 +22,19 @@ HBAR_DEFAULT = 1.054571817e-34
 REGIME_THRESHOLD_DEFAULT = 0.1
 
 
+def _real(name: str, value) -> float:
+    """``value`` as a float; ``InputDomainError`` if it is not a real number."""
+    if not isinstance(value, (float, numbers.Real)):
+        raise InputDomainError(f"{name} must be a real number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:  # an int past the float64 range
+        raise InputDomainError(f"{name} is outside the float64 range") from None
+
+
 def _require_finite(**values: float) -> None:
     for name, value in values.items():
-        try:
-            finite = math.isfinite(value)
-        except OverflowError:  # an int past the float64 range
-            raise InputDomainError(f"{name} is outside the float64 range") from None
-        if not finite:
+        if not math.isfinite(_real(name, value)):
             raise InputDomainError(f"{name} must be finite, got {value!r}")
 
 

@@ -14,7 +14,7 @@ import numpy as np
 
 from . import kernel
 from .errors import FloatRangeError, InputDomainError
-from .model import REGIME_THRESHOLD_DEFAULT, PairSystem, PhysicalConstants
+from .model import REGIME_THRESHOLD_DEFAULT, PairSystem, PhysicalConstants, _real
 from .potential import FORCE_CLOSED_FORM_UNIT
 
 # The scalar pipeline stays importable from this module for callers that wrap
@@ -38,7 +38,8 @@ __all__ = [
 #: Sweepable parameters, in canonical grid order (row-major nesting).
 SWEEP_PARAMETERS = kernel.PARAMETERS
 
-MAX_GRID_POINTS_DEFAULT = 1_000_000
+#: The most points a grid may hold.
+MAX_GRID_POINTS = 1_000_000
 
 #: Grid points evaluated and written per kernel call.
 CHUNK_POINTS = 1024
@@ -61,7 +62,7 @@ class AxisSpec:
         if self.spacing not in ("linear", "log"):
             raise InputDomainError(f"spacing must be 'linear' or 'log', got {self.spacing!r}")
         for name in ("start", "stop"):
-            kernel._real(name, getattr(self, name))
+            _real(name, getattr(self, name))
         if not (math.isfinite(self.start) and math.isfinite(self.stop)):
             raise InputDomainError("axis endpoints must be finite")
         if self.spacing == "log" and (self.start <= 0 or self.stop <= 0):
@@ -78,8 +79,10 @@ class AxisSpec:
 @dataclass(frozen=True, slots=True)
 class SweepSpec:
     """Grid description: axes for swept parameters, fixed values for the rest.
-    A fixed value, radius or regime threshold that is not a real number, or
-    an int outside the float64 range, raises ``InputDomainError``."""
+    A fixed value, radius or regime threshold that is not a real number or
+    is an int outside the float64 range, a ``symmetrize_force`` that is not
+    a bool, and a grid of more than MAX_GRID_POINTS points raise
+    ``InputDomainError``."""
 
     axes: dict[str, AxisSpec]
     fixed: dict[str, float]
@@ -88,7 +91,6 @@ class SweepSpec:
     constants: PhysicalConstants = PhysicalConstants()
     regime_threshold: float = REGIME_THRESHOLD_DEFAULT
     symmetrize_force: bool = False
-    max_points: int = MAX_GRID_POINTS_DEFAULT
     #: Each swept parameter's values, computed once.
     axis_values: dict[str, np.ndarray] = field(init=False, repr=False, compare=False)
 
@@ -108,14 +110,13 @@ class SweepSpec:
             raise InputDomainError(f"parameters neither swept nor fixed: {missing}")
         for name in SWEEP_PARAMETERS:
             if name in self.fixed:
-                kernel._real(name, self.fixed[name])
+                _real(name, self.fixed[name])
         for name in ("r1", "r2", "regime_threshold"):
-            kernel._real(name, getattr(self, name))
+            _real(name, getattr(self, name))
+        kernel._bool("symmetrize_force", self.symmetrize_force)
         total = self.grid_size()
-        if total > self.max_points:
-            raise InputDomainError(
-                f"grid has {total} points, above the cap of {self.max_points}"
-            )
+        if total > MAX_GRID_POINTS:
+            raise InputDomainError(f"grid has {total} points, above the cap of {MAX_GRID_POINTS}")
         values = {name: axis.values() for name, axis in self.axes.items()}
         object.__setattr__(self, "axis_values", values)
 
@@ -127,22 +128,20 @@ class SweepSpec:
 
     def point(self, index: int) -> dict[str, float]:
         """Parameter values at flat grid index, canonical row-major order."""
-        inputs = self.inputs(np.array([index]))
-        return {name: float(values[pos[0]]) for name, (values, pos) in inputs.items()}
+        return {name: float(column[0]) for name, column in self.inputs(np.array([index])).items()}
 
     def inputs(self, indices: np.ndarray) -> kernel.Inputs:
         """The kernel's inputs at flat grid ``indices``, ordered as in ``point``:
-        per parameter, its distinct values and each point's position in them."""
+        per parameter, a float64 column of its value at each point."""
         inputs = {}
         remainder = indices
         for name in reversed(SWEEP_PARAMETERS):
             if name in self.axis_values:
                 values = self.axis_values[name]
                 remainder, pos = np.divmod(remainder, len(values))
+                inputs[name] = values[pos]
             else:
-                values = np.array([self.fixed[name]], dtype=np.float64)
-                pos = np.zeros(len(indices), dtype=np.intp)
-            inputs[name] = (values, pos)
+                inputs[name] = np.full(len(indices), self.fixed[name], dtype=np.float64)
         return inputs
 
 
@@ -204,7 +203,7 @@ def _row_columns(
     gets the row defaults and its error as status."""
     n = len(indices)
     failed = batch.failed
-    columns = {name: values[pos] for name, (values, pos) in inputs.items()}
+    columns = dict(inputs)
     columns.update(
         (name, np.where(failed, _ROW_DEFAULTS[name], batch.values[name])) for name in _KERNEL_FIELDS
     )

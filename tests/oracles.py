@@ -4,9 +4,11 @@ accumulated phase: the reference the kernel's expressions are held to.
 ``gravent.quantum_correction``, ``gravent.entanglement_force`` and
 ``gravent.accumulated_phase`` evaluate the kernel (``gravent.kernel``);
 these are the bodies they had before, written out one expression at a
-time, and they must agree with the kernel bit for bit: values, error class
-and message, and the ``RegimeWarning`` text. Nothing here calls the
-kernel, nor a public function that does.
+time, with each cube and square formed as a left-to-right product
+(``d*d*d``, ``w*w``, ``w*w*w``) as the kernel forms it. They must agree
+with the kernel bit for bit: values, error class and message, and the
+``RegimeWarning`` text. Nothing here calls the kernel, nor a public
+function that does.
 """
 
 import math
@@ -21,11 +23,11 @@ from gravent.potential import FORCE_CLOSED_FORM_UNIT, ForceEstimate, expand_pote
 PHASE_RESOLUTION_LIMIT = 2.0**33
 
 
-def _power(base: float, exponent: int, name: str) -> float:
-    try:
-        return base**exponent
-    except OverflowError:
-        raise FloatRangeError(f"{name}**{exponent} overflows") from None
+def _finite(value: float, name: str) -> float:
+    """``value``, a power formed as a product; inf means ``name`` overflowed."""
+    if value == math.inf:
+        raise FloatRangeError(f"{name} overflows")
+    return value
 
 
 def _nonzero(value: float, name: str) -> float:
@@ -45,7 +47,8 @@ def quantum_correction(sys: PairSystem) -> float:
             raise FloatRangeError(f"mass*omega underflows to 0 at {m!r} and {w!r}")
     product = _nonzero(m1 * m2 * w1 * w2, "m1*m2*omega1*omega2")
     bracket = 1.0 / (m1 * w1) + 1.0 / (m2 * w2) + 2.0 / math.sqrt(product)
-    d3 = _nonzero(_power(sys.separation_d, 3, "d"), "d**3")
+    d = sys.separation_d
+    d3 = _nonzero(_finite(d * d * d, "d**3"), "d**3")
     return -(c.hbar * c.G * m1 * m2 / d3) * bracket
 
 
@@ -59,16 +62,16 @@ def entanglement_force(sys: PairSystem, symmetrize: bool = False) -> ForceEstima
     # checks m1*m2 and d**3 first, as the batched kernel does
     correction = quantum_correction(sys)
     second_mass, second_name = (m2, "m2") if symmetrize else (m1, "m1")
-    first_term = _nonzero(m1 * _power(w1, 2, "omega1"), "m1*omega1**2")
-    second_term = _nonzero(second_mass * _power(w2, 2, "omega2"), f"{second_name}*omega2**2")
-    cross1 = _nonzero(_power(w1, 3, "omega1") * w2, "omega1**3*omega2")
-    cross2 = _nonzero(w1 * _power(w2, 3, "omega2"), "omega1*omega2**3")
+    first_term = _nonzero(m1 * _finite(w1 * w1, "omega1**2"), "m1*omega1**2")
+    second_term = _nonzero(second_mass * _finite(w2 * w2, "omega2**2"), f"{second_name}*omega2**2")
+    cross1 = _nonzero(_finite(w1 * w1 * w1, "omega1**3") * w2, "omega1**3*omega2")
+    cross2 = _nonzero(w1 * _finite(w2 * w2 * w2, "omega2**3"), "omega1*omega2**3")
     bracket = (
         1.0 / first_term
         + 1.0 / second_term
         + (1.0 / math.sqrt(m1 * m2)) * (1.0 / math.sqrt(cross1) + 1.0 / math.sqrt(cross2))
     )
-    closed_form = (c.hbar * c.G * m1 * m2 / d**3) * bracket
+    closed_form = (c.hbar * c.G * m1 * m2 / (d * d * d)) * bracket
     gradient = 3.0 * abs(correction) / d
     return ForceEstimate(
         closed_form=closed_form,
@@ -108,7 +111,8 @@ def accumulated_phase(sys: PairSystem, tau: float) -> PhaseSet:
     m2, w2 = sys.body2.mass, sys.body2.omega
     bracket = 1.0 / (m1 * w1) + 1.0 / (m2 * w2) + 2.0 / math.sqrt(m1 * m2 * w1 * w2)
     # rate first, then * tau: keeps delta_phi exactly linear in tau
-    rate = (c.G * m1 * m2 / sys.separation_d**3) * bracket
+    d = sys.separation_d
+    rate = (c.G * m1 * m2 / (d * d * d)) * bracket
     phases = PhaseSet(phi=phi, phi_prime=phi_prime, delta_phi=rate * tau)
     if phases.delta_phi >= PHASE_RESOLUTION_LIMIT:
         raise PrecisionError(

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ from gravent.dynamics import (
     is_product_state,
     operator_from_phases,
 )
-from gravent.errors import InputDomainError, NoEntanglementError
+from gravent.errors import FloatRangeError, InputDomainError, NoEntanglementError
 from gravent.model import MassiveBody, PairSystem, PhysicalConstants
 from gravent.potential import corrected_potential, quantum_correction
 from gravent.sweep import time_to_max_entanglement
@@ -206,6 +207,17 @@ class TestAccumulatedPhase:
         assert accumulated_phase(sys, tau).delta_phi == pytest.approx(
             math.pi / 2, rel=1e-12
         )
+
+    @pytest.mark.parametrize("delta_phi, error, message", [
+        (math.nan, InputDomainError, "delta_phi must be finite, got nan"),
+        (math.inf, InputDomainError, "delta_phi must be finite, got inf"),
+        ("1", InputDomainError, "delta_phi must be a real number, got '1'"),
+        (-1.0, InputDomainError, "delta_phi must be non-negative, got -1.0"),
+        (1e300, FloatRangeError, "tau = 1e+300/2.669"),
+    ], ids=["nan", "inf", "str", "negative", "tau-overflows"])
+    def test_delta_phi_to_tau_rejects_phases_without_a_finite_tau(self, delta_phi, error, message):
+        with pytest.raises(error, match="^" + re.escape(message)):
+            delta_phi_to_tau(make_system(), delta_phi)
 
     def test_delta_phi_to_tau_shares_tau_stars_rate(self):
         # The phase passes 2**33 rad (PrecisionError) within 1 s; the

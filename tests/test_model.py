@@ -38,7 +38,7 @@ class TestConstruction:
 
     @pytest.mark.parametrize("kwargs", [dict(G=0.0), dict(G=-1.0), dict(hbar=-1e-34),
                                         dict(G=math.inf), dict(hbar=math.nan),
-                                        dict(hbar=10**400)])
+                                        dict(hbar=10**400), dict(hbar="1"), dict(G=None)])
     def test_bad_constants_rejected(self, kwargs):
         (name,) = kwargs
         with pytest.raises(InputDomainError, match=f"^{name} "):
@@ -46,7 +46,8 @@ class TestConstruction:
 
     @pytest.mark.parametrize("kwargs", [dict(mass=0.0), dict(mass=-1.0),
                                         dict(radius=-1.0), dict(omega=0.0),
-                                        dict(omega=math.inf), dict(radius=10**400)])
+                                        dict(omega=math.inf), dict(radius=10**400),
+                                        dict(mass="1"), dict(mass=None), dict(omega=1j)])
     def test_bad_body_rejected(self, kwargs):
         base = dict(mass=1e-14, radius=0.0, omega=1e5)
         base.update(kwargs)
@@ -54,7 +55,8 @@ class TestConstruction:
         with pytest.raises(InputDomainError, match=f"^{name} "):
             MassiveBody(**base)
 
-    @pytest.mark.parametrize("d", [0.0, -1.0, math.nan, pytest.param(10**400, id="int-past-float64")])
+    @pytest.mark.parametrize("d", [0.0, -1.0, math.nan, pytest.param(10**400, id="int-past-float64"),
+                                   "1e-6", None])
     def test_bad_separation_rejected(self, d):
         body = MassiveBody(1e-14, 0.0, 1e5)
         with pytest.raises(InputDomainError, match="^separation_d "):

@@ -268,6 +268,10 @@ class TestEntanglementForce:
         fixed = entanglement_force(asym, symmetrize=True)
         assert unaltered.closed_form != fixed.closed_form
         assert unaltered.gradient_based == fixed.gradient_based
+        assert entanglement_force(asym, symmetrize=np.bool_(True)) == fixed
+        for flag in ("false", 0, None):
+            with pytest.raises(InputDomainError, match="^symmetrize must be a bool"):
+                entanglement_force(asym, symmetrize=flag)
         m1, m2 = asym.body1.mass, asym.body2.mass
         w1, w2 = asym.body1.omega, asym.body2.omega
         d = asym.separation_d

@@ -72,9 +72,8 @@ class TestSweepSpec:
     def test_grid_cap(self):
         with pytest.raises(InputDomainError):
             SweepSpec(
-                axes={"tau": AxisSpec(1.0, 2.0, 11), "d": AxisSpec(1e-6, 1e-5, 10)},
+                axes={"tau": AxisSpec(1.0, 2.0, 1001), "d": AxisSpec(1e-6, 1e-5, 1000)},
                 fixed={k: v for k, v in FIXED.items() if k not in ("tau", "d")},
-                max_points=100,
             )
 
     def test_grid_indexing_row_major(self):
