@@ -271,7 +271,7 @@ def delta_phi_to_tau(sys: PairSystem, delta_phi: float) -> float:
     finite real number is an ``InputDomainError``, and a tau past the
     float64 range a ``FloatRangeError``.
     """
-    _require_finite(delta_phi=delta_phi)
+    (delta_phi,) = _require_finite(delta_phi=delta_phi)
     if delta_phi < 0:
         raise InputDomainError(f"delta_phi must be non-negative, got {delta_phi!r}")
     rate = kernel.phase_rate(sys)

@@ -14,7 +14,9 @@ functions make on the inputs (``MassiveBody``, ``PairSystem``,
 ``PhaseSet``), in the order a scalar evaluation meets them, plus
 ``FloatRangeError`` where the scalar arithmetic would divide by an
 underflowed zero or overflow a power, and ``PrecisionError`` where the phase
-is past float resolution.
+is past float resolution. ``evaluate`` makes them all; the float entries
+take a ``PairSystem``, whose value objects have checked its fields as
+floats, and check only tau, hbar and the intermediates.
 
 The measures come from the evolved state's 2x2 amplitude matrix A and its
 determinant: for a pure two-qubit state, the linear entropy is 2|det A|^2
@@ -228,7 +230,8 @@ def evaluate(
     columns = _Columns(len(inputs["tau"]))
     values: dict[str, np.ndarray] = {}
     with np.errstate(all="ignore"):
-        _physics(columns, inputs, r1, r2, constants, threshold, symmetrize, force, values)
+        _check_inputs(columns.add, inputs, r1, r2, threshold)
+        _physics(columns, inputs, constants, threshold, symmetrize, force, values)
     failed, first = columns.first_failures()
     return Batch(values, failed, first, columns.errors)
 
@@ -240,7 +243,8 @@ def _bool(name: str, value) -> bool:
 
 
 def _system_values(sys: PairSystem) -> dict[str, float]:
-    """The system's values as floats, as its value objects have checked them."""
+    """The system's values as floats, which its value objects have checked
+    finite and positive, so the float path does not check them again."""
     body1, body2 = sys.body1, sys.body2
     return dict(m1=float(body1.mass), m2=float(body2.mass), omega1=float(body1.omega),
                 omega2=float(body2.omega), d=float(sys.separation_d))
@@ -254,8 +258,7 @@ def evaluate_system(sys: PairSystem, tau: float) -> Point:
     values = _system_values(sys)
     values["tau"] = _real("tau", tau)
     try:
-        _physics(_Floats, values, sys.body1.radius, sys.body2.radius, sys.constants,
-                 REGIME_THRESHOLD_DEFAULT, False, False, values)
+        _physics(_Floats, values, sys.constants, REGIME_THRESHOLD_DEFAULT, False, False, values)
     except GraventError as error:
         return Point(values, error)
     return Point(values, None)
@@ -294,16 +297,10 @@ def phase_rate(sys: PairSystem) -> float:
     raise NoEntanglementError("quantum correction is zero; entanglement never accumulates")
 
 
-def _physics(path, inputs, r1, r2, constants, threshold, symmetrize, force, out) -> None:
-    """Evaluate ``inputs`` on ``path``, making its checks, into ``out``: the
-    ratio, the correction, the phase rate, the branch phases and phase, the
-    measures and, with ``force``, both forces."""
-    m1, m2, w1, w2, d, tau = _parameters(inputs)
-    fn, add = path.fn, path.add
-    # Plain floats: a numpy scalar would turn a point's outputs into numpy
-    # scalars (the threshold, too, where it is compared below).
-    G, hbar = float(constants.G), float(constants.hbar)
-    # MassiveBody, PairSystem, assess_validity, accumulated_phase
+def _check_inputs(add, inputs, r1, r2, threshold) -> None:
+    """The checks of MassiveBody, PairSystem and assess_validity, which only
+    ``evaluate`` makes: a ``PairSystem`` has passed them."""
+    m1, m2, w1, w2, d, _ = _parameters(inputs)
     for m, r, w in ((m1, r1, w1), (m2, r2, w2)):
         add(_nonfinite(m), InputDomainError, "mass must be finite, got {}", m)
         add(not math.isfinite(r), InputDomainError, "radius must be finite, got {}", r)
@@ -315,6 +312,18 @@ def _physics(path, inputs, r1, r2, constants, threshold, symmetrize, force, out)
     add(d <= 0, InputDomainError, "separation_d must be positive, got {}", d)
     add(not math.isfinite(threshold), InputDomainError, "threshold must be finite, got {}", threshold)
     add(threshold <= 0, InputDomainError, "threshold must be positive, got {}", threshold)
+
+
+def _physics(path, inputs, constants, threshold, symmetrize, force, out) -> None:
+    """Evaluate ``inputs`` on ``path``, making its checks from tau's on, into
+    ``out``: the ratio, the correction, the phase rate, the branch phases and
+    phase, the measures and, with ``force``, both forces."""
+    m1, m2, w1, w2, d, tau = _parameters(inputs)
+    fn, add = path.fn, path.add
+    # Plain floats: a numpy scalar would turn a point's outputs into numpy
+    # scalars (the threshold, too, where it is compared below).
+    G, hbar = float(constants.G), float(constants.hbar)
+    # accumulated_phase
     add(_nonfinite(tau), InputDomainError, "tau must be finite, got {}", tau)
     add(tau < 0, InputDomainError, "tau must be non-negative, got {}", tau)
     add(hbar <= 0, InputDomainError, "hbar must be positive to accumulate phases")

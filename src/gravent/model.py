@@ -32,10 +32,16 @@ def _real(name: str, value) -> float:
         raise InputDomainError(f"{name} is outside the float64 range") from None
 
 
-def _require_finite(**values: float) -> None:
+def _require_finite(**values: float) -> list[float]:
+    """Each of ``values`` as its float (``_real``), which must be finite; the
+    callers' sign checks test these floats, as the kernel's do."""
+    floats = []
     for name, value in values.items():
-        if not math.isfinite(_real(name, value)):
-            raise InputDomainError(f"{name} must be finite, got {value!r}")
+        x = _real(name, value)
+        if not math.isfinite(x):
+            raise InputDomainError(f"{name} must be finite, got {x!r}")
+        floats.append(x)
+    return floats
 
 
 @dataclass(frozen=True, slots=True)
@@ -50,11 +56,11 @@ class PhysicalConstants:
     hbar: float = HBAR_DEFAULT
 
     def __post_init__(self) -> None:
-        _require_finite(G=self.G, hbar=self.hbar)
-        if self.G <= 0:
-            raise InputDomainError(f"G must be positive, got {self.G!r}")
-        if self.hbar < 0:
-            raise InputDomainError(f"hbar must be non-negative, got {self.hbar!r}")
+        G, hbar = _require_finite(G=self.G, hbar=self.hbar)
+        if G <= 0:
+            raise InputDomainError(f"G must be positive, got {G!r}")
+        if hbar < 0:
+            raise InputDomainError(f"hbar must be non-negative, got {hbar!r}")
 
 
 @dataclass(frozen=True, slots=True)
@@ -70,13 +76,13 @@ class MassiveBody:
     omega: float
 
     def __post_init__(self) -> None:
-        _require_finite(mass=self.mass, radius=self.radius, omega=self.omega)
-        if self.mass <= 0:
-            raise InputDomainError(f"mass must be positive, got {self.mass!r}")
-        if self.radius < 0:
-            raise InputDomainError(f"radius must be non-negative, got {self.radius!r}")
-        if self.omega <= 0:
-            raise InputDomainError(f"omega must be positive, got {self.omega!r}")
+        mass, radius, omega = _require_finite(mass=self.mass, radius=self.radius, omega=self.omega)
+        if mass <= 0:
+            raise InputDomainError(f"mass must be positive, got {mass!r}")
+        if radius < 0:
+            raise InputDomainError(f"radius must be non-negative, got {radius!r}")
+        if omega <= 0:
+            raise InputDomainError(f"omega must be positive, got {omega!r}")
 
 
 @dataclass(frozen=True, slots=True)
@@ -89,11 +95,9 @@ class PairSystem:
     constants: PhysicalConstants = PhysicalConstants()
 
     def __post_init__(self) -> None:
-        _require_finite(separation_d=self.separation_d)
-        if self.separation_d <= 0:
-            raise InputDomainError(
-                f"separation_d must be positive, got {self.separation_d!r}"
-            )
+        (d,) = _require_finite(separation_d=self.separation_d)
+        if d <= 0:
+            raise InputDomainError(f"separation_d must be positive, got {d!r}")
 
     def swapped(self) -> "PairSystem":
         """The same system with body labels 1 and 2 exchanged."""
@@ -125,7 +129,7 @@ def zero_point_width(m: float, omega: float, c: PhysicalConstants) -> float:
     c : PhysicalConstants
         Supplies hbar.
     """
-    _require_finite(m=m, omega=omega)
+    m, omega = _require_finite(m=m, omega=omega)
     if m <= 0:
         raise InputDomainError(f"mass must be positive, got {m!r}")
     if omega <= 0:

@@ -1,5 +1,7 @@
 import math
+from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -16,6 +18,9 @@ from gravent.model import (
 ZPW_REF = 3.2474171536776731142e-13
 # 2*ZPW_REF / 1e-6
 RATIO_REF = 6.4948343073553462285e-7
+
+# Positive values whose floats underflow to 0.0, which the checks reject.
+UNDERFLOWING = [Fraction(1, 10**400), np.longdouble("1e-400")]
 
 
 def reference_system(d=1e-6, constants=None):
@@ -47,7 +52,8 @@ class TestConstruction:
     @pytest.mark.parametrize("kwargs", [dict(mass=0.0), dict(mass=-1.0),
                                         dict(radius=-1.0), dict(omega=0.0),
                                         dict(omega=math.inf), dict(radius=10**400),
-                                        dict(mass="1"), dict(mass=None), dict(omega=1j)])
+                                        dict(mass="1"), dict(mass=None), dict(omega=1j)]
+                             + [{name: v} for name in ("mass", "omega") for v in UNDERFLOWING])
     def test_bad_body_rejected(self, kwargs):
         base = dict(mass=1e-14, radius=0.0, omega=1e5)
         base.update(kwargs)
@@ -56,7 +62,7 @@ class TestConstruction:
             MassiveBody(**base)
 
     @pytest.mark.parametrize("d", [0.0, -1.0, math.nan, pytest.param(10**400, id="int-past-float64"),
-                                   "1e-6", None])
+                                   "1e-6", None, *UNDERFLOWING])
     def test_bad_separation_rejected(self, d):
         body = MassiveBody(1e-14, 0.0, 1e5)
         with pytest.raises(InputDomainError, match="^separation_d "):
@@ -78,7 +84,8 @@ class TestZeroPointWidth:
         assert zero_point_width(4e-14, 1e5, c) == zero_point_width(1e-14, 1e5, c) / 2
 
     @pytest.mark.parametrize("m,omega", [(0.0, 1e5), (-1.0, 1e5), (1e-14, 0.0),
-                                         (1e-14, -2.0), (math.nan, 1e5)])
+                                         (1e-14, -2.0), (math.nan, 1e5),
+                                         *[(v, 1.0) for v in UNDERFLOWING]])
     def test_domain_errors(self, m, omega):
         with pytest.raises(InputDomainError):
             zero_point_width(m, omega, PhysicalConstants())
