@@ -16,6 +16,7 @@ import io
 import itertools
 import json
 import math
+import numbers
 import os
 import sys
 import warnings
@@ -25,8 +26,8 @@ from typing import TextIO
 
 import numpy as np
 
-from .config import MODES, FORMATS, RunConfig, parse_config, parse_constants_overrides
-from .errors import ConfigError, GraventError, WidthWarning
+from .config import MODES, FORMATS, PRECISIONS, RunConfig, parse_config, parse_constants_overrides
+from .errors import ConfigError, GraventError, InputDomainError, WidthWarning
 from .model import MassiveBody, PairSystem, PhysicalConstants, zero_point_width
 from .kernel import warn_out_of_regime
 from .sweep import (
@@ -324,8 +325,14 @@ def rows_to_csv(
     quoted. A text cell that holds a comma, a double quote, CR or LF is
     quoted, each double quote doubled. Each distinct value of a column in a
     chunk is formatted once. Writes to ``out`` when given, one chunk of rows
-    at a time, and otherwise returns the text.
+    at a time, and otherwise returns the text. A ``precision`` that is not
+    an integer in [1, 17] raises ``InputDomainError``.
     """
+    if not isinstance(precision, numbers.Integral) or precision not in PRECISIONS:
+        raise InputDomainError(
+            f"precision must be an integer in [{PRECISIONS[0]}, {PRECISIONS[-1]}], "
+            f"got {precision!r}"
+        )
     buffer = io.StringIO() if out is None else out
     buffer.write(",".join(ROW_FIELD_NAMES) + "\n")
     encoders = {"float": lambda values: _format_e(values, precision), "str": _csv_texts}

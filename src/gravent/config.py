@@ -51,6 +51,8 @@ __all__ = ["RunConfig", "parse_config", "parse_constants_overrides"]
 
 MODES = ("report", "sweep", "tau-star")
 FORMATS = ("csv", "json")
+#: The significant digits a CSV float may be written with.
+PRECISIONS = range(1, 18)
 
 _RUN_KEYS = {
     "mode",
@@ -212,8 +214,10 @@ def parse_config(text: str, mode: str | None = None) -> RunConfig:
 
     precision_raw = get("run", "precision")
     precision = _int("run", "precision", precision_raw) if precision_raw else 12
-    if not 1 <= precision <= 17:
-        raise ConfigError(f"[run] precision: must be in [1, 17], got {precision}")
+    if precision not in PRECISIONS:
+        raise ConfigError(
+            f"[run] precision: must be in [{PRECISIONS[0]}, {PRECISIONS[-1]}], got {precision}"
+        )
 
     threshold_raw = get("run", "regime_threshold")
     threshold = (

@@ -1,5 +1,5 @@
 """Two-qubit basis, diagonal potential operator, accumulated phases, and the
-state propagators (closed form plus an independent numeric integrator).
+closed-form state propagator.
 
 Basis order is fixed everywhere as
 
@@ -9,20 +9,21 @@ i.e. same-direction displacement branches occupy the outer slots and
 opposite-direction branches the inner ones.
 
 ``accumulated_phase`` and ``delta_phi_to_tau`` evaluate the kernel's
-expressions; ``tests/oracles.py`` keeps the scalar phase as the reference.
+expressions. ``tests/oracles.py`` keeps the scalar phase as the reference,
+and the checks on the closed form: the phase-generator operator, a
+fixed-step RK4 integrator and the product-state test.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import kernel
 from .errors import FloatRangeError, InputDomainError
-from .model import PairSystem, PhysicalConstants, _require_finite
+from .model import PairSystem, _require_finite
 from .potential import corrected_potential
 
 __all__ = [
@@ -31,23 +32,14 @@ __all__ = [
     "PhaseSet",
     "initial_product_state",
     "build_operator",
-    "operator_from_phases",
     "accumulated_phase",
     "evolve_closed_form",
-    "evolve_numeric",
-    "is_product_state",
     "delta_phi_to_tau",
 ]
 
 #: Construction-time norm tolerance; the closed-form propagator stays within
-#: 1e-12 of unit norm, the fixed-step integrator within 1e-9.
+#: 1e-12 of unit norm, the RK4 integrator in ``tests/oracles.py`` within 1e-9.
 NORM_TOL = 1e-9
-
-
-def _as_readonly(vec: np.ndarray) -> np.ndarray:
-    out = np.array(vec, dtype=np.complex128, copy=True)
-    out.setflags(write=False)
-    return out
 
 
 @dataclass(frozen=True, slots=True)
@@ -57,7 +49,8 @@ class TwoQubitState:
     amplitudes: np.ndarray
 
     def __post_init__(self) -> None:
-        amp = _as_readonly(self.amplitudes)
+        amp = np.array(self.amplitudes, dtype=np.complex128, copy=True)
+        amp.setflags(write=False)
         if amp.shape != (4,):
             raise InputDomainError(f"state needs 4 amplitudes, got shape {amp.shape}")
         if not np.all(np.isfinite(amp.real) & np.isfinite(amp.imag)):
@@ -143,31 +136,13 @@ def build_operator(sys: PairSystem) -> PotentialOperator:
     Same-direction branches carry the classical part of the corrected
     potential, opposite-direction branches the bare correction alone.
     Note its inner/outer energy gap is delta_v_g - v0, not the delta_v_g
-    splitting that the accumulated phases encode; ``operator_from_phases``
-    builds the diagonal consistent with ``accumulated_phase`` and the
-    closed-form propagator.
+    splitting that the accumulated phases encode; the diagonal consistent
+    with ``accumulated_phase`` and the closed-form propagator is built from
+    the phases, in ``tests/oracles.py``.
     """
     breakdown = corrected_potential(sys)
     outer = breakdown.v_g_total - breakdown.delta_v_g
     inner = breakdown.delta_v_g
-    return PotentialOperator(np.array([outer, inner, inner, outer]))
-
-
-def operator_from_phases(
-    phases: PhaseSet, tau: float, c: PhysicalConstants
-) -> PotentialOperator:
-    """Diagonal energies whose evolution over ``tau`` reproduces ``phases``.
-
-    diag = (hbar/tau) * (phi, phi', phi', phi); requires tau > 0 and
-    hbar > 0.
-    """
-    if not math.isfinite(tau) or tau <= 0:
-        raise InputDomainError(f"tau must be positive to invert phases, got {tau!r}")
-    if c.hbar <= 0:
-        raise InputDomainError("hbar must be positive to convert phases to energies")
-    scale = c.hbar / tau
-    outer = scale * phases.phi
-    inner = scale * phases.phi_prime
     return PotentialOperator(np.array([outer, inner, inner, outer]))
 
 
@@ -204,62 +179,6 @@ def evolve_closed_form(psi0: TwoQubitState, phases: PhaseSet) -> TwoQubitState:
         -1j * np.array([phases.phi, phases.phi_prime, phases.phi_prime, phases.phi])
     )
     return TwoQubitState(factors * psi0.amplitudes)
-
-
-def evolve_numeric(
-    psi0: TwoQubitState,
-    op: PotentialOperator,
-    tau: float,
-    c: PhysicalConstants,
-    steps: int = 1024,
-    method: str = "rk4",
-) -> TwoQubitState:
-    """Propagate i*hbar*dpsi/dt = V*psi for time ``tau`` under a diagonal V.
-
-    ``method="rk4"`` integrates with a fixed-step classical 4th-order
-    scheme and is the independent check on ``evolve_closed_form``;
-    ``method="exact"`` applies the diagonal exponential directly.
-    """
-    if not math.isfinite(tau) or tau < 0:
-        raise InputDomainError(f"tau must be non-negative, got {tau!r}")
-    if c.hbar <= 0:
-        raise InputDomainError("hbar must be positive to integrate the evolution")
-    if steps < 1:
-        raise InputDomainError(f"steps must be >= 1, got {steps!r}")
-    if tau == 0.0:
-        return psi0
-
-    omega = op.diag / c.hbar  # rad/s per branch
-    if method == "exact":
-        return TwoQubitState(np.exp(-1j * omega * tau) * psi0.amplitudes)
-    if method != "rk4":
-        raise InputDomainError(f"unknown method {method!r}; use 'rk4' or 'exact'")
-
-    h = tau / steps
-    if h == 0.0:
-        warnings.warn(
-            f"step size tau/steps = {tau!r}/{steps} underflowed to zero",
-            stacklevel=2,
-        )
-    psi = psi0.amplitudes.copy()
-    deriv = -1j * omega
-    for _ in range(steps):
-        k1 = deriv * psi
-        k2 = deriv * (psi + 0.5 * h * k1)
-        k3 = deriv * (psi + 0.5 * h * k2)
-        k4 = deriv * (psi + h * k3)
-        psi = psi + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    return TwoQubitState(psi)
-
-
-def is_product_state(state: TwoQubitState, tol: float = 1e-12) -> bool:
-    """Whether the state factorizes over the two qubits.
-
-    Tests the rank of the 2x2 amplitude matrix: a second singular value
-    below ``tol`` means rank one, i.e. a product state.
-    """
-    singular_values = np.linalg.svd(state.amplitude_matrix(), compute_uv=False)
-    return bool(singular_values[1] < tol)
 
 
 def delta_phi_to_tau(sys: PairSystem, delta_phi: float) -> float:

@@ -226,7 +226,7 @@ def evaluate(
     force: bool = True,
 ) -> Batch:
     """Evaluate every point of ``inputs``; ``force=False`` leaves out the forces
-    and their checks, as ``report`` does."""
+    and their checks, as ``evaluate_system`` does on floats."""
     columns = _Columns(len(inputs["tau"]))
     values: dict[str, np.ndarray] = {}
     with np.errstate(all="ignore"):

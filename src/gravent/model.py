@@ -32,6 +32,12 @@ def _real(name: str, value) -> float:
         raise InputDomainError(f"{name} is outside the float64 range") from None
 
 
+def _require_type(name: str, value, cls: type) -> None:
+    """``InputDomainError`` unless ``value`` is a ``cls``."""
+    if not isinstance(value, cls):
+        raise InputDomainError(f"{name} must be of type {cls.__name__}, got {value!r}")
+
+
 def _require_finite(**values: float) -> list[float]:
     """Each of ``values`` as its float (``_real``), which must be finite; the
     callers' sign checks test these floats, as the kernel's do."""
@@ -95,6 +101,9 @@ class PairSystem:
     constants: PhysicalConstants = PhysicalConstants()
 
     def __post_init__(self) -> None:
+        _require_type("body1", self.body1, MassiveBody)
+        _require_type("body2", self.body2, MassiveBody)
+        _require_type("constants", self.constants, PhysicalConstants)
         (d,) = _require_finite(separation_d=self.separation_d)
         if d <= 0:
             raise InputDomainError(f"separation_d must be positive, got {d!r}")

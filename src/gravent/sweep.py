@@ -14,7 +14,7 @@ import numpy as np
 
 from . import kernel
 from .errors import FloatRangeError, InputDomainError
-from .model import REGIME_THRESHOLD_DEFAULT, PairSystem, PhysicalConstants, _real
+from .model import REGIME_THRESHOLD_DEFAULT, PairSystem, PhysicalConstants, _real, _require_type
 from .potential import FORCE_CLOSED_FORM_UNIT
 
 # The scalar pipeline stays importable from this module for callers that wrap
@@ -45,9 +45,19 @@ MAX_GRID_POINTS = 1_000_000
 CHUNK_POINTS = 1024
 
 
+def _count(name: str, value) -> None:
+    """``InputDomainError`` unless ``value`` is an integer >= 1."""
+    if not isinstance(value, numbers.Integral):
+        raise InputDomainError(f"{name} must be an integer, got {value!r}")
+    if value < 1:
+        raise InputDomainError(f"{name} must be >= 1, got {value!r}")
+
+
 @dataclass(frozen=True, slots=True)
 class AxisSpec:
-    """One swept parameter: count values from start to stop, linear or log."""
+    """One swept parameter: count values from start to stop, linear or log.
+    A linear axis whose span ``stop - start`` overflows float64 raises
+    ``InputDomainError``."""
 
     start: float
     stop: float
@@ -55,18 +65,16 @@ class AxisSpec:
     spacing: str = "linear"
 
     def __post_init__(self) -> None:
-        if not isinstance(self.count, numbers.Integral):
-            raise InputDomainError(f"count must be an integer, got {self.count!r}")
-        if self.count < 1:
-            raise InputDomainError(f"count must be >= 1, got {self.count!r}")
+        _count("count", self.count)
         if self.spacing not in ("linear", "log"):
             raise InputDomainError(f"spacing must be 'linear' or 'log', got {self.spacing!r}")
-        for name in ("start", "stop"):
-            _real(name, getattr(self, name))
-        if not (math.isfinite(self.start) and math.isfinite(self.stop)):
+        start, stop = _real("start", self.start), _real("stop", self.stop)
+        if not (math.isfinite(start) and math.isfinite(stop)):
             raise InputDomainError("axis endpoints must be finite")
-        if self.spacing == "log" and (self.start <= 0 or self.stop <= 0):
+        if self.spacing == "log" and (start <= 0 or stop <= 0):
             raise InputDomainError("log spacing requires positive endpoints")
+        if self.spacing == "linear" and math.isinf(stop - start):
+            raise InputDomainError(f"axis span {stop!r} - {start!r} overflows")
 
     def values(self) -> np.ndarray:
         if self.count == 1:
@@ -79,10 +87,11 @@ class AxisSpec:
 @dataclass(frozen=True, slots=True)
 class SweepSpec:
     """Grid description: axes for swept parameters, fixed values for the rest.
-    A fixed value, radius or regime threshold that is not a real number or
-    is an int outside the float64 range, a ``symmetrize_force`` that is not
-    a bool, and a grid of more than MAX_GRID_POINTS points raise
-    ``InputDomainError``."""
+    An axis that is not an ``AxisSpec``, a fixed value, radius or regime
+    threshold that is not a real number or is an int outside the float64
+    range, constants that are not ``PhysicalConstants``, a
+    ``symmetrize_force`` that is not a bool, and a grid of more than
+    MAX_GRID_POINTS points raise ``InputDomainError``."""
 
     axes: dict[str, AxisSpec]
     fixed: dict[str, float]
@@ -95,9 +104,10 @@ class SweepSpec:
     axis_values: dict[str, np.ndarray] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        for name in self.axes:
+        for name, axis in self.axes.items():
             if name not in SWEEP_PARAMETERS:
                 raise InputDomainError(f"unknown sweep parameter {name!r}")
+            _require_type(f"axis {name!r}", axis, AxisSpec)
         for name in self.fixed:
             if name not in SWEEP_PARAMETERS:
                 raise InputDomainError(f"unknown fixed parameter {name!r}")
@@ -113,6 +123,7 @@ class SweepSpec:
                 _real(name, self.fixed[name])
         for name in ("r1", "r2", "regime_threshold"):
             _real(name, getattr(self, name))
+        _require_type("constants", self.constants, PhysicalConstants)
         kernel._bool("symmetrize_force", self.symmetrize_force)
         total = self.grid_size()
         if total > MAX_GRID_POINTS:
@@ -328,13 +339,12 @@ def row_chunks(rows: Iterable[SweepRow]) -> Iterator[list]:
 def run_sweep(spec: SweepSpec, workers: int = 1) -> SweepResult:
     """The whole grid as a sized result, rows ordered by grid index.
 
-    Evaluation is vectorised and single-threaded: ``workers`` is validated
-    and accepted for compatibility, and the result does not depend on it.
-    Per-point failures are recorded in the row's status and never abort
-    the sweep.
+    Evaluation is vectorised and single-threaded: ``workers``, an integer
+    >= 1, is validated and accepted for compatibility, and the result does
+    not depend on it. Per-point failures are recorded in the row's status
+    and never abort the sweep.
     """
-    if workers < 1:
-        raise InputDomainError(f"workers must be >= 1, got {workers!r}")
+    _count("workers", workers)
     return SweepResult(spec)
 
 

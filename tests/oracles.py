@@ -1,22 +1,32 @@
-"""Hand-written scalar forms of the correction, the entanglement force and the
-accumulated phase: the reference the kernel's expressions are held to.
+"""Reference forms the package is checked against.
 
-``gravent.quantum_correction``, ``gravent.entanglement_force`` and
+The hand-written scalar forms of the correction, the entanglement force and
+the accumulated phase are the reference the kernel's expressions are held
+to. ``gravent.quantum_correction``, ``gravent.entanglement_force`` and
 ``gravent.accumulated_phase`` evaluate the kernel (``gravent.kernel``);
 these are the bodies they had before, written out one expression at a
 time, with each cube and square formed as a left-to-right product
 (``d*d*d``, ``w*w``, ``w*w*w``) as the kernel forms it. They must agree
 with the kernel bit for bit: values, error class and message, and the
-``RegimeWarning`` text. Nothing here calls the kernel, nor a public
-function that does.
+``RegimeWarning`` text.
+
+``operator_from_phases``, ``evolve_numeric`` (a fixed-step RK4 integrator
+of the Schrodinger equation under a diagonal operator) and
+``is_product_state`` (the rank of the amplitude matrix) are the independent
+checks on ``gravent.dynamics.evolve_closed_form`` and on the separability
+verdicts.
+
+Nothing here calls the kernel, nor a public function that does.
 """
 
 import math
 import warnings
 
-from gravent.dynamics import PhaseSet
+import numpy as np
+
+from gravent.dynamics import PhaseSet, PotentialOperator, TwoQubitState
 from gravent.errors import FloatRangeError, InputDomainError, PrecisionError, RegimeWarning
-from gravent.model import PairSystem, assess_validity, zero_point_width
+from gravent.model import PairSystem, PhysicalConstants, assess_validity, zero_point_width
 from gravent.potential import FORCE_CLOSED_FORM_UNIT, ForceEstimate, expand_potential
 
 #: The smallest delta_phi whose ulp exceeds 1e-6 rad.
@@ -119,3 +129,77 @@ def accumulated_phase(sys: PairSystem, tau: float) -> PhaseSet:
             f"delta_phi = {phases.delta_phi!r} rad >= 2**33: its ulp exceeds 1e-6 rad"
         )
     return phases
+
+
+def operator_from_phases(
+    phases: PhaseSet, tau: float, c: PhysicalConstants
+) -> PotentialOperator:
+    """Diagonal energies whose evolution over ``tau`` reproduces ``phases``.
+
+    diag = (hbar/tau) * (phi, phi', phi', phi); requires tau > 0 and
+    hbar > 0.
+    """
+    if not math.isfinite(tau) or tau <= 0:
+        raise InputDomainError(f"tau must be positive to invert phases, got {tau!r}")
+    if c.hbar <= 0:
+        raise InputDomainError("hbar must be positive to convert phases to energies")
+    scale = c.hbar / tau
+    outer = scale * phases.phi
+    inner = scale * phases.phi_prime
+    return PotentialOperator(np.array([outer, inner, inner, outer]))
+
+
+def evolve_numeric(
+    psi0: TwoQubitState,
+    op: PotentialOperator,
+    tau: float,
+    c: PhysicalConstants,
+    steps: int = 1024,
+    method: str = "rk4",
+) -> TwoQubitState:
+    """Propagate i*hbar*dpsi/dt = V*psi for time ``tau`` under a diagonal V.
+
+    ``method="rk4"`` integrates with a fixed-step classical 4th-order
+    scheme and is the independent check on ``evolve_closed_form``;
+    ``method="exact"`` applies the diagonal exponential directly.
+    """
+    if not math.isfinite(tau) or tau < 0:
+        raise InputDomainError(f"tau must be non-negative, got {tau!r}")
+    if c.hbar <= 0:
+        raise InputDomainError("hbar must be positive to integrate the evolution")
+    if steps < 1:
+        raise InputDomainError(f"steps must be >= 1, got {steps!r}")
+    if tau == 0.0:
+        return psi0
+
+    omega = op.diag / c.hbar  # rad/s per branch
+    if method == "exact":
+        return TwoQubitState(np.exp(-1j * omega * tau) * psi0.amplitudes)
+    if method != "rk4":
+        raise InputDomainError(f"unknown method {method!r}; use 'rk4' or 'exact'")
+
+    h = tau / steps
+    if h == 0.0:
+        warnings.warn(
+            f"step size tau/steps = {tau!r}/{steps} underflowed to zero",
+            stacklevel=2,
+        )
+    psi = psi0.amplitudes.copy()
+    deriv = -1j * omega
+    for _ in range(steps):
+        k1 = deriv * psi
+        k2 = deriv * (psi + 0.5 * h * k1)
+        k3 = deriv * (psi + 0.5 * h * k2)
+        k4 = deriv * (psi + h * k3)
+        psi = psi + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    return TwoQubitState(psi)
+
+
+def is_product_state(state: TwoQubitState, tol: float = 1e-12) -> bool:
+    """Whether the state factorizes over the two qubits.
+
+    Tests the rank of the 2x2 amplitude matrix: a second singular value
+    below ``tol`` means rank one, i.e. a product state.
+    """
+    singular_values = np.linalg.svd(state.amplitude_matrix(), compute_uv=False)
+    return bool(singular_values[1] < tol)

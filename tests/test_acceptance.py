@@ -10,16 +10,14 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
+from oracles import evolve_numeric, is_product_state, operator_from_phases
 from gravent.cli import rows_to_csv
 from gravent.dynamics import (
     PhaseSet,
     accumulated_phase,
     delta_phi_to_tau,
     evolve_closed_form,
-    evolve_numeric,
     initial_product_state,
-    is_product_state,
-    operator_from_phases,
 )
 from gravent.measures import (
     density_from_state,

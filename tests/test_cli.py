@@ -8,7 +8,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from gravent.cli import CONSTANTS_ENV_VAR, main, rows_to_csv, rows_to_json
 from gravent.config import MODES
-from gravent.errors import RegimeWarning
+from gravent.errors import InputDomainError, RegimeWarning
 from gravent.measures import report
 from gravent.model import MassiveBody, PairSystem, PhysicalConstants
 from gravent.sweep import ROW_FIELD_NAMES
@@ -357,6 +357,9 @@ class TestSerializers:
                        omega1=1e5, omega2=1e5, d=1e-6, tau=1.0)
         csv_text = rows_to_csv([row], precision=12)
         assert csv_text.splitlines()[0] == ",".join(ROW_FIELD_NAMES)
+        for precision in (0, 18):
+            with pytest.raises(InputDomainError, match="^precision "):
+                rows_to_csv([row], precision=precision)
         payload = json.loads(rows_to_json([row]))
         assert payload[0]["index"] == 0
         assert payload[0]["in_regime"] is False

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from oracles import evolve_numeric, is_product_state, operator_from_phases
 from gravent.dynamics import (
     PhaseSet,
     PotentialOperator,
@@ -13,10 +14,7 @@ from gravent.dynamics import (
     build_operator,
     delta_phi_to_tau,
     evolve_closed_form,
-    evolve_numeric,
     initial_product_state,
-    is_product_state,
-    operator_from_phases,
 )
 from gravent.errors import FloatRangeError, InputDomainError, NoEntanglementError
 from gravent.model import MassiveBody, PairSystem, PhysicalConstants

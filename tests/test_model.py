@@ -68,6 +68,14 @@ class TestConstruction:
         with pytest.raises(InputDomainError, match="^separation_d "):
             PairSystem(body, body, d)
 
+    @pytest.mark.parametrize("name", ["body1", "body2", "constants"])
+    def test_part_of_the_wrong_type_rejected(self, name):
+        body = MassiveBody(1e-14, 0.0, 1e5)
+        parts = dict(body1=body, body2=body, separation_d=1e-6, constants=PhysicalConstants())
+        parts[name] = None
+        with pytest.raises(InputDomainError, match=f"^{name} "):
+            PairSystem(**parts)
+
 
 class TestZeroPointWidth:
     def test_reference_value(self):

@@ -52,6 +52,7 @@ class TestAxisSpec:
             dict(start=1.0, stop=2.0, count=2.5),
             dict(start="1", stop=2.0, count=3),
             dict(start=1.0, stop=10**400, count=3),
+            dict(start=-1e308, stop=1e308, count=3),
         ],
     )
     def test_validation(self, kwargs):
@@ -75,6 +76,15 @@ class TestSweepSpec:
                 axes={"tau": AxisSpec(1.0, 2.0, 1001), "d": AxisSpec(1e-6, 1e-5, 1000)},
                 fixed={k: v for k, v in FIXED.items() if k not in ("tau", "d")},
             )
+
+    @pytest.mark.parametrize("kwargs, name", [
+        (dict(axes={"tau": (1, 2, 3)}, fixed={k: v for k, v in FIXED.items() if k != "tau"}),
+         "axis 'tau'"),
+        (dict(axes={}, fixed=FIXED, constants=None), "constants"),
+    ])
+    def test_part_of_the_wrong_type_rejected(self, kwargs, name):
+        with pytest.raises(InputDomainError, match=f"^{name} "):
+            SweepSpec(**kwargs)
 
     def test_grid_indexing_row_major(self):
         spec = SweepSpec(
@@ -166,8 +176,9 @@ class TestRunSweep:
         assert rows[2].status == "ok"
 
     def test_bad_worker_count(self):
-        with pytest.raises(InputDomainError):
-            run_sweep(SweepSpec(axes={}, fixed=FIXED), workers=0)
+        for workers in (0, "2", 1.5):
+            with pytest.raises(InputDomainError, match="^workers "):
+                run_sweep(SweepSpec(axes={}, fixed=FIXED), workers=workers)
 
     def test_row_field_order_stable(self):
         assert ROW_FIELD_NAMES[:9] == (

@@ -3,9 +3,10 @@ evaluate the kernel's expressions; ``tests/oracles.py`` holds the scalar
 forms they replaced. Over the float range, with hbar from 0 to 1e300 and
 ratios past 1, the two give the same bits (-0.0 apart from 0.0; a nan is a
 nan whatever its sign), the same error class and message, and the same
-``RegimeWarning`` texts."""
+``RegimeWarning`` texts. No oracle reaches the kernel."""
 
 import dataclasses
+import inspect
 import math
 import sys
 import warnings
@@ -13,7 +14,8 @@ import warnings
 from hypothesis import given, settings, strategies as st
 
 import oracles
-from gravent import accumulated_phase, entanglement_force, quantum_correction
+from gravent import accumulated_phase, entanglement_force, kernel, quantum_correction
+from gravent.dynamics import initial_product_state
 from gravent.errors import GraventError
 from gravent.model import MassiveBody, PairSystem, PhysicalConstants
 
@@ -78,3 +80,25 @@ def test_views_match_the_oracles(m1, m2, w1, w2, d, ratio, tau, hbar, symmetrize
         if 0 < at_ratio < math.inf:
             d = at_ratio
     check_against_oracles(m1, m2, w1, w2, d, tau, hbar, symmetrize)
+
+
+def test_no_oracle_calls_the_kernel(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("an oracle called the kernel")
+
+    for name in ("evaluate", "evaluate_system", "evaluate_correction", "phase_rate"):
+        monkeypatch.setattr(kernel, name, forbidden)
+    body = MassiveBody(1e-14, 0.0, 1e5)
+    system = PairSystem(body, body, 1e-6)
+    c, tau = system.constants, 0.2
+    oracles.quantum_correction(system)
+    oracles.entanglement_force(system, True)
+    phases = oracles.accumulated_phase(system, tau)
+    op = oracles.operator_from_phases(phases, tau, c)
+    oracles.evolve_numeric(initial_product_state(), op, tau, c, steps=2048)
+    assert oracles.is_product_state(initial_product_state())
+    ran = {"quantum_correction", "entanglement_force", "accumulated_phase",
+           "operator_from_phases", "evolve_numeric", "is_product_state"}
+    public = {name for name, f in inspect.getmembers(oracles, inspect.isfunction)
+              if f.__module__ == oracles.__name__ and not name.startswith("_")}
+    assert ran == public
