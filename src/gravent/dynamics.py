@@ -23,7 +23,7 @@ import numpy as np
 
 from . import kernel
 from .errors import FloatRangeError, InputDomainError
-from .model import PairSystem, _require_finite
+from .model import PairSystem, _bound, _finite, _raise, _real
 from .potential import corrected_potential
 
 __all__ = [
@@ -117,12 +117,10 @@ class PhaseSet:
     delta_phi: float
 
     def __post_init__(self) -> None:
-        for name, v in (("phi", self.phi), ("phi_prime", self.phi_prime),
-                        ("delta_phi", self.delta_phi)):
-            if not math.isfinite(v):
-                raise InputDomainError(f"{name} must be finite, got {v!r}")
-        if self.delta_phi < 0:
-            raise InputDomainError(f"delta_phi must be non-negative, got {self.delta_phi!r}")
+        for name in ("phi", "phi_prime", "delta_phi"):
+            _real(name, getattr(self, name))
+            _finite(_raise, name, getattr(self, name))
+        _bound(_raise, "delta_phi", self.delta_phi, "non-negative")
 
 
 def initial_product_state() -> TwoQubitState:
@@ -190,9 +188,7 @@ def delta_phi_to_tau(sys: PairSystem, delta_phi: float) -> float:
     finite real number is an ``InputDomainError``, and a tau past the
     float64 range a ``FloatRangeError``.
     """
-    (delta_phi,) = _require_finite(delta_phi=delta_phi)
-    if delta_phi < 0:
-        raise InputDomainError(f"delta_phi must be non-negative, got {delta_phi!r}")
+    delta_phi = _finite(_raise, "delta_phi", _real("delta_phi", delta_phi), "non-negative")
     rate = kernel.phase_rate(sys)
     tau = delta_phi / rate
     if tau == math.inf:

@@ -8,15 +8,12 @@ sweep or of one point, comes from it. ``evaluate_system`` evaluates one
 system on plain floats, without the forces, for ``report``,
 ``accumulated_phase`` and tau-star; ``evaluate_correction`` runs only the
 correction and the forces, for ``quantum_correction`` and
-``entanglement_force``. The checks are the ones the value objects and scalar
-functions make on the inputs (``MassiveBody``, ``PairSystem``,
-``assess_validity``, ``accumulated_phase``, ``expand_potential``,
-``PhaseSet``), in the order a scalar evaluation meets them, plus
-``FloatRangeError`` where the scalar arithmetic would divide by an
-underflowed zero or overflow a power, and ``PrecisionError`` where the phase
-is past float resolution. ``evaluate`` makes them all; the float entries
-take a ``PairSystem``, whose value objects have checked its fields as
-floats, and check only tau, hbar and the intermediates.
+``entanglement_force``. The input checks are ``gravent.model``'s, made in
+the order a scalar evaluation meets them, plus ``FloatRangeError`` where the
+arithmetic would divide by an underflowed zero or overflow a power, and
+``PrecisionError`` where the phase is past float resolution. ``evaluate``
+makes them all; the float entries take a ``PairSystem``, whose value objects
+have checked its fields, and check only tau, hbar and the intermediates.
 
 The measures come from the evolved state's 2x2 amplitude matrix A and its
 determinant: for a pure two-qubit state, the linear entropy is 2|det A|^2
@@ -36,19 +33,19 @@ multiplication by tau. The scalar ``report_from_phases`` still measures
 through rho and its eigenvalues, so its measures match the kernel's only
 where that route does not cancel.
 
-Every entry runs the same stages (the m*omega divisors, the correction,
-the phases and measures, the forces). ``evaluate`` runs them on numpy
-columns and records every check as a mask; the float entries run them on
-Python floats and stop at the first failed check, which is the check
-``evaluate`` reports first, as checks are made in evaluation order. Every
-divisor is checked non-zero before the division, so float arithmetic
-raises nothing else. The functions the expressions call come from a table
-per path: on floats, ``math.sqrt``, ``math.fmod`` and the builtins ``max``
-and ``min``, which are correctly rounded or exact and so round as numpy's
-ufuncs do. ``log`` and ``log1p`` stay numpy's ufuncs on both paths, because
-numpy's and the C library's differ in the last bit on some arguments
-(``log1p`` on about 7% of [-0.5, 0] on an AVX-512 host); ``cos`` and ``sin``
-stay numpy's too, so that no result rests on the two libraries agreeing.
+Every entry runs the same stages (the m*omega divisors, the correction, the
+phases and measures, the forces). ``evaluate`` runs them on numpy columns
+and records every check as a mask (``_Columns.add``); the float entries run
+them on Python floats with ``model._raise``, which stops at the first failed
+check, the one ``evaluate`` reports first. Every divisor is checked non-zero
+before the division, so float arithmetic raises nothing else. The functions the
+expressions call come from a table per path: on floats, ``math.sqrt``,
+``math.fmod`` and the builtins ``max`` and ``min``, which are correctly
+rounded or exact and so round as numpy's ufuncs do. ``log`` and ``log1p``
+stay numpy's ufuncs on both paths, because numpy's and the C library's
+differ in the last bit on some arguments (``log1p`` on about 7% of [-0.5, 0]
+on an AVX-512 host); ``cos`` and ``sin`` stay numpy's too, so that no result
+rests on the two libraries agreeing.
 """
 
 from __future__ import annotations
@@ -63,7 +60,6 @@ from types import SimpleNamespace
 import numpy as np
 
 from .errors import (
-    ConvergenceDomainError,
     FloatRangeError,
     GraventError,
     InputDomainError,
@@ -71,7 +67,10 @@ from .errors import (
     PrecisionError,
     RegimeWarning,
 )
-from .model import REGIME_THRESHOLD_DEFAULT, PairSystem, PhysicalConstants, _real
+from .model import (
+    REGIME_THRESHOLD_DEFAULT, PairSystem, PhysicalConstants, _bool, _check_body, _check_converges,
+    _check_dr_sum, _finite, _mass_omega, _raise, _real, _require_type,
+)
 
 LN2 = math.log(2.0)
 
@@ -93,11 +92,6 @@ _parameters = itemgetter(*PARAMETERS)
 Inputs = Mapping[str, np.ndarray]
 
 
-def _nonfinite(x):
-    """Where x is inf or nan: x - x is 0 exactly when x is finite."""
-    return x - x != 0
-
-
 def _on_float(ufunc):
     return lambda x: float(ufunc(x))
 
@@ -112,11 +106,6 @@ _FLOAT_MATH = SimpleNamespace(
     cos=_on_float(np.cos), sin=_on_float(np.sin), log=_on_float(np.log),
     log1p=_on_float(np.log1p),
 )
-
-
-def _shown(arg, i: int) -> str:
-    value = arg[i] if isinstance(arg, np.ndarray) else arg
-    return repr(value.item() if isinstance(value, np.generic) else value)
 
 
 class _Columns:
@@ -144,22 +133,12 @@ class _Columns:
 
     def first_failures(self) -> tuple[np.ndarray, np.ndarray]:
         """Per point: whether any check fails, and the index of the first that does."""
-        if not self.masks:
-            return np.zeros(self.n, dtype=bool), np.zeros(self.n, dtype=np.intp)
         masks = np.array(self.masks)
         return masks.any(axis=0), masks.argmax(axis=0)
 
 
-class _Floats:
-    """The one-point path, used as the class itself: each input a float, and
-    the first failed check raises."""
-
-    fn = _FLOAT_MATH
-
-    @staticmethod
-    def add(fails, exc: type[GraventError], message: str, *args) -> None:
-        if fails:
-            raise exc(message.format(*(_shown(arg, 0) for arg in args)))
+#: The one-point path: each input a float, and the first failed check raises.
+_Floats = SimpleNamespace(fn=_FLOAT_MATH, add=_raise)
 
 
 @dataclass(frozen=True, slots=True)
@@ -179,7 +158,9 @@ class Batch:
     def error(self, i: int) -> GraventError:
         """The exception a scalar evaluation of failed point ``i`` raises."""
         exc, message, args = self.errors[self.first[i]]
-        return exc(message.format(*(_shown(arg, i) for arg in args)))
+        shown = (arg[i] if isinstance(arg, np.ndarray) else arg for arg in args)
+        shown = (v.item() if isinstance(v, np.generic) else v for v in shown)
+        return exc(message.format(*map(repr, shown)))
 
     def status(self, i: int) -> str:
         error = self.error(i)
@@ -236,15 +217,10 @@ def evaluate(
     return Batch(values, failed, first, columns.errors)
 
 
-def _bool(name: str, value) -> bool:
-    if not isinstance(value, (bool, np.bool_)):
-        raise InputDomainError(f"{name} must be a bool, got {value!r}")
-    return bool(value)
-
-
 def _system_values(sys: PairSystem) -> dict[str, float]:
     """The system's values as floats, which its value objects have checked
     finite and positive, so the float path does not check them again."""
+    _require_type("sys", sys, PairSystem)
     body1, body2 = sys.body1, sys.body2
     return dict(m1=float(body1.mass), m2=float(body2.mass), omega1=float(body1.omega),
                 omega2=float(body2.omega), d=float(sys.separation_d))
@@ -273,7 +249,7 @@ def evaluate_correction(sys: PairSystem, force: bool = False, symmetrize: bool =
     values = _system_values(sys)
     m1, m2, w1, w2, d = values.values()
     G, hbar = float(sys.constants.G), float(sys.constants.hbar)
-    mw1, mw2 = _divisors(_Floats, m1, m2, w1, w2)
+    mw1, mw2 = _mass_omega(_raise, m1, w1), _mass_omega(_raise, m2, w2)
     correction, scale = _correction(_Floats, G, hbar, m1, m2, w1, w2, mw1, mw2, d, values)
     if force:
         _forces(_Floats, correction, scale, m1, m2, w1, w2, d, symmetrize, values)
@@ -284,6 +260,7 @@ def phase_rate(sys: PairSystem) -> float:
     """``sys``'s delta_phi per second, which tau-star and ``delta_phi_to_tau``
     invert. A system that fails a check at tau = 0 raises the error report
     mode gives at tau = 1 s; a zero rate, or hbar = 0, ``NoEntanglementError``."""
+    _require_type("sys", sys, PairSystem)
     if sys.constants.hbar != 0.0:
         # A check that depends on tau fails at tau = 0 only where the
         # potential or the rate is not finite, and then at every tau. The
@@ -301,17 +278,10 @@ def _check_inputs(add, inputs, r1, r2, threshold) -> None:
     """The checks of MassiveBody, PairSystem and assess_validity, which only
     ``evaluate`` makes: a ``PairSystem`` has passed them."""
     m1, m2, w1, w2, d, _ = _parameters(inputs)
-    for m, r, w in ((m1, r1, w1), (m2, r2, w2)):
-        add(_nonfinite(m), InputDomainError, "mass must be finite, got {}", m)
-        add(not math.isfinite(r), InputDomainError, "radius must be finite, got {}", r)
-        add(_nonfinite(w), InputDomainError, "omega must be finite, got {}", w)
-        add(m <= 0, InputDomainError, "mass must be positive, got {}", m)
-        add(r < 0, InputDomainError, "radius must be non-negative, got {}", r)
-        add(w <= 0, InputDomainError, "omega must be positive, got {}", w)
-    add(_nonfinite(d), InputDomainError, "separation_d must be finite, got {}", d)
-    add(d <= 0, InputDomainError, "separation_d must be positive, got {}", d)
-    add(not math.isfinite(threshold), InputDomainError, "threshold must be finite, got {}", threshold)
-    add(threshold <= 0, InputDomainError, "threshold must be positive, got {}", threshold)
+    _check_body(add, m1, r1, w1)
+    _check_body(add, m2, r2, w2)
+    _finite(add, "separation_d", d, "positive")
+    _finite(add, "threshold", threshold, "positive")
 
 
 def _physics(path, inputs, constants, threshold, symmetrize, force, out) -> None:
@@ -324,12 +294,11 @@ def _physics(path, inputs, constants, threshold, symmetrize, force, out) -> None
     # scalars (the threshold, too, where it is compared below).
     G, hbar = float(constants.G), float(constants.hbar)
     # accumulated_phase
-    add(_nonfinite(tau), InputDomainError, "tau must be finite, got {}", tau)
-    add(tau < 0, InputDomainError, "tau must be non-negative, got {}", tau)
+    _finite(add, "tau", tau, "non-negative")
     add(hbar <= 0, InputDomainError, "hbar must be positive to accumulate phases")
 
     # zero-point widths and the validity ratio
-    mw1, mw2 = _divisors(path, m1, m2, w1, w2)
+    mw1, mw2 = _mass_omega(add, m1, w1), _mass_omega(add, m2, w2)
     dr_sum = fn.sqrt(hbar / mw1) + fn.sqrt(hbar / mw2)
     ratio = dr_sum / d
     # Set before the expansion's checks: a point that has a ratio has been
@@ -338,10 +307,8 @@ def _physics(path, inputs, constants, threshold, symmetrize, force, out) -> None
     out["in_regime"] = ratio < float(threshold)
 
     # expand_potential
-    add(_nonfinite(dr_sum), InputDomainError, "dr_sum must be finite")
-    abs_x = abs(ratio)
-    add(abs_x >= 1, ConvergenceDomainError,
-        "|dr_sum/d| = {} >= 1: geometric expansion diverges", abs_x)
+    _check_dr_sum(add, dr_sum)
+    _check_converges(add, ratio)
     v0 = -G * m1 * m2 / d
     correction, scale = _correction(path, G, hbar, m1, m2, w1, w2, mw1, mw2, d, out)
 
@@ -349,10 +316,9 @@ def _physics(path, inputs, constants, threshold, symmetrize, force, out) -> None
     delta = out["delta_v_g"]
     v_total = v0 + delta
     phi, phi_prime = (v_total - delta) * tau / hbar, v_total * tau / hbar
-    add(_nonfinite(phi), InputDomainError, "phi must be finite, got {}", phi)
-    add(_nonfinite(phi_prime), InputDomainError, "phi_prime must be finite, got {}", phi_prime)
-    delta_phi = out["phase_rate"] * tau
-    add(_nonfinite(delta_phi), InputDomainError, "delta_phi must be finite, got {}", delta_phi)
+    _finite(add, "phi", phi)
+    _finite(add, "phi_prime", phi_prime)
+    delta_phi = _finite(add, "delta_phi", out["phase_rate"] * tau)
     add(delta_phi >= PHASE_RESOLUTION_LIMIT, PrecisionError,
         "delta_phi = {} rad >= 2**33: its ulp exceeds 1e-6 rad", delta_phi)
     out["phi"], out["phi_prime"], out["delta_phi"] = phi, phi_prime, delta_phi
@@ -360,14 +326,6 @@ def _physics(path, inputs, constants, threshold, symmetrize, force, out) -> None
 
     if force:
         _forces(path, correction, scale, m1, m2, w1, w2, d, symmetrize, out)
-
-
-def _divisors(path, m1, m2, w1, w2):
-    """m1*omega1 and m2*omega2, which the widths and the correction divide by."""
-    mw1, mw2 = m1 * w1, m2 * w2
-    path.add(mw1 == 0, FloatRangeError, "mass*omega underflows to 0 at {} and {}", m1, w1)
-    path.add(mw2 == 0, FloatRangeError, "mass*omega underflows to 0 at {} and {}", m2, w2)
-    return mw1, mw2
 
 
 def _correction(path, G, hbar, m1, m2, w1, w2, mw1, mw2, d, out):

@@ -1,7 +1,14 @@
-"""Physical constants, body/system descriptions, and expansion-regime checks.
+"""Physical constants, body/system descriptions, expansion-regime checks, and
+the input checks of every module.
 
-Everything here is an immutable value object in SI units; the numeric
-engines consume these and nothing else.
+The value objects are immutable, in SI units; the numeric engines consume
+these and nothing else. Each input check is written once, here, and reports a
+failed condition to an adder, ``add(fails, exc, message, *args)``: the value
+objects, the scalar functions and the kernel's float path pass ``_raise``,
+which raises at the first failure, and the kernel's array path
+``kernel._Columns.add``, which records ``fails`` as a mask over a column.
+``_real``, ``_require_type``, ``_bool`` and ``_count`` decide which Python
+values are inputs at all.
 """
 
 from __future__ import annotations
@@ -10,7 +17,9 @@ import math
 import numbers
 from dataclasses import dataclass
 
-from .errors import FloatRangeError, InputDomainError
+import numpy as np
+
+from .errors import ConvergenceDomainError, FloatRangeError, GraventError, InputDomainError
 
 #: CODATA-2018 Newtonian constant of gravitation, m^3 kg^-1 s^-2.
 G_DEFAULT = 6.67430e-11
@@ -38,16 +47,75 @@ def _require_type(name: str, value, cls: type) -> None:
         raise InputDomainError(f"{name} must be of type {cls.__name__}, got {value!r}")
 
 
-def _require_finite(**values: float) -> list[float]:
-    """Each of ``values`` as its float (``_real``), which must be finite; the
-    callers' sign checks test these floats, as the kernel's do."""
-    floats = []
-    for name, value in values.items():
-        x = _real(name, value)
-        if not math.isfinite(x):
-            raise InputDomainError(f"{name} must be finite, got {x!r}")
-        floats.append(x)
-    return floats
+def _bool(name: str, value) -> bool:
+    if not isinstance(value, (bool, np.bool_)):
+        raise InputDomainError(f"{name} must be a bool, got {value!r}")
+    return bool(value)
+
+
+def _count(name: str, value) -> None:
+    """``InputDomainError`` unless ``value`` is an integer >= 1."""
+    if not isinstance(value, numbers.Integral):
+        raise InputDomainError(f"{name} must be an integer, got {value!r}")
+    if value < 1:
+        raise InputDomainError(f"{name} must be >= 1, got {value!r}")
+
+
+def _nonfinite(x):
+    """Where x is inf or nan: x - x is 0 exactly when x is finite."""
+    return x - x != 0
+
+
+def _raise(fails, exc: type[GraventError], message: str, *args) -> None:
+    """The adder of checks on single values: a check that fails raises."""
+    if fails:
+        raise exc(message.format(*map(repr, args)))
+
+
+def _finite(add, name: str, x, bound: str | None = None):
+    """``x`` must be finite, then within ``bound`` if given; returns ``x``."""
+    fails = _nonfinite(x)
+    if fails is not False:  # no message to build for a float that passed
+        add(fails, InputDomainError, name + " must be finite, got {}", x)
+    if bound is not None:
+        _bound(add, name, x, bound)
+    return x
+
+
+def _bound(add, name: str, x, bound: str) -> None:
+    """``x`` must be ``bound``: "positive" or "non-negative"."""
+    fails = x <= 0 if bound == "positive" else x < 0
+    if fails is not False:
+        add(fails, InputDomainError, f"{name} must be {bound}, got {{}}", x)
+
+
+def _check_body(add, mass, radius, omega, real=lambda name, x: x) -> None:
+    """A body's six checks: each field finite, then each within its bound.
+    ``real`` (``MassiveBody``'s ``_real``) converts a field just before its check."""
+    mass = _finite(add, "mass", real("mass", mass))
+    radius = _finite(add, "radius", real("radius", radius))
+    omega = _finite(add, "omega", real("omega", omega))
+    _bound(add, "mass", mass, "positive")
+    _bound(add, "radius", radius, "non-negative")
+    _bound(add, "omega", omega, "positive")
+
+
+def _check_dr_sum(add, dr_sum) -> None:
+    """The summed displacement of the size expansion must be finite."""
+    add(_nonfinite(dr_sum), InputDomainError, "dr_sum must be finite")
+
+
+def _check_converges(add, ratio) -> None:
+    """The size expansion in x = dr_sum/d converges for |x| < 1."""
+    x = abs(ratio)
+    add(x >= 1, ConvergenceDomainError, "|dr_sum/d| = {} >= 1: geometric expansion diverges", x)
+
+
+def _mass_omega(add, m, omega):
+    """m*omega, which the widths and the correction divide by, checked non-zero."""
+    mw = m * omega
+    add(mw == 0, FloatRangeError, "mass*omega underflows to 0 at {} and {}", m, omega)
+    return mw
 
 
 @dataclass(frozen=True, slots=True)
@@ -62,11 +130,10 @@ class PhysicalConstants:
     hbar: float = HBAR_DEFAULT
 
     def __post_init__(self) -> None:
-        G, hbar = _require_finite(G=self.G, hbar=self.hbar)
-        if G <= 0:
-            raise InputDomainError(f"G must be positive, got {G!r}")
-        if hbar < 0:
-            raise InputDomainError(f"hbar must be non-negative, got {hbar!r}")
+        G = _finite(_raise, "G", _real("G", self.G))
+        hbar = _finite(_raise, "hbar", _real("hbar", self.hbar))
+        _bound(_raise, "G", G, "positive")
+        _bound(_raise, "hbar", hbar, "non-negative")
 
 
 @dataclass(frozen=True, slots=True)
@@ -82,13 +149,7 @@ class MassiveBody:
     omega: float
 
     def __post_init__(self) -> None:
-        mass, radius, omega = _require_finite(mass=self.mass, radius=self.radius, omega=self.omega)
-        if mass <= 0:
-            raise InputDomainError(f"mass must be positive, got {mass!r}")
-        if radius < 0:
-            raise InputDomainError(f"radius must be non-negative, got {radius!r}")
-        if omega <= 0:
-            raise InputDomainError(f"omega must be positive, got {omega!r}")
+        _check_body(_raise, self.mass, self.radius, self.omega, _real)
 
 
 @dataclass(frozen=True, slots=True)
@@ -104,9 +165,7 @@ class PairSystem:
         _require_type("body1", self.body1, MassiveBody)
         _require_type("body2", self.body2, MassiveBody)
         _require_type("constants", self.constants, PhysicalConstants)
-        (d,) = _require_finite(separation_d=self.separation_d)
-        if d <= 0:
-            raise InputDomainError(f"separation_d must be positive, got {d!r}")
+        _finite(_raise, "separation_d", _real("separation_d", self.separation_d), "positive")
 
     def swapped(self) -> "PairSystem":
         """The same system with body labels 1 and 2 exchanged."""
@@ -138,14 +197,10 @@ def zero_point_width(m: float, omega: float, c: PhysicalConstants) -> float:
     c : PhysicalConstants
         Supplies hbar.
     """
-    m, omega = _require_finite(m=m, omega=omega)
-    if m <= 0:
-        raise InputDomainError(f"mass must be positive, got {m!r}")
-    if omega <= 0:
-        raise InputDomainError(f"omega must be positive, got {omega!r}")
-    if m * omega == 0:
-        raise FloatRangeError(f"mass*omega underflows to 0 at {m!r} and {omega!r}")
-    return math.sqrt(c.hbar / (m * omega))
+    m, omega = _finite(_raise, "m", _real("m", m)), _finite(_raise, "omega", _real("omega", omega))
+    _bound(_raise, "mass", m, "positive")
+    _bound(_raise, "omega", omega, "positive")
+    return math.sqrt(c.hbar / _mass_omega(_raise, m, omega))
 
 
 def assess_validity(
@@ -157,9 +212,9 @@ def assess_validity(
     below ``threshold``; the truncated potential expansion is only reliable
     when it does.
     """
-    _require_finite(threshold=threshold)
-    if threshold <= 0:
-        raise InputDomainError(f"threshold must be positive, got {threshold!r}")
+    _finite(_raise, "threshold", _real("threshold", threshold))
+    _bound(_raise, "threshold", threshold, "positive")
+    _require_type("sys", sys, PairSystem)
     dr1 = zero_point_width(sys.body1.mass, sys.body1.omega, sys.constants)
     dr2 = zero_point_width(sys.body2.mass, sys.body2.omega, sys.constants)
     ratio = (dr1 + dr2) / sys.separation_d

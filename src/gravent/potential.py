@@ -17,14 +17,11 @@ import math
 from dataclasses import dataclass
 
 from . import kernel
-from .errors import ConvergenceDomainError, InputDomainError, SingularityError
+from .errors import InputDomainError, SingularityError
 from .kernel import warn_out_of_regime
 from .model import (
-    REGIME_THRESHOLD_DEFAULT,
-    PairSystem,
-    PhysicalConstants,
-    assess_validity,
-    zero_point_width,
+    REGIME_THRESHOLD_DEFAULT, PairSystem, PhysicalConstants, _bound, _check_converges,
+    _check_dr_sum, _finite, _raise, _real, _require_type, assess_validity, zero_point_width,
 )
 
 __all__ = [
@@ -102,12 +99,11 @@ def newtonian_potential(m1: float, m2: float, d: float, c: PhysicalConstants) ->
     positive.
     """
     for name, v in (("m1", m1), ("m2", m2), ("d", d)):
-        if not math.isfinite(v):
-            raise InputDomainError(f"{name} must be finite, got {v!r}")
+        _real(name, v)
+        _finite(_raise, name, v)
     if m1 < 0 or m2 < 0:
         raise InputDomainError("masses must be non-negative")
-    if d <= 0:
-        raise InputDomainError(f"d must be positive, got {d!r}")
+    _bound(_raise, "d", d, "positive")
     return -c.G * m1 * m2 / d
 
 
@@ -120,6 +116,7 @@ def exact_size_corrected_potential(sys: PairSystem, dr1: float, dr2: float) -> f
     """
     if not (math.isfinite(dr1) and math.isfinite(dr2)):
         raise InputDomainError("displacements must be finite")
+    _require_type("sys", sys, PairSystem)
     denom = sys.separation_d + dr1 + dr2
     if denom <= 0:
         raise SingularityError(
@@ -138,15 +135,13 @@ def expand_potential(
     for |x| < 1. The n = 1 term is flagged absorbable: it only shifts the
     reference separation.
     """
-    if not math.isfinite(dr_sum):
-        raise InputDomainError("dr_sum must be finite")
+    _real("dr_sum", dr_sum)
+    _check_dr_sum(_raise, dr_sum)
     if max_order < 0:
         raise InputDomainError(f"max_order must be >= 0, got {max_order!r}")
+    _require_type("sys", sys, PairSystem)
     x = dr_sum / sys.separation_d
-    if abs(x) >= 1:
-        raise ConvergenceDomainError(
-            f"|dr_sum/d| = {abs(x)!r} >= 1: geometric expansion diverges"
-        )
+    _check_converges(_raise, x)
     v0 = newtonian_potential(
         sys.body1.mass, sys.body2.mass, sys.separation_d, sys.constants
     )

@@ -6,15 +6,16 @@ maximal entanglement.
 from __future__ import annotations
 
 import math
-import numbers
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import MISSING, dataclass, field, fields, replace
 
 import numpy as np
 
 from . import kernel
 from .errors import FloatRangeError, InputDomainError
-from .model import REGIME_THRESHOLD_DEFAULT, PairSystem, PhysicalConstants, _real, _require_type
+from .model import (
+    REGIME_THRESHOLD_DEFAULT, PairSystem, PhysicalConstants, _bool, _count, _real, _require_type,
+)
 from .potential import FORCE_CLOSED_FORM_UNIT
 
 # The scalar pipeline stays importable from this module for callers that wrap
@@ -43,14 +44,6 @@ MAX_GRID_POINTS = 1_000_000
 
 #: Grid points evaluated and written per kernel call.
 CHUNK_POINTS = 1024
-
-
-def _count(name: str, value) -> None:
-    """``InputDomainError`` unless ``value`` is an integer >= 1."""
-    if not isinstance(value, numbers.Integral):
-        raise InputDomainError(f"{name} must be an integer, got {value!r}")
-    if value < 1:
-        raise InputDomainError(f"{name} must be >= 1, got {value!r}")
 
 
 @dataclass(frozen=True, slots=True)
@@ -87,11 +80,11 @@ class AxisSpec:
 @dataclass(frozen=True, slots=True)
 class SweepSpec:
     """Grid description: axes for swept parameters, fixed values for the rest.
-    An axis that is not an ``AxisSpec``, a fixed value, radius or regime
-    threshold that is not a real number or is an int outside the float64
-    range, constants that are not ``PhysicalConstants``, a
-    ``symmetrize_force`` that is not a bool, and a grid of more than
-    MAX_GRID_POINTS points raise ``InputDomainError``."""
+    Axes or fixed values that are not a mapping, an axis that is not an
+    ``AxisSpec``, a fixed value, radius or regime threshold that is not a
+    real number or is an int outside the float64 range, constants that are
+    not ``PhysicalConstants``, a ``symmetrize_force`` that is not a bool, and
+    a grid of more than MAX_GRID_POINTS points raise ``InputDomainError``."""
 
     axes: dict[str, AxisSpec]
     fixed: dict[str, float]
@@ -104,6 +97,8 @@ class SweepSpec:
     axis_values: dict[str, np.ndarray] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        _require_type("axes", self.axes, Mapping)
+        _require_type("fixed", self.fixed, Mapping)
         for name, axis in self.axes.items():
             if name not in SWEEP_PARAMETERS:
                 raise InputDomainError(f"unknown sweep parameter {name!r}")
@@ -124,7 +119,7 @@ class SweepSpec:
         for name in ("r1", "r2", "regime_threshold"):
             _real(name, getattr(self, name))
         _require_type("constants", self.constants, PhysicalConstants)
-        kernel._bool("symmetrize_force", self.symmetrize_force)
+        _bool("symmetrize_force", self.symmetrize_force)
         total = self.grid_size()
         if total > MAX_GRID_POINTS:
             raise InputDomainError(f"grid has {total} points, above the cap of {MAX_GRID_POINTS}")

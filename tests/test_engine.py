@@ -24,7 +24,7 @@ import gravent
 from gravent import cli, kernel, sweep
 from gravent.cli import main, rows_to_json
 from gravent.config import parse_config
-from gravent.dynamics import PhaseSet, accumulated_phase
+from gravent.dynamics import PhaseSet, accumulated_phase, build_operator, delta_phi_to_tau
 from gravent.errors import (
     ConvergenceDomainError,
     FloatRangeError,
@@ -34,7 +34,14 @@ from gravent.errors import (
     RegimeWarning,
 )
 from gravent.measures import report, report_from_phases
-from gravent.model import MassiveBody, PairSystem, PhysicalConstants
+from gravent.model import MassiveBody, PairSystem, PhysicalConstants, assess_validity
+from gravent.potential import (
+    corrected_potential,
+    exact_size_corrected_potential,
+    expand_potential,
+    newtonian_potential,
+    quantum_correction,
+)
 from gravent.sweep import (
     CHUNK_POINTS,
     AxisSpec,
@@ -585,6 +592,42 @@ def test_non_real_tau_is_an_input_domain_error(tau):
     with pytest.raises(InputDomainError) as info:
         SweepSpec(axes={}, fixed=point, symmetrize_force=tau)
     assert str(info.value) == f"symmetrize_force must be a bool, got {tau!r}"
+
+
+SYSTEM_CALLS = {
+    "report": lambda system: report(system, 1.0),
+    "accumulated_phase": lambda system: accumulated_phase(system, 1.0),
+    "quantum_correction": quantum_correction,
+    "entanglement_force": gravent.entanglement_force,
+    "time_to_max_entanglement": time_to_max_entanglement,
+    "delta_phi_to_tau": lambda system: delta_phi_to_tau(system, 1.0),
+    "assess_validity": assess_validity,
+    "expand_potential": lambda system: expand_potential(system, 0.0, 2),
+    "exact_size_corrected_potential": lambda system: exact_size_corrected_potential(system, 0.0, 0.0),
+    "corrected_potential": corrected_potential,
+    "build_operator": build_operator,
+}
+
+
+@pytest.mark.parametrize("system", [None, "x"], ids=["none", "str"])
+@pytest.mark.parametrize("call", SYSTEM_CALLS.values(), ids=SYSTEM_CALLS.keys())
+def test_a_system_that_is_not_a_pair_system_is_an_input_domain_error(call, system):
+    with pytest.raises(InputDomainError) as info:
+        call(system)
+    assert str(info.value) == f"sys must be of type PairSystem, got {system!r}"
+
+
+@pytest.mark.parametrize("call, name", [
+    (lambda: PhaseSet("1", 0.0, 0.0), "phi"),
+    (lambda: PhaseSet(0.0, 0.0, 10**400), "delta_phi"),
+    (lambda: newtonian_potential(1j, 1.0, 1.0, PhysicalConstants()), "m1"),
+    (lambda: expand_potential(PairSystem(*[MassiveBody(1e-14, 0.0, 1e5)] * 2, 1e-6), None, 2),
+     "dr_sum"),
+], ids=["phase-str", "phase-int-past-float64", "newtonian-complex", "expansion-none"])
+def test_a_scalar_input_that_is_not_real_is_an_input_domain_error(call, name):
+    with pytest.raises(InputDomainError,
+                       match=f"^{name} (must be a real number|is outside the float64 range)"):
+        call()
 
 
 @pytest.mark.parametrize("tau", [1, True, np.float32(0.5), np.float64(2.0), np.int64(3)],

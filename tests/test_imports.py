@@ -47,3 +47,8 @@ def test_module_imports_first(module):
 def test_kernel_loads_none_of_the_scalar_pipeline():
     """The scalar modules evaluate through the kernel, not the other way round."""
     assert not loaded_after_importing("kernel") & {"potential", "dynamics", "measures"}
+
+
+def test_model_loads_no_module_but_errors():
+    """Every module's input checks rest on ``model``, so it imports none of them."""
+    assert loaded_after_importing("model") <= {"model", "errors"}

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gravent.errors import InputDomainError
+from gravent.dynamics import PhaseSet
+from gravent.errors import GraventError, InputDomainError
 from gravent.model import (
     MassiveBody,
     PairSystem,
@@ -13,6 +14,7 @@ from gravent.model import (
     assess_validity,
     zero_point_width,
 )
+from gravent.sweep import SweepSpec, run_sweep
 
 # sqrt(hbar/(m*omega)) at m=1e-14 kg, omega=1e5 rad/s, 50-digit arithmetic
 ZPW_REF = 3.2474171536776731142e-13
@@ -75,6 +77,33 @@ class TestConstruction:
         parts[name] = None
         with pytest.raises(InputDomainError, match=f"^{name} "):
             PairSystem(**parts)
+
+
+def status(build) -> str:
+    """The error ``build`` raises, as a sweep row's status gives it, or the
+    status of the row it returns."""
+    try:
+        return build().status
+    except GraventError as error:
+        return f"error: {type(error).__name__}: {error}"
+
+
+SWEEP_POINT = dict(m1=1e-14, m2=1e-14, omega1=1e5, omega2=1e5, d=1e-6, tau=1.0)
+
+
+@pytest.mark.parametrize("build, first", [
+    (lambda: MassiveBody(math.nan, "1", 1.0), "mass must be finite, got nan"),
+    (lambda: MassiveBody(-1.0, -1.0, math.nan), "omega must be finite, got nan"),
+    (lambda: PhysicalConstants(G=-1.0, hbar=math.nan), "hbar must be finite, got nan"),
+    (lambda: zero_point_width(-1.0, math.nan, PhysicalConstants()), "omega must be finite, got nan"),
+    (lambda: PhaseSet(math.nan, 1.0, -1.0), "phi must be finite, got nan"),
+    (lambda: run_sweep(SweepSpec(axes={}, fixed=dict(SWEEP_POINT, m1=-1.0, omega1=math.nan),
+                                 r1=-1.0))[0], "omega must be finite, got nan"),
+], ids=["body-type-after-mass", "body-signs-after-omega", "constants", "width", "phases", "sweep"])
+def test_first_error_of_an_input_with_several_faults(build, first):
+    """Each value's finiteness is checked before any sign, and a field's type
+    only once the fields before it have passed."""
+    assert status(build) == f"error: InputDomainError: {first}"
 
 
 class TestZeroPointWidth:

@@ -81,6 +81,8 @@ class TestSweepSpec:
         (dict(axes={"tau": (1, 2, 3)}, fixed={k: v for k, v in FIXED.items() if k != "tau"}),
          "axis 'tau'"),
         (dict(axes={}, fixed=FIXED, constants=None), "constants"),
+        (dict(axes=None, fixed=FIXED), "axes"),
+        (dict(axes={}, fixed=None), "fixed"),
     ])
     def test_part_of_the_wrong_type_rejected(self, kwargs, name):
         with pytest.raises(InputDomainError, match=f"^{name} "):
