@@ -28,7 +28,7 @@ import numpy as np
 
 from .config import MODES, FORMATS, PRECISIONS, RunConfig, parse_config, parse_constants_overrides
 from .errors import ConfigError, GraventError, InputDomainError, WidthWarning
-from .model import MassiveBody, PairSystem, PhysicalConstants, zero_point_width
+from .model import MassiveBody, PairSystem, zero_point_width
 from .kernel import warn_out_of_regime
 from .sweep import (
     ROW_FIELD_NAMES,
@@ -400,22 +400,24 @@ def _warn_width_vs_radius(config: RunConfig) -> None:
                 )
 
 
+def _read_text(path: str, failure: str) -> str:
+    """The UTF-8 text of the file at ``path``; a ConfigError that begins with
+    ``failure`` if it cannot be read or decoded."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"{failure}: {exc}") from None
+
+
 def _apply_env_constants(config: RunConfig) -> RunConfig:
+    """``config`` with the GRAVENT_CONSTANTS file's constants, if set, merged
+    over its own; each error from that file is prefixed with the name."""
     path = os.environ.get(CONSTANTS_ENV_VAR)
     if not path:
         return config
+    text = _read_text(path, f"{CONSTANTS_ENV_VAR} points to an unreadable file")
     try:
-        text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise ConfigError(f"{CONSTANTS_ENV_VAR} points to an unreadable file: {exc}") from None
-    overrides = parse_constants_overrides(text)
-    if not overrides:
-        return config
-    try:
-        constants = PhysicalConstants(
-            G=overrides.get("G", config.constants.G),
-            hbar=overrides.get("hbar", config.constants.hbar),
-        )
+        constants = dataclasses.replace(config.constants, **parse_constants_overrides(text))
     except GraventError as exc:
         raise ConfigError(f"{CONSTANTS_ENV_VAR}: {exc}") from None
     return dataclasses.replace(config, constants=constants)
@@ -472,15 +474,10 @@ def main(argv: list[str] | None = None) -> int:
         with warnings.catch_warnings():
             if args.quiet:
                 warnings.simplefilter("ignore")
-            try:
-                text = Path(args.config).read_text(encoding="utf-8")
-            except OSError as exc:
-                raise ConfigError(f"cannot read config: {exc}") from None
-            config = parse_config(text, args.mode)
-            if args.output:
-                config = dataclasses.replace(config, output=args.output)
-            if args.format:
-                config = dataclasses.replace(config, format=args.format)
+            config = parse_config(_read_text(args.config, "cannot read config"), args.mode)
+            config = dataclasses.replace(
+                config, output=args.output or config.output, format=args.format or config.format
+            )
             config = _apply_env_constants(config)
 
             if config.mode == "tau-star":

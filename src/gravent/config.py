@@ -1,49 +1,37 @@
 """Run-configuration document parsing and validation.
 
-The accepted format is flat sectioned key-value text (INI surface):
+The accepted format is flat sectioned key-value text (INI surface); the
+README's "CLI" section shows a full document:
 
-    [run]
-    mode = report            ; report | sweep | tau-star
-    output = results.csv     ; optional, stdout when omitted
-    format = csv             ; csv | json
-    precision = 12           ; significant digits in csv output
-
-    [system]
-    m1 = 1e-14
-    m2 = 1e-14
-    omega1 = 1e5
-    omega2 = 1e5
-    d = 1e-6
-    tau = 1.0
-    r1 = 0.0                 ; optional geometric radii, bookkeeping only
-    r2 = 0.0
-
-    [constants]
-    G = 6.67430e-11
-    hbar = 1.054571817e-34
-
-    [sweep]
-    tau = 1.0:10.0:10        ; start:stop:count[:linear|log]
-    workers = 1              ; checked (>= 1), otherwise ignored
+    [run]        mode = report | sweep | tau-star; output (stdout when
+                 omitted); format = csv | json; precision (CSV digits);
+                 regime_threshold; symmetrize_force
+    [system]     m1, m2, omega1, omega2, d, tau; r1, r2 (optional radii)
+    [constants]  G, hbar
+    [sweep]      a start:stop:count[:linear|log] range per swept parameter;
+                 workers (checked, >= 1, otherwise ignored)
 
 Unknown sections or keys are rejected by name. [sweep] is read in sweep
 mode only, where swept parameters override any fixed value given for them
 in [system].
+
+The document and the constants override file (``parse_constants_overrides``)
+go through one reader: it rejects unknown names, and its getter gives a
+key's default where the key is absent and the key's value, read and checked,
+where it is present. So a key given with an empty value is an error that
+names it, never its default. The [system] values and ``regime_threshold``
+are checked by gravent.model's ``_finite`` and ``_bound``.
 """
 
 from __future__ import annotations
 
 import configparser
 import io
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import ConfigError, GraventError
 from .model import (
-    HBAR_DEFAULT,
-    G_DEFAULT,
-    REGIME_THRESHOLD_DEFAULT,
-    PhysicalConstants,
+    HBAR_DEFAULT, G_DEFAULT, REGIME_THRESHOLD_DEFAULT, PhysicalConstants, _bound, _finite, _raise,
 )
 from .sweep import SWEEP_PARAMETERS, AxisSpec, SweepSpec
 
@@ -54,41 +42,31 @@ FORMATS = ("csv", "json")
 #: The significant digits a CSV float may be written with.
 PRECISIONS = range(1, 18)
 
-_RUN_KEYS = {
-    "mode",
-    "output",
-    "format",
-    "precision",
-    "regime_threshold",
-    "symmetrize_force",
-}
-#: Each [system] key, in the order its checks run: the quantity it gives
-#: and the bound its value must meet.
-_SYSTEM_DOMAINS = {
-    "m1": ("mass", "positive"),
-    "m2": ("mass", "positive"),
-    "omega1": ("frequency", "positive"),
-    "omega2": ("frequency", "positive"),
-    "d": ("separation", "positive"),
-    "tau": ("time", "non-negative"),
-    "r1": ("radius", "non-negative"),
-    "r2": ("radius", "non-negative"),
+_RUN_KEYS = {"mode", "output", "format", "precision", "regime_threshold", "symmetrize_force"}
+#: Each [system] key, in the order its checks run: the quantity it gives,
+#: the bound its value must meet, and its value when absent (None where a
+#: mode needs it, fixed or swept).
+_SYSTEM_KEYS = {
+    "m1": ("mass", "positive", None),
+    "m2": ("mass", "positive", None),
+    "omega1": ("frequency", "positive", None),
+    "omega2": ("frequency", "positive", None),
+    "d": ("separation", "positive", None),
+    "tau": ("time", "non-negative", None),
+    "r1": ("radius", "non-negative", 0.0),
+    "r2": ("radius", "non-negative", 0.0),
 }
 _CONSTANTS_KEYS = {"G", "hbar"}
 _SWEEP_KEYS = set(SWEEP_PARAMETERS) | {"workers"}
-_SECTIONS = {
-    "run": _RUN_KEYS,
-    "system": _SYSTEM_DOMAINS,
-    "constants": _CONSTANTS_KEYS,
-    "sweep": _SWEEP_KEYS,
-}
+_SECTIONS = {"run": _RUN_KEYS, "system": _SYSTEM_KEYS, "constants": _CONSTANTS_KEYS,
+             "sweep": _SWEEP_KEYS}
 
 _BOOL_VALUES = {"true": True, "yes": True, "1": True, "false": False, "no": False, "0": False}
 
 
 @dataclass(frozen=True, slots=True)
 class RunConfig:
-    """Validated batch-run description.
+    """Validated batch-run description; ``parse_config`` gives every field.
 
     A parameter that is only swept is None, and so is tau in tau-star mode
     when the document leaves it out.
@@ -101,15 +79,15 @@ class RunConfig:
     omega2: float | None
     d: float | None
     tau: float | None
-    r1: float = 0.0
-    r2: float = 0.0
-    constants: PhysicalConstants = PhysicalConstants()
-    output: str | None = None
-    format: str = "csv"
-    precision: int = 12
-    regime_threshold: float = REGIME_THRESHOLD_DEFAULT
-    symmetrize_force: bool = False
-    sweep_axes: dict[str, AxisSpec] = field(default_factory=dict)
+    r1: float
+    r2: float
+    constants: PhysicalConstants
+    output: str | None
+    format: str
+    precision: int
+    regime_threshold: float
+    symmetrize_force: bool
+    sweep_axes: dict[str, AxisSpec]
 
     def sweep_spec(self) -> SweepSpec:
         """The grid a table mode evaluates: one point in report mode."""
@@ -119,14 +97,13 @@ class RunConfig:
             if name not in self.sweep_axes and getattr(self, name) is not None
         }
         return SweepSpec(
-            axes=dict(self.sweep_axes),
-            fixed=fixed,
-            r1=self.r1,
-            r2=self.r2,
-            constants=self.constants,
-            regime_threshold=self.regime_threshold,
+            axes=dict(self.sweep_axes), fixed=fixed, r1=self.r1, r2=self.r2,
+            constants=self.constants, regime_threshold=self.regime_threshold,
             symmetrize_force=self.symmetrize_force,
         )
+
+
+# A reader, read(section, key, raw), is the value given as raw or a ConfigError naming the key.
 
 
 def _float(section: str, key: str, raw: str) -> float:
@@ -150,23 +127,86 @@ def _bool(section: str, key: str, raw: str) -> bool:
         raise ConfigError(f"[{section}] {key}: expected a boolean, got {raw!r}") from None
 
 
-def _axis(key: str, raw: str) -> AxisSpec:
+def _path(section: str, key: str, raw: str) -> str:
+    if not raw:
+        raise ConfigError(f"[{section}] {key}: expected a path, got {raw!r}")
+    return raw
+
+
+def _one_of(choices: tuple[str, ...]):
+    def read(section: str, key: str, raw: str) -> str:
+        if raw not in choices:
+            raise ConfigError(f"[{section}] {key}: must be one of {choices}, got {raw!r}")
+        return raw
+
+    return read
+
+
+def _precision(section: str, key: str, raw: str) -> int:
+    precision = _int(section, key, raw)
+    if precision not in PRECISIONS:
+        raise ConfigError(
+            f"[{section}] {key}: must be in [{PRECISIONS[0]}, {PRECISIONS[-1]}], got {precision}"
+        )
+    return precision
+
+
+def _workers(section: str, key: str, raw: str) -> int:
+    workers = _int(section, key, raw)
+    if workers < 1:
+        raise ConfigError(f"[{section}] {key}: must be >= 1, got {workers}")
+    return workers
+
+
+def _within(bound: str, quantity: str = ""):
+    """A reader of a number that gravent.model's ``_finite`` and then
+    ``_bound`` pass, through an adder whose failures are ConfigErrors
+    prefixed "[section] "."""
+
+    def read(section: str, key: str, raw: str) -> float:
+        def add(fails, exc, message: str, *args) -> None:
+            _raise(fails, ConfigError, f"[{section}] {message}", *args)
+
+        value = _finite(add, f"{key}:", _float(section, key, raw))
+        _bound(add, f"{key}: {quantity}" if quantity else f"{key}:", value, bound)
+        return value
+
+    return read
+
+
+def _axis(section: str, key: str, raw: str) -> AxisSpec:
     parts = [p.strip() for p in raw.split(":")]
     if len(parts) not in (3, 4):
-        raise ConfigError(
-            f"[sweep] {key}: expected start:stop:count[:linear|log], got {raw!r}"
-        )
-    start = _float("sweep", key, parts[0])
-    stop = _float("sweep", key, parts[1])
-    count = _int("sweep", key, parts[2])
+        raise ConfigError(f"[{section}] {key}: expected start:stop:count[:linear|log], got {raw!r}")
+    start = _float(section, key, parts[0])
+    stop = _float(section, key, parts[1])
+    count = _int(section, key, parts[2])
     spacing = parts[3] if len(parts) == 4 else "linear"
     try:
         return AxisSpec(start=start, stop=stop, count=count, spacing=spacing)
     except GraventError as exc:
-        raise ConfigError(f"[sweep] {key}: {exc}") from None
+        raise ConfigError(f"[{section}] {key}: {exc}") from None
 
 
-def _read_document(text: str) -> configparser.RawConfigParser:
+def _check_names(parser: configparser.RawConfigParser, sections: dict) -> None:
+    """Reject the first section, or key of a section, that ``sections`` lacks."""
+    for section in parser.sections():
+        if section not in sections:
+            raise ConfigError(f"unknown section [{section}]")
+        for key in parser.options(section):
+            if key not in sections[section]:
+                raise ConfigError(f"unknown key {key!r} in section [{section}]")
+
+
+def _keys(parser: configparser.RawConfigParser, section: str) -> list[str]:
+    """The keys of ``section`` in document order; none if it is absent."""
+    return parser.options(section) if parser.has_section(section) else []
+
+
+def _read_document(text: str, sections: dict):
+    """The parsed document, its names checked against ``sections``, and its
+    getter: ``get(section, key, read, default)`` is ``default`` where the key
+    is absent and ``read(section, key, value)`` where it is present."""
     parser = configparser.RawConfigParser(
         delimiters=("=",), inline_comment_prefixes=(";", "#"), strict=True
     )
@@ -175,7 +215,14 @@ def _read_document(text: str) -> configparser.RawConfigParser:
         parser.read_file(io.StringIO(text), source="<config>")
     except configparser.Error as exc:
         raise ConfigError(f"malformed config document: {exc}") from None
-    return parser
+    _check_names(parser, sections)
+
+    def get(section: str, key: str, read, default):
+        if parser.has_option(section, key):
+            return read(section, key, parser.get(section, key).strip())
+        return default
+
+    return parser, get
 
 
 def parse_config(text: str, mode: str | None = None) -> RunConfig:
@@ -185,98 +232,49 @@ def parse_config(text: str, mode: str | None = None) -> RunConfig:
     Report mode needs every [system] parameter, tau-star mode all but tau,
     and sweep mode each one either fixed in [system] or swept; [sweep] is
     read in sweep mode only. Unknown sections/keys are rejected by name;
-    invalid values are reported with their section and key.
+    invalid values, empty ones included, are reported with their section
+    and key.
     """
-    parser = _read_document(text)
+    parser, get = _read_document(text, _SECTIONS)
 
-    for section in parser.sections():
-        if section not in _SECTIONS:
-            raise ConfigError(f"unknown section [{section}]")
-        for key in parser.options(section):
-            if key not in _SECTIONS[section]:
-                raise ConfigError(f"unknown key {key!r} in section [{section}]")
-
-    def get(section: str, key: str) -> str | None:
-        if parser.has_section(section) and parser.has_option(section, key):
-            return parser.get(section, key).strip()
-        return None
-
-    if mode is None:
-        mode = get("run", "mode")
+    read_mode = _one_of(MODES)
+    mode = get("run", "mode", read_mode, None) if mode is None else read_mode("run", "mode", mode)
     if mode is None:
         raise ConfigError("missing required key 'mode' in section [run]")
-    if mode not in MODES:
-        raise ConfigError(f"[run] mode: must be one of {MODES}, got {mode!r}")
+    fmt = get("run", "format", _one_of(FORMATS), "csv")
+    precision = get("run", "precision", _precision, 12)
+    threshold = get("run", "regime_threshold", _within("positive"), REGIME_THRESHOLD_DEFAULT)
+    symmetrize = get("run", "symmetrize_force", _bool, False)
 
-    fmt = get("run", "format") or "csv"
-    if fmt not in FORMATS:
-        raise ConfigError(f"[run] format: must be one of {FORMATS}, got {fmt!r}")
-
-    precision_raw = get("run", "precision")
-    precision = _int("run", "precision", precision_raw) if precision_raw else 12
-    if precision not in PRECISIONS:
-        raise ConfigError(
-            f"[run] precision: must be in [{PRECISIONS[0]}, {PRECISIONS[-1]}], got {precision}"
-        )
-
-    threshold_raw = get("run", "regime_threshold")
-    threshold = (
-        _float("run", "regime_threshold", threshold_raw)
-        if threshold_raw
-        else REGIME_THRESHOLD_DEFAULT
-    )
-    if not math.isfinite(threshold):
-        raise ConfigError(f"[run] regime_threshold: must be finite, got {threshold}")
-    if threshold <= 0:
-        raise ConfigError(f"[run] regime_threshold: must be positive, got {threshold}")
-
-    symmetrize_raw = get("run", "symmetrize_force")
-    symmetrize = _bool("run", "symmetrize_force", symmetrize_raw) if symmetrize_raw else False
-
-    g_raw = get("constants", "G")
-    hbar_raw = get("constants", "hbar")
+    G = get("constants", "G", _float, G_DEFAULT)
+    hbar = get("constants", "hbar", _float, HBAR_DEFAULT)
     try:
-        constants = PhysicalConstants(
-            G=_float("constants", "G", g_raw) if g_raw else G_DEFAULT,
-            hbar=_float("constants", "hbar", hbar_raw) if hbar_raw else HBAR_DEFAULT,
-        )
+        constants = PhysicalConstants(G=G, hbar=hbar)
     except GraventError as exc:
         raise ConfigError(f"[constants]: {exc}") from None
 
     axes: dict[str, AxisSpec] = {}
-    if mode == "sweep" and parser.has_section("sweep"):
-        for key in parser.options("sweep"):
-            if key == "workers":
-                workers = _int("sweep", "workers", parser.get("sweep", key))
-                if workers < 1:
-                    raise ConfigError(f"[sweep] workers: must be >= 1, got {workers}")
-            else:
-                axes[key] = _axis(key, parser.get("sweep", key))
-    if mode == "sweep" and not axes:
-        raise ConfigError("sweep mode requires at least one range in [sweep]")
+    if mode == "sweep":
+        for key in _keys(parser, "sweep"):
+            value = get("sweep", key, _workers if key == "workers" else _axis, None)
+            if key != "workers":
+                axes[key] = value
+        if not axes:
+            raise ConfigError("sweep mode requires at least one range in [sweep]")
 
-    system: dict[str, float] = {}
-    for key, (quantity, bound) in _SYSTEM_DOMAINS.items():
-        raw = get("system", key)
-        if raw is None:
-            continue
-        value = system[key] = _float("system", key, raw)
-        if not math.isfinite(value):
-            raise ConfigError(f"[system] {key}: must be finite, got {value}")
-        if value < 0 or (value == 0 and bound == "positive"):
-            raise ConfigError(f"[system] {key}: {quantity} must be {bound}, got {value}")
-
+    system = {
+        key: get("system", key, _within(bound, quantity), default)
+        for key, (quantity, bound, default) in _SYSTEM_KEYS.items()
+    }
     for key in SWEEP_PARAMETERS:
-        if key not in system and key not in axes and (mode, key) != ("tau-star", "tau"):
+        if system[key] is None and key not in axes and (mode, key) != ("tau-star", "tau"):
             raise ConfigError(f"missing required key {key!r} in section [system]")
 
     return RunConfig(
         mode=mode,
-        **{key: system.get(key) for key in SWEEP_PARAMETERS},
-        r1=system.get("r1", 0.0),
-        r2=system.get("r2", 0.0),
+        **system,
         constants=constants,
-        output=get("run", "output"),
+        output=get("run", "output", _path, None),
         format=fmt,
         precision=precision,
         regime_threshold=threshold,
@@ -286,19 +284,11 @@ def parse_config(text: str, mode: str | None = None) -> RunConfig:
 
 
 def parse_constants_overrides(text: str) -> dict[str, float]:
-    """Parse a standalone constants document ([constants] section).
+    """Parse a standalone constants document ([constants] section), read
+    like the config document's [constants].
 
     Used for the environment-variable override path; returns the subset of
     {G, hbar} present.
     """
-    parser = _read_document(text)
-    for section in parser.sections():
-        if section != "constants":
-            raise ConfigError(f"constants override file: unknown section [{section}]")
-    out: dict[str, float] = {}
-    if parser.has_section("constants"):
-        for key in parser.options("constants"):
-            if key not in _CONSTANTS_KEYS:
-                raise ConfigError(f"constants override file: unknown key {key!r}")
-            out[key] = _float("constants", key, parser.get("constants", key))
-    return out
+    parser, get = _read_document(text, {"constants": _CONSTANTS_KEYS})
+    return {key: get("constants", key, _float, None) for key in _keys(parser, "constants")}

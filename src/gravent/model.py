@@ -53,12 +53,12 @@ def _bool(name: str, value) -> bool:
     return bool(value)
 
 
-def _count(name: str, value) -> None:
-    """``InputDomainError`` unless ``value`` is an integer >= 1."""
+def _count(name: str, value, least: int = 1) -> None:
+    """``InputDomainError`` unless ``value`` is an integer >= ``least``."""
     if not isinstance(value, numbers.Integral):
         raise InputDomainError(f"{name} must be an integer, got {value!r}")
-    if value < 1:
-        raise InputDomainError(f"{name} must be >= 1, got {value!r}")
+    if value < least:
+        raise InputDomainError(f"{name} must be >= {least}, got {value!r}")
 
 
 def _nonfinite(x):

@@ -13,7 +13,6 @@ consumers that need a positive scale take its magnitude.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from . import kernel
@@ -21,7 +20,8 @@ from .errors import InputDomainError, SingularityError
 from .kernel import warn_out_of_regime
 from .model import (
     REGIME_THRESHOLD_DEFAULT, PairSystem, PhysicalConstants, _bound, _check_converges,
-    _check_dr_sum, _finite, _raise, _real, _require_type, assess_validity, zero_point_width,
+    _check_dr_sum, _count, _finite, _raise, _real, _require_type, assess_validity,
+    zero_point_width,
 )
 
 __all__ = [
@@ -114,8 +114,8 @@ def exact_size_corrected_potential(sys: PairSystem, dr1: float, dr2: float) -> f
     against. Raises ``SingularityError`` when the effective separation
     d + dr1 + dr2 is not positive.
     """
-    if not (math.isfinite(dr1) and math.isfinite(dr2)):
-        raise InputDomainError("displacements must be finite")
+    dr1 = _finite(_raise, "dr1", _real("dr1", dr1))
+    dr2 = _finite(_raise, "dr2", _real("dr2", dr2))
     _require_type("sys", sys, PairSystem)
     denom = sys.separation_d + dr1 + dr2
     if denom <= 0:
@@ -137,8 +137,7 @@ def expand_potential(
     """
     _real("dr_sum", dr_sum)
     _check_dr_sum(_raise, dr_sum)
-    if max_order < 0:
-        raise InputDomainError(f"max_order must be >= 0, got {max_order!r}")
+    _count("max_order", max_order, least=0)
     _require_type("sys", sys, PairSystem)
     x = dr_sum / sys.separation_d
     _check_converges(_raise, x)
@@ -175,7 +174,8 @@ def corrected_potential(
     Emits ``RegimeWarning`` (never an error) when the displacement ratio
     exceeds ``regime_threshold``; out-of-regime numbers are still computed.
     """
-    if not 0 <= series_order <= MAX_SERIES_ORDER:
+    _count("series_order", series_order, least=0)
+    if series_order > MAX_SERIES_ORDER:
         raise InputDomainError(
             f"series_order must be in [0, {MAX_SERIES_ORDER}], got {series_order!r}"
         )

@@ -330,6 +330,51 @@ class TestEnvConstantsOverride:
         assert CONSTANTS_ENV_VAR in capsys.readouterr().err
 
 
+class TestInputFaults:
+    """Faults of the config and GRAVENT_CONSTANTS files exit 1 with one line
+    that names the file; nothing reaches stdout."""
+
+    def run(self, capsys, argv, code=1):
+        assert main(argv) == code
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        return captured.err
+
+    def test_config_that_is_not_utf8(self, tmp_path, capsys):
+        path = tmp_path / "run.ini"
+        path.write_bytes(REPORT_DOC.encode() + b"r1 = 0.0 ; \xff\n")
+        err = self.run(capsys, ["--config", str(path)])
+        assert err.startswith("gravent: error: cannot read config: 'utf-8' codec can't decode")
+
+    def test_constants_file_that_is_not_utf8(self, tmp_path, capsys, monkeypatch):
+        constants = tmp_path / "constants.ini"
+        constants.write_bytes(b"[constants]\nhbar = 1e-34 ; \xff\n")
+        monkeypatch.setenv(CONSTANTS_ENV_VAR, str(constants))
+        err = self.run(capsys, ["--config", write_config(tmp_path, REPORT_DOC)])
+        assert err.startswith(
+            f"gravent: error: {CONSTANTS_ENV_VAR} points to an unreadable file: 'utf-8' codec"
+        )
+
+    @pytest.mark.parametrize("text, message", [
+        ("hbar = 1e-34\n", "malformed config document: File contains no section headers."),
+        ("[constants]\nG = x\n", "[constants] G: expected a number, got 'x'\n"),
+        ("[constants]\nhbar =\n", "[constants] hbar: expected a number, got ''\n"),
+        ("[system]\nm1 = 1.0\n", "unknown section [system]\n"),
+        ("[constants]\nG = -1.0\n", "G must be positive, got -1.0\n"),
+    ])
+    def test_constants_file_errors_name_it(self, tmp_path, capsys, monkeypatch, text, message):
+        constants = tmp_path / "constants.ini"
+        constants.write_text(text, encoding="utf-8")
+        monkeypatch.setenv(CONSTANTS_ENV_VAR, str(constants))
+        err = self.run(capsys, ["--config", write_config(tmp_path, REPORT_DOC)])
+        assert err.startswith(f"gravent: error: {CONSTANTS_ENV_VAR}: {message}")
+
+    def test_empty_output_fails_before_tau_star_prints(self, tmp_path, capsys):
+        doc = REPORT_DOC.replace("mode = report", "mode = tau-star\noutput =")
+        err = self.run(capsys, ["--config", write_config(tmp_path, doc)])
+        assert err == "gravent: error: [run] output: expected a path, got ''\n"
+
+
 class TestSerializers:
     def test_csv_precision_applies_to_floats(self, tmp_path, capsys):
         doc = REPORT_DOC.replace("mode = report", "mode = report\nprecision = 4")

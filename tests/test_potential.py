@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -290,3 +291,23 @@ class TestEntanglementForce:
     def test_swap_symmetry_of_gradient_route(self):
         sys = make_system(m1=2e-14, m2=7e-13, w1=3e5, w2=9e4)
         assert entanglement_force(sys).gradient_based == entanglement_force(sys.swapped()).gradient_based
+
+
+SYSTEM = make_system()
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: expand_potential(SYSTEM, 0.0, "2"), "max_order must be an integer, got '2'"),
+    (lambda: expand_potential(SYSTEM, 0.0, 2.5), "max_order must be an integer, got 2.5"),
+    (lambda: expand_potential(SYSTEM, 0.0, -1), "max_order must be >= 0, got -1"),
+    (lambda: corrected_potential(SYSTEM, series_order="2"), "series_order must be an integer"),
+    (lambda: corrected_potential(SYSTEM, series_order=2.5), "series_order must be an integer"),
+    (lambda: exact_size_corrected_potential(SYSTEM, "1", 0.0), "dr1 must be a real number"),
+    (lambda: exact_size_corrected_potential(SYSTEM, 10**400, 0.0),
+     "dr1 is outside the float64 range"),
+    (lambda: exact_size_corrected_potential(SYSTEM, 0.0, math.nan), "dr2 must be finite, got nan"),
+    (lambda: exact_size_corrected_potential(SYSTEM, math.inf, 0.0), "dr1 must be finite, got inf"),
+])
+def test_bad_order_or_displacement_is_an_input_domain_error(call, message):
+    with pytest.raises(InputDomainError, match=f"^{re.escape(message)}"):
+        call()
