@@ -451,11 +451,18 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
+def _output_path(raw: str) -> str:
+    """An ``--output`` value: a path, checked like the document's ``output``."""
+    if not raw:
+        raise argparse.ArgumentTypeError(f"expected a path, got {raw!r}")
+    return raw
+
+
 def build_parser() -> _Parser:
     parser = _Parser(prog="gravent", description=__doc__, add_help=True)
     parser.add_argument("--config", required=True, help="path to the config document")
     parser.add_argument("--mode", help=f"replaces [run] mode: one of {', '.join(MODES)}")
-    parser.add_argument("--output", help="override the configured output path")
+    parser.add_argument("--output", type=_output_path, help="override the configured output path")
     parser.add_argument("--format", choices=FORMATS, help="override the output format")
     parser.add_argument(
         "--quiet", action="store_true", help="suppress warnings and diagnostics"

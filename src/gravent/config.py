@@ -11,9 +11,9 @@ README's "CLI" section shows a full document:
     [sweep]      a start:stop:count[:linear|log] range per swept parameter;
                  workers (checked, >= 1, otherwise ignored)
 
-Unknown sections or keys are rejected by name. [sweep] is read in sweep
-mode only, where swept parameters override any fixed value given for them
-in [system].
+Unknown sections or keys are rejected by name, [DEFAULT] among them.
+[sweep] is read in sweep mode only, where swept parameters override any
+fixed value given for them in [system].
 
 The document and the constants override file (``parse_constants_overrides``)
 go through one reader: it rejects unknown names, and its getter gives a
@@ -207,8 +207,10 @@ def _read_document(text: str, sections: dict):
     """The parsed document, its names checked against ``sections``, and its
     getter: ``get(section, key, read, default)`` is ``default`` where the key
     is absent and ``read(section, key, value)`` where it is present."""
+    # No header names the empty section, so [DEFAULT] is a section like any
+    # other, checked by name, and no key is shared between sections.
     parser = configparser.RawConfigParser(
-        delimiters=("=",), inline_comment_prefixes=(";", "#"), strict=True
+        delimiters=("=",), inline_comment_prefixes=(";", "#"), strict=True, default_section=""
     )
     parser.optionxform = str  # keys are case-sensitive; G and hbar stay as written
     try:

@@ -158,11 +158,10 @@ def accumulated_phase(sys: PairSystem, tau: float) -> PhaseSet:
     ulp exceeds 1e-6 rad, raises ``PrecisionError``; the other checks, and
     the ``RegimeWarning``, are ``report``'s.
     """
-    point = kernel.evaluate_system(sys, tau)
-    point.warn_out_of_regime(stacklevel=2)
-    if point.error is not None:
-        raise point.error
-    values = point.values
+    values, error = kernel.evaluate_system(sys, tau)
+    kernel.warn_point_out_of_regime(values, stacklevel=2)
+    if error is not None:
+        raise error
     return PhaseSet(phi=values["phi"], phi_prime=values["phi_prime"], delta_phi=values["delta_phi"])
 
 

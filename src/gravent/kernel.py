@@ -37,7 +37,10 @@ Every entry runs the same stages (the m*omega divisors, the correction, the
 phases and measures, the forces). ``evaluate`` runs them on numpy columns
 and records every check as a mask (``_Columns.add``); the float entries run
 them on Python floats with ``model._raise``, which stops at the first failed
-check, the one ``evaluate`` reports first. Every divisor is checked non-zero
+check, the one ``evaluate`` reports first. Each check calls its adder under
+``if fails is not False:`` (``gravent.model``'s idiom), so on floats a check
+that passes makes no call, and a passing ``report()`` none at all; an array
+condition always reaches ``_Columns.add``. Every divisor is checked non-zero
 before the division, so float arithmetic raises nothing else. The functions the
 expressions call come from a table per path: on floats, ``math.sqrt``,
 ``math.fmod`` and the builtins ``max`` and ``min``, which are correctly
@@ -177,24 +180,14 @@ def warn_out_of_regime(ratio_x: float, threshold: float, stacklevel: int) -> Non
     )
 
 
-@dataclass(frozen=True, slots=True)
-class Point:
-    """What ``evaluate_system`` returns.
-
-    ``values`` maps the input and output names to floats and bools, up to
-    the first failed check; ``error`` is that check's exception, or None.
-    """
-
-    values: dict[str, float | bool]
-    error: GraventError | None
-
-    def warn_out_of_regime(self, stacklevel: int) -> None:
-        """The ``RegimeWarning`` a scalar evaluation emits, if any: the ratio
-        was computed, so the expansion's checks were reached, and it is not
-        below the default regime threshold."""
-        ratio = self.values.get("ratio_x")
-        if ratio is not None and not ratio < REGIME_THRESHOLD_DEFAULT:
-            warn_out_of_regime(ratio, REGIME_THRESHOLD_DEFAULT, stacklevel + 1)
+def warn_point_out_of_regime(values: dict, stacklevel: int) -> None:
+    """The ``RegimeWarning`` a scalar evaluation emits, if any, for the
+    ``values`` of ``evaluate_system``: the ratio was computed, so the
+    expansion's checks were reached, and it is not below the default regime
+    threshold."""
+    ratio = values.get("ratio_x")
+    if ratio is not None and not ratio < REGIME_THRESHOLD_DEFAULT:
+        warn_out_of_regime(ratio, REGIME_THRESHOLD_DEFAULT, stacklevel + 1)
 
 
 def evaluate(
@@ -226,18 +219,22 @@ def _system_values(sys: PairSystem) -> dict[str, float]:
                 omega2=float(body2.omega), d=float(sys.separation_d))
 
 
-def evaluate_system(sys: PairSystem, tau: float) -> Point:
+def evaluate_system(
+    sys: PairSystem, tau: float
+) -> tuple[dict[str, float | bool], GraventError | None]:
     """``sys`` at interaction time ``tau``: ``evaluate`` at one point, without
     the forces and at the default regime threshold, the same outputs and,
-    for a failed point, the same error. A ``tau`` that is not a real number
-    raises ``InputDomainError``."""
+    for a failed point, the same error. Returns the input and output values
+    as floats and bools, up to the first failed check, and that check's
+    exception, or None. A ``tau`` that is not a real number raises
+    ``InputDomainError``."""
     values = _system_values(sys)
     values["tau"] = _real("tau", tau)
     try:
         _physics(_Floats, values, sys.constants, REGIME_THRESHOLD_DEFAULT, False, False, values)
     except GraventError as error:
-        return Point(values, error)
-    return Point(values, None)
+        return values, error
+    return values, None
 
 
 def evaluate_correction(sys: PairSystem, force: bool = False, symmetrize: bool = False) -> dict:
@@ -266,11 +263,11 @@ def phase_rate(sys: PairSystem) -> float:
         # potential or the rate is not finite, and then at every tau. The
         # error raised is report mode's at tau = 1 s, where each check failed
         # at tau = 0 fails too, or an earlier one does.
-        point = evaluate_system(sys, 0.0)
-        if point.error is not None:
-            raise evaluate_system(sys, 1.0).error or point.error
-        if point.values["phase_rate"] != 0.0:
-            return point.values["phase_rate"]
+        values, error = evaluate_system(sys, 0.0)
+        if error is not None:
+            raise evaluate_system(sys, 1.0)[1] or error
+        if values["phase_rate"] != 0.0:
+            return values["phase_rate"]
     raise NoEntanglementError("quantum correction is zero; entanglement never accumulates")
 
 
@@ -295,7 +292,9 @@ def _physics(path, inputs, constants, threshold, symmetrize, force, out) -> None
     G, hbar = float(constants.G), float(constants.hbar)
     # accumulated_phase
     _finite(add, "tau", tau, "non-negative")
-    add(hbar <= 0, InputDomainError, "hbar must be positive to accumulate phases")
+    fails = hbar <= 0
+    if fails is not False:
+        add(fails, InputDomainError, "hbar must be positive to accumulate phases")
 
     # zero-point widths and the validity ratio
     mw1, mw2 = _mass_omega(add, m1, w1), _mass_omega(add, m2, w2)
@@ -319,10 +318,12 @@ def _physics(path, inputs, constants, threshold, symmetrize, force, out) -> None
     _finite(add, "phi", phi)
     _finite(add, "phi_prime", phi_prime)
     delta_phi = _finite(add, "delta_phi", out["phase_rate"] * tau)
-    add(delta_phi >= PHASE_RESOLUTION_LIMIT, PrecisionError,
-        "delta_phi = {} rad >= 2**33: its ulp exceeds 1e-6 rad", delta_phi)
+    fails = delta_phi >= PHASE_RESOLUTION_LIMIT
+    if fails is not False:
+        add(fails, PrecisionError,
+            "delta_phi = {} rad >= 2**33: its ulp exceeds 1e-6 rad", delta_phi)
     out["phi"], out["phi_prime"], out["delta_phi"] = phi, phi_prime, delta_phi
-    out.update(_measures(delta_phi, fn))
+    _measures(delta_phi, out, fn)
 
     if force:
         _forces(path, correction, scale, m1, m2, w1, w2, d, symmetrize, out)
@@ -332,11 +333,19 @@ def _correction(path, G, hbar, m1, m2, w1, w2, mw1, mw2, d, out):
     """quantum_correction: ``out`` gets delta_v_g and the phase rate. Returns
     |delta_v_g| and hbar*G*m1*m2/d**3, the scale the closed-form force shares."""
     product = m1 * m2 * w1 * w2
-    path.add(product == 0, FloatRangeError, "m1*m2*omega1*omega2 underflows to 0")
-    bracket = 1.0 / mw1 + 1.0 / mw2 + 2.0 / path.fn.sqrt(product)
     d3 = d * d * d
-    path.add(d3 == math.inf, FloatRangeError, "d**3 overflows")
-    path.add(d3 == 0, FloatRangeError, "d**3 underflows to 0")
+    # Written out, not through _range_checks: report()'s path runs them.
+    add = path.add
+    fails = product == 0
+    if fails is not False:
+        add(fails, FloatRangeError, "m1*m2*omega1*omega2 underflows to 0")
+    fails = d3 == math.inf
+    if fails is not False:
+        add(fails, FloatRangeError, "d**3 overflows")
+    fails = d3 == 0
+    if fails is not False:
+        add(fails, FloatRangeError, "d**3 underflows to 0")
+    bracket = 1.0 / mw1 + 1.0 / mw2 + 2.0 / path.fn.sqrt(product)
     scale = hbar * G * m1 * m2 / d3
     correction = scale * bracket
     out["delta_v_g"] = -correction
@@ -348,20 +357,21 @@ def _correction(path, G, hbar, m1, m2, w1, w2, mw1, mw2, d, out):
 def _forces(path, correction, scale, m1, m2, w1, w2, d, symmetrize, out) -> None:
     """entanglement_force, its float64 range checks in the order its
     expression meets them; m1*m2 is not 0 where m1*m2*omega1*omega2 is not."""
-    add = path.add
     w1_2, w2_2 = w1 * w1, w2 * w2
     w1_3, w2_3 = w1_2 * w1, w2_2 * w2
     second, second_name = (m2, "m2") if symmetrize else (m1, "m1")
     first_term, second_term = m1 * w1_2, second * w2_2
     masses, cross1, cross2 = m1 * m2, w1_3 * w2, w1 * w2_3
-    add(w1_2 == math.inf, FloatRangeError, "omega1**2 overflows")
-    add(first_term == 0, FloatRangeError, "m1*omega1**2 underflows to 0")
-    add(w2_2 == math.inf, FloatRangeError, "omega2**2 overflows")
-    add(second_term == 0, FloatRangeError, f"{second_name}*omega2**2 underflows to 0")
-    add(w1_3 == math.inf, FloatRangeError, "omega1**3 overflows")
-    add(cross1 == 0, FloatRangeError, "omega1**3*omega2 underflows to 0")
-    add(w2_3 == math.inf, FloatRangeError, "omega2**3 overflows")
-    add(cross2 == 0, FloatRangeError, "omega1*omega2**3 underflows to 0")
+    _range_checks(path.add, (
+        (w1_2 == math.inf, "omega1**2 overflows"),
+        (first_term == 0, "m1*omega1**2 underflows to 0"),
+        (w2_2 == math.inf, "omega2**2 overflows"),
+        (second_term == 0, f"{second_name}*omega2**2 underflows to 0"),
+        (w1_3 == math.inf, "omega1**3 overflows"),
+        (cross1 == 0, "omega1**3*omega2 underflows to 0"),
+        (w2_3 == math.inf, "omega2**3 overflows"),
+        (cross2 == 0, "omega1*omega2**3 underflows to 0"),
+    ))
     sqrt = path.fn.sqrt
     force_bracket = (
         1.0 / first_term
@@ -372,7 +382,15 @@ def _forces(path, correction, scale, m1, m2, w1, w2, d, symmetrize, out) -> None
     out["force_gradient"] = 3.0 * correction / d
 
 
-def _measures(delta_phi, fn=_ARRAY_MATH) -> dict:
+def _range_checks(add, checks) -> None:
+    """``FloatRangeError`` checks, each a (fails, message) pair, in order,
+    the adder called only where one may fail."""
+    for fails, message in checks:
+        if fails is not False:
+            add(fails, FloatRangeError, message)
+
+
+def _measures(delta_phi, out, fn=_ARRAY_MATH) -> None:
     """Measure the canonical product state evolved by the entangling phase,
     in the same-direction gauge, from its 2x2 amplitude matrix
     A = [[1/2, b], [b, 1/2]], b = exp(i*delta_phi)/2.
@@ -381,7 +399,8 @@ def _measures(delta_phi, fn=_ARRAY_MATH) -> dict:
     reduced spectrum is {lam, 1 - lam} with lam(1 - lam) = |det A|^2 (2|det A|
     is the concurrence; Wootters, PRL 80, 2245, 1998). ``delta_phi`` is a
     column, or a float with ``fn`` the float functions; a non-finite phase,
-    which has failed a check, gives nan measures in a column.
+    which has failed a check, gives nan measures in a column. The measures
+    go into ``out``.
     """
     b_re, b_im = 0.5 * fn.cos(delta_phi), 0.5 * fn.sin(delta_phi)
     # det A = 1/4 - b^2, in real arithmetic. Im(det A) carries
@@ -398,12 +417,10 @@ def _measures(delta_phi, fn=_ARRAY_MATH) -> dict:
 
     two_pi = 2.0 * math.pi
     remainder = abs(fn.fmod(delta_phi, two_pi))
-    return {
-        "purity_full": norm * norm,
-        "purity_reduced": 1.0 - epsilon,
-        "epsilon": epsilon,
-        "entropy_nats": nats,
-        "entropy_bits": nats / LN2,
-        "separable_by_measures": epsilon < SEPARABLE_EPSILON_TOL,
-        "separable_by_two_pi_criterion": fn.minimum(remainder, two_pi - remainder) < PHASE_TOL,
-    }
+    out["purity_full"] = norm * norm
+    out["purity_reduced"] = 1.0 - epsilon
+    out["epsilon"] = epsilon
+    out["entropy_nats"] = nats
+    out["entropy_bits"] = nats / LN2
+    out["separable_by_measures"] = epsilon < SEPARABLE_EPSILON_TOL
+    out["separable_by_two_pi_criterion"] = fn.minimum(remainder, two_pi - remainder) < PHASE_TOL

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
-from operator import itemgetter
 
 import numpy as np
 
@@ -186,7 +185,13 @@ def report_from_phases(phases: PhaseSet) -> EntanglementReport:
     )
 
 
-_report_values = itemgetter(*(f.name for f in fields(EntanglementReport)))
+#: Each field's slot setter, in field order: ``report`` builds its return
+#: without the frozen ``__init__``, whose ``object.__setattr__`` per field
+#: finds the slot again, and sets the slots itself.
+(
+    _set_delta_phi, _set_purity_full, _set_purity_reduced, _set_epsilon, _set_entropy_nats,
+    _set_entropy_bits, _set_separable_by_measures, _set_separable_by_two_pi_criterion,
+) = (EntanglementReport.__dict__[f.name].__set__ for f in fields(EntanglementReport))
 
 
 def report(sys: PairSystem, tau: float) -> EntanglementReport:
@@ -208,9 +213,18 @@ def report(sys: PairSystem, tau: float) -> EntanglementReport:
     signed relative phase -delta_phi is well conditioned where the raw
     branch phases can exceed float64 angular resolution by many orders.
     """
-    point = kernel.evaluate_system(sys, tau)
-    point.warn_out_of_regime(stacklevel=2)
-    if point.error is not None:
-        raise point.error
-    return EntanglementReport(*_report_values(point.values))
+    values, error = kernel.evaluate_system(sys, tau)
+    kernel.warn_point_out_of_regime(values, stacklevel=2)
+    if error is not None:
+        raise error
+    rep = object.__new__(EntanglementReport)
+    _set_delta_phi(rep, values["delta_phi"])
+    _set_purity_full(rep, values["purity_full"])
+    _set_purity_reduced(rep, values["purity_reduced"])
+    _set_epsilon(rep, values["epsilon"])
+    _set_entropy_nats(rep, values["entropy_nats"])
+    _set_entropy_bits(rep, values["entropy_bits"])
+    _set_separable_by_measures(rep, values["separable_by_measures"])
+    _set_separable_by_two_pi_criterion(rep, values["separable_by_two_pi_criterion"])
+    return rep
 

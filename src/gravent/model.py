@@ -7,6 +7,9 @@ failed condition to an adder, ``add(fails, exc, message, *args)``: the value
 objects, the scalar functions and the kernel's float path pass ``_raise``,
 which raises at the first failure, and the kernel's array path
 ``kernel._Columns.add``, which records ``fails`` as a mask over a column.
+Each check calls its adder under ``if fails is not False:``: on floats a
+passing check makes no call, while an array condition always reaches the
+adder, so the array path records every mask.
 ``_real``, ``_require_type``, ``_bool`` and ``_count`` decide which Python
 values are inputs at all.
 """
@@ -61,11 +64,6 @@ def _count(name: str, value, least: int = 1) -> None:
         raise InputDomainError(f"{name} must be >= {least}, got {value!r}")
 
 
-def _nonfinite(x):
-    """Where x is inf or nan: x - x is 0 exactly when x is finite."""
-    return x - x != 0
-
-
 def _raise(fails, exc: type[GraventError], message: str, *args) -> None:
     """The adder of checks on single values: a check that fails raises."""
     if fails:
@@ -74,8 +72,8 @@ def _raise(fails, exc: type[GraventError], message: str, *args) -> None:
 
 def _finite(add, name: str, x, bound: str | None = None):
     """``x`` must be finite, then within ``bound`` if given; returns ``x``."""
-    fails = _nonfinite(x)
-    if fails is not False:  # no message to build for a float that passed
+    fails = x - x != 0  # x - x is 0 exactly when x is finite
+    if fails is not False:
         add(fails, InputDomainError, name + " must be finite, got {}", x)
     if bound is not None:
         _bound(add, name, x, bound)
@@ -102,19 +100,25 @@ def _check_body(add, mass, radius, omega, real=lambda name, x: x) -> None:
 
 def _check_dr_sum(add, dr_sum) -> None:
     """The summed displacement of the size expansion must be finite."""
-    add(_nonfinite(dr_sum), InputDomainError, "dr_sum must be finite")
+    fails = dr_sum - dr_sum != 0
+    if fails is not False:
+        add(fails, InputDomainError, "dr_sum must be finite")
 
 
 def _check_converges(add, ratio) -> None:
     """The size expansion in x = dr_sum/d converges for |x| < 1."""
     x = abs(ratio)
-    add(x >= 1, ConvergenceDomainError, "|dr_sum/d| = {} >= 1: geometric expansion diverges", x)
+    fails = x >= 1
+    if fails is not False:
+        add(fails, ConvergenceDomainError, "|dr_sum/d| = {} >= 1: geometric expansion diverges", x)
 
 
 def _mass_omega(add, m, omega):
     """m*omega, which the widths and the correction divide by, checked non-zero."""
     mw = m * omega
-    add(mw == 0, FloatRangeError, "mass*omega underflows to 0 at {} and {}", m, omega)
+    fails = mw == 0
+    if fails is not False:
+        add(fails, FloatRangeError, "mass*omega underflows to 0 at {} and {}", m, omega)
     return mw
 
 

@@ -359,7 +359,7 @@ def time_to_max_entanglement(sys: PairSystem) -> float:
     tau_star = (math.pi / 2.0) / rate
     if tau_star == math.inf:
         raise FloatRangeError(f"tau* = (pi/2)/{rate!r} overflows")
-    point = kernel.evaluate_system(sys, tau_star)
-    if point.error is not None:
-        raise point.error
+    error = kernel.evaluate_system(sys, tau_star)[1]
+    if error is not None:
+        raise error
     return tau_star

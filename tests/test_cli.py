@@ -374,6 +374,11 @@ class TestInputFaults:
         err = self.run(capsys, ["--config", write_config(tmp_path, doc)])
         assert err == "gravent: error: [run] output: expected a path, got ''\n"
 
+    def test_empty_output_flag_fails_before_tau_star_prints(self, tmp_path, capsys):
+        doc = REPORT_DOC.replace("mode = report", "mode = tau-star")
+        err = self.run(capsys, ["--config", write_config(tmp_path, doc), "--output", ""])
+        assert err == "gravent: error: argument --output: expected a path, got ''\n"
+
 
 class TestSerializers:
     def test_csv_precision_applies_to_floats(self, tmp_path, capsys):

@@ -150,6 +150,17 @@ def test_override_file_names_are_checked_like_the_document():
         parse_constants_overrides("hbar = 1e-34\n")
 
 
+def test_default_section_is_an_unknown_section():
+    """configparser's [DEFAULT] would share its keys with every section and
+    escape the name check."""
+    with pytest.raises(ConfigError, match=r"^unknown section \[DEFAULT\]$"):
+        parse_constants_overrides("[DEFAULT]\nG = 1\n")
+    with pytest.raises(ConfigError, match=r"^unknown section \[DEFAULT\]$"):
+        parse_config("[DEFAULT]\nmode = report\n")
+    with pytest.raises(ConfigError, match=r"^unknown section \[DEFAULT\]$"):
+        parse_config(document(extra="\n[DEFAULT]\nr1 = 0.0\n"))
+
+
 def test_constants_value_error_is_prefixed_once():
     with pytest.raises(ConfigError, match=r"^\[constants\] G: expected a number, got 'x'$"):
         parse_config(document(extra="\n[constants]\nG = x\n"))

@@ -675,7 +675,9 @@ def test_kernel_states_pass_every_value_object_check(x):
     (its 1 - Tr(rho1^2) cancels), and its phase verdict the scalar one bit
     for bit."""
     expected = report_from_phases(PhaseSet(phi=0.0, phi_prime=-x, delta_phi=x))
-    got = {name: column.tolist()[0] for name, column in kernel._measures(np.array([x])).items()}
+    measured = {}
+    kernel._measures(np.array([x]), measured)
+    got = {name: column.tolist()[0] for name, column in measured.items()}
     assert measure_misses(got, x) == [], got
     for name in MEASURE_VALUES:
         assert abs(got[name] - getattr(expected, name)) <= 1e-14, (name, got, expected)

@@ -1,13 +1,17 @@
+import dataclasses
 import math
+import pickle
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from gravent import kernel, model
 from gravent.dynamics import PhaseSet, TwoQubitState, evolve_closed_form, initial_product_state
 from gravent.errors import InputDomainError, PositivityError
 from gravent.measures import (
     DensityMatrix,
+    EntanglementReport,
     density_from_state,
     linear_entropy,
     nearest_multiple_distance,
@@ -216,6 +220,38 @@ class TestReport:
         assert rep.separable_by_measures
         assert rep.separable_by_two_pi_criterion
         assert not rep.verdicts_disagree
+
+    def test_a_passing_report_calls_no_adder(self, monkeypatch):
+        """On floats a check that passes makes no call; one that fails calls
+        the adder, which raises."""
+        calls = []
+
+        def add(*args):
+            calls.append(args)
+            model._raise(*args)
+
+        monkeypatch.setattr(kernel._Floats, "add", add)
+        report(reference_system(), 1.0)
+        assert calls == []
+        with pytest.raises(InputDomainError, match="tau must be non-negative"):
+            report(reference_system(), -1.0)
+        assert len(calls) == 1
+
+    def test_report_is_a_frozen_value(self):
+        """report() builds its return without the frozen __init__; it is the
+        same value the constructor builds, field for field the kernel's."""
+        sys, tau = reference_system(), 1e10  # delta_phi = 0.267 rad
+        rep = report(sys, tau)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            rep.epsilon = 0.0
+        built = EntanglementReport(*dataclasses.astuple(rep))
+        assert rep == built and hash(rep) == hash(built)
+        assert pickle.loads(pickle.dumps(rep)) == rep
+        values, error = kernel.evaluate_system(sys, tau)
+        assert error is None
+        for field in dataclasses.fields(EntanglementReport):
+            got, expected = getattr(rep, field.name), values[field.name]
+            assert (type(got), got) == (type(expected), expected), field.name
 
     def test_half_turn_flags_disagree(self):
         rep = report_from_phases(PhaseSet(0.0, -math.pi, math.pi))
