@@ -29,7 +29,7 @@ import numpy as np
 from .config import MODES, FORMATS, PRECISIONS, RunConfig, parse_config, parse_constants_overrides
 from .errors import ConfigError, GraventError, InputDomainError, WidthWarning
 from .model import MassiveBody, PairSystem, zero_point_width
-from .kernel import warn_out_of_regime
+from .kernel import evaluate_system, warn_out_of_regime
 from .sweep import (
     ROW_FIELD_NAMES,
     ROW_FIELD_TYPES,
@@ -326,9 +326,10 @@ def rows_to_csv(
     quoted, each double quote doubled. Each distinct value of a column in a
     chunk is formatted once. Writes to ``out`` when given, one chunk of rows
     at a time, and otherwise returns the text. A ``precision`` that is not
-    an integer in [1, 17] raises ``InputDomainError``.
+    an integer in [1, 17], or is a bool, raises ``InputDomainError``.
     """
-    if not isinstance(precision, numbers.Integral) or precision not in PRECISIONS:
+    if (isinstance(precision, bool) or not isinstance(precision, numbers.Integral)
+            or precision not in PRECISIONS):
         raise InputDomainError(
             f"precision must be an integer in [{PRECISIONS[0]}, {PRECISIONS[-1]}], "
             f"got {precision!r}"
@@ -441,8 +442,16 @@ def _serialize(rows: Iterable[SweepRow], config: RunConfig, out: TextIO) -> None
 
 
 def _run_tau_star(config: RunConfig) -> str:
+    """The inverted time's text, with report mode's warnings: the width
+    against each radius and, once tau* is found, the regime at the config's
+    threshold."""
+    _warn_width_vs_radius(config)
     system = _build_system(config)
-    (text,) = _percent_e(np.array([time_to_max_entanglement(system)]), config.precision)
+    tau_star = time_to_max_entanglement(system)
+    ratio = evaluate_system(system, tau_star)[0]["ratio_x"]
+    if not ratio < config.regime_threshold:
+        warn_out_of_regime(ratio, config.regime_threshold, stacklevel=1)
+    (text,) = _percent_e(np.array([tau_star]), config.precision)
     return text + "\n"
 
 

@@ -35,12 +35,12 @@ where that route does not cancel.
 
 Every entry runs the same stages (the m*omega divisors, the correction, the
 phases and measures, the forces). ``evaluate`` runs them on numpy columns
-and records every check as a mask (``_Columns.add``); the float entries run
+and records every check as a mask (``Batch.add``); the float entries run
 them on Python floats with ``model._raise``, which stops at the first failed
 check, the one ``evaluate`` reports first. Each check calls its adder under
 ``if fails is not False:`` (``gravent.model``'s idiom), so on floats a check
 that passes makes no call, and a passing ``report()`` none at all; an array
-condition always reaches ``_Columns.add``. Every divisor is checked non-zero
+condition always reaches ``Batch.add``. Every divisor is checked non-zero
 before the division, so float arithmetic raises nothing else. The functions the
 expressions call come from a table per path: on floats, ``math.sqrt``,
 ``math.fmod`` and the builtins ``max`` and ``min``, which are correctly
@@ -56,7 +56,6 @@ from __future__ import annotations
 import math
 import warnings
 from collections.abc import Mapping
-from dataclasses import dataclass
 from operator import itemgetter
 from types import SimpleNamespace
 
@@ -111,22 +110,29 @@ _FLOAT_MATH = SimpleNamespace(
 )
 
 
-class _Columns:
-    """The array path: each input a column, each check a recorded mask.
+#: The one-point path: each input a float, and the first failed check raises.
+_Floats = SimpleNamespace(fn=_FLOAT_MATH, add=_raise)
 
-    A condition is a bool array, or a scalar bool for a check on a value
-    shared by every point; a scalar one that does not hold is dropped.
-    """
 
+class Batch:
+    """The array path, each input a column and each check a mask (``add``),
+    and what ``evaluate`` returns: ``values`` maps output names to columns,
+    which mean nothing at a failed point; ``failed`` marks the points that
+    fail a check and ``first`` the check each fails first, in ``errors``."""
+
+    __slots__ = ("n", "masks", "values", "errors", "failed", "first")
     fn = _ARRAY_MATH
 
     def __init__(self, n: int) -> None:
         self.n = n
         self.masks: list[np.ndarray] = []
+        self.values: dict[str, np.ndarray] = {}
         self.errors: list[tuple[type[GraventError], str, tuple]] = []
 
     def add(self, fails, exc: type[GraventError], message: str, *args) -> None:
-        """``message`` is formatted with the repr of each of ``args`` at the point."""
+        """``fails`` is a bool array, or a scalar bool for a value every point
+        shares, dropped if false; ``message`` is formatted with the repr of
+        each of ``args`` at the point."""
         if not isinstance(fails, np.ndarray):
             if not fails:
                 return
@@ -134,40 +140,12 @@ class _Columns:
         self.masks.append(fails)
         self.errors.append((exc, message, args))
 
-    def first_failures(self) -> tuple[np.ndarray, np.ndarray]:
-        """Per point: whether any check fails, and the index of the first that does."""
-        masks = np.array(self.masks)
-        return masks.any(axis=0), masks.argmax(axis=0)
-
-
-#: The one-point path: each input a float, and the first failed check raises.
-_Floats = SimpleNamespace(fn=_FLOAT_MATH, add=_raise)
-
-
-@dataclass(frozen=True, slots=True)
-class Batch:
-    """What ``evaluate`` returns.
-
-    ``values`` maps output names to columns; at a failed point they hold
-    whatever the arithmetic gave and mean nothing. ``failed`` marks the
-    points that fail a check and ``first`` the check each fails first.
-    """
-
-    values: dict[str, np.ndarray]
-    failed: np.ndarray
-    first: np.ndarray
-    errors: list[tuple[type[GraventError], str, tuple]]
-
     def error(self, i: int) -> GraventError:
         """The exception a scalar evaluation of failed point ``i`` raises."""
         exc, message, args = self.errors[self.first[i]]
         shown = (arg[i] if isinstance(arg, np.ndarray) else arg for arg in args)
         shown = (v.item() if isinstance(v, np.generic) else v for v in shown)
         return exc(message.format(*map(repr, shown)))
-
-    def status(self, i: int) -> str:
-        error = self.error(i)
-        return f"error: {type(error).__name__}: {error}"
 
 
 def warn_out_of_regime(ratio_x: float, threshold: float, stacklevel: int) -> None:
@@ -201,13 +179,14 @@ def evaluate(
 ) -> Batch:
     """Evaluate every point of ``inputs``; ``force=False`` leaves out the forces
     and their checks, as ``evaluate_system`` does on floats."""
-    columns = _Columns(len(inputs["tau"]))
-    values: dict[str, np.ndarray] = {}
+    batch = Batch(len(inputs["tau"]))
     with np.errstate(all="ignore"):
-        _check_inputs(columns.add, inputs, r1, r2, threshold)
-        _physics(columns, inputs, constants, threshold, symmetrize, force, values)
-    failed, first = columns.first_failures()
-    return Batch(values, failed, first, columns.errors)
+        _check_inputs(batch.add, inputs, r1, r2, threshold)
+        _physics(batch, inputs, constants, threshold, symmetrize, force, batch.values)
+    masks = np.array(batch.masks)
+    del batch.masks  # a chunk keeps failed and first, not a mask per check
+    batch.failed, batch.first = masks.any(axis=0), masks.argmax(axis=0)
+    return batch
 
 
 def _system_values(sys: PairSystem) -> dict[str, float]:

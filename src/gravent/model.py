@@ -6,7 +6,7 @@ these and nothing else. Each input check is written once, here, and reports a
 failed condition to an adder, ``add(fails, exc, message, *args)``: the value
 objects, the scalar functions and the kernel's float path pass ``_raise``,
 which raises at the first failure, and the kernel's array path
-``kernel._Columns.add``, which records ``fails`` as a mask over a column.
+``kernel.Batch.add``, which records ``fails`` as a mask over a column.
 Each check calls its adder under ``if fails is not False:``: on floats a
 passing check makes no call, while an array condition always reaches the
 adder, so the array path records every mask.
@@ -57,8 +57,9 @@ def _bool(name: str, value) -> bool:
 
 
 def _count(name: str, value, least: int = 1) -> None:
-    """``InputDomainError`` unless ``value`` is an integer >= ``least``."""
-    if not isinstance(value, numbers.Integral):
+    """``InputDomainError`` unless ``value`` is an integer >= ``least``; a
+    bool is not a count."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise InputDomainError(f"{name} must be an integer, got {value!r}")
     if value < least:
         raise InputDomainError(f"{name} must be >= {least}, got {value!r}")

@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterable, Iterator, Mapping, Sequence
-from dataclasses import MISSING, dataclass, field, fields, replace
+from dataclasses import MISSING, dataclass, field, fields
 
 import numpy as np
 
@@ -48,9 +48,9 @@ CHUNK_POINTS = 1024
 
 @dataclass(frozen=True, slots=True)
 class AxisSpec:
-    """One swept parameter: count values from start to stop, linear or log.
-    A linear axis whose span ``stop - start`` overflows float64 raises
-    ``InputDomainError``."""
+    """One swept parameter: count float64 values from start to stop, linear
+    or log, whatever real number types the endpoints are. A linear axis
+    whose span ``stop - start`` overflows float64 raises ``InputDomainError``."""
 
     start: float
     stop: float
@@ -70,11 +70,13 @@ class AxisSpec:
             raise InputDomainError(f"axis span {stop!r} - {start!r} overflows")
 
     def values(self) -> np.ndarray:
-        if self.count == 1:
-            return np.array([self.start])
-        if self.spacing == "log":
-            return np.geomspace(self.start, self.stop, self.count)
-        return np.linspace(self.start, self.stop, self.count)
+        """The axis's points: the first is ``start`` and, of two or more, the
+        last is ``stop``, exactly."""
+        space = np.geomspace if self.spacing == "log" else np.linspace
+        start = float(self.start)
+        values = space(start, float(self.stop), self.count)
+        values[0] = start  # np.linspace gives 0.0 for a start of -0.0
+        return values
 
 
 @dataclass(frozen=True, slots=True)
@@ -133,8 +135,11 @@ class SweepSpec:
         return size
 
     def point(self, index: int) -> dict[str, float]:
-        """Parameter values at flat grid index, canonical row-major order."""
-        return {name: float(column[0]) for name, column in self.inputs(np.array([index])).items()}
+        """Parameter values at flat grid index, canonical row-major order. An
+        index outside the grid raises ``IndexError``, as ``SweepResult`` does;
+        a negative one counts from the end."""
+        position = range(self.grid_size())[index]
+        return {name: float(column[0]) for name, column in self.inputs(np.array([position])).items()}
 
     def inputs(self, indices: np.ndarray) -> kernel.Inputs:
         """The kernel's inputs at flat grid ``indices``, ordered as in ``point``:
@@ -196,37 +201,6 @@ _KERNEL_FIELDS = tuple(
 _REQUIRED_FIELDS = len(ROW_FIELD_NAMES) - len(_ROW_DEFAULTS)
 
 
-def _row_columns(
-    indices: np.ndarray,
-    inputs: kernel.Inputs,
-    batch: kernel.Batch,
-    r1: float,
-    r2: float,
-    regime_threshold: float,
-) -> list:
-    """One column per row field, in ROW_FIELD_NAMES order, for the points at
-    ``indices`` (see ``SweepResult``). A failed point keeps its inputs and
-    gets the row defaults and its error as status."""
-    n = len(indices)
-    failed = batch.failed
-    columns = dict(inputs)
-    columns.update(
-        (name, np.where(failed, _ROW_DEFAULTS[name], batch.values[name])) for name in _KERNEL_FIELDS
-    )
-    status = ["ok"] * n
-    for i in np.flatnonzero(failed).tolist():
-        status[i] = batch.status(i)
-    columns.update(
-        index=indices,
-        r1=np.full(n, r1, dtype=np.float64),
-        r2=np.full(n, r2, dtype=np.float64),
-        regime_threshold=np.where(failed, math.nan, regime_threshold),
-        force_closed_form_unit=[FORCE_CLOSED_FORM_UNIT] * n,
-        status=status,
-    )
-    return [columns[name] for name in ROW_FIELD_NAMES]
-
-
 def _rows(columns: list) -> Iterator[SweepRow]:
     """The rows of one chunk of columns, Python-typed; a failed row holds
     SweepRow's own defaults."""
@@ -257,8 +231,8 @@ def evaluate_point(
     """
     spec = SweepSpec(axes={}, fixed=dict(params), r1=r1, r2=r2, constants=constants,
                      regime_threshold=regime_threshold, symmetrize_force=symmetrize_force)
-    (row,) = SweepResult(spec)
-    return replace(row, index=index)
+    (row,) = _rows(SweepResult(spec)._columns(np.array([index])))
+    return row
 
 
 class SweepResult(Sequence):
@@ -281,12 +255,32 @@ class SweepResult(Sequence):
         return self._size
 
     def _columns(self, indices: np.ndarray) -> list:
+        """One column per row field, in ROW_FIELD_NAMES order, for the points
+        at ``indices``. A failed point keeps its inputs and gets the row
+        defaults and its error as status."""
         spec = self.spec
         inputs = spec.inputs(indices)
         batch = kernel.evaluate(
             inputs, spec.r1, spec.r2, spec.constants, spec.regime_threshold, spec.symmetrize_force
         )
-        return _row_columns(indices, inputs, batch, spec.r1, spec.r2, spec.regime_threshold)
+        n, failed = len(indices), batch.failed
+        columns = dict(inputs)
+        columns.update(
+            (name, np.where(failed, _ROW_DEFAULTS[name], batch.values[name])) for name in _KERNEL_FIELDS
+        )
+        status = ["ok"] * n
+        for i in np.flatnonzero(failed).tolist():
+            error = batch.error(i)
+            status[i] = f"error: {type(error).__name__}: {error}"
+        columns.update(
+            index=indices,
+            r1=np.full(n, spec.r1, dtype=np.float64),
+            r2=np.full(n, spec.r2, dtype=np.float64),
+            regime_threshold=np.where(failed, math.nan, spec.regime_threshold),
+            force_closed_form_unit=[FORCE_CLOSED_FORM_UNIT] * n,
+            status=status,
+        )
+        return [columns[name] for name in ROW_FIELD_NAMES]
 
     def chunks(self) -> Iterator[list]:
         """Consecutive chunks of rows, each as one column per row field."""

@@ -8,7 +8,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from gravent.cli import CONSTANTS_ENV_VAR, main, rows_to_csv, rows_to_json
 from gravent.config import MODES
-from gravent.errors import InputDomainError, RegimeWarning
+from gravent.errors import InputDomainError, RegimeWarning, WidthWarning
 from gravent.measures import report
 from gravent.model import MassiveBody, PairSystem, PhysicalConstants
 from gravent.sweep import ROW_FIELD_NAMES
@@ -413,3 +413,61 @@ class TestSerializers:
         payload = json.loads(rows_to_json([row]))
         assert payload[0]["index"] == 0
         assert payload[0]["in_regime"] is False
+
+
+class TestTauStarDiagnostics:
+    """tau-star warns as report mode does: the width against the radius, and
+    the regime at the config's threshold where tau* is found."""
+
+    # x = 0.6495 at m = 1e-26 kg, omega = 1e5 rad/s, d = 1e-6 m
+    DOC = REPORT_DOC.replace("mode = report", "mode = tau-star").replace("1e-14", "1e-26")
+
+    def run(self, tmp_path, doc, *flags):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["--config", write_config(tmp_path, doc), *flags])
+        return code, [(w.category, str(w.message)) for w in caught]
+
+    def test_regime_warning(self, tmp_path, capsys):
+        code, caught = self.run(tmp_path, self.DOC)
+        assert code == 0
+        assert capsys.readouterr().out == "5.88374933250e+22\n"
+        assert caught == [(RegimeWarning, "displacement ratio x = 6.495e-01 >= 1.000e-01: "
+                                          "the quadratic truncation is unreliable here")]
+
+    @pytest.mark.parametrize("threshold, warns", [("0.7", False), ("0.5", True)])
+    def test_regime_warning_follows_regime_threshold(self, tmp_path, capsys, threshold, warns):
+        doc = self.DOC.replace("mode = tau-star", f"mode = tau-star\nregime_threshold = {threshold}")
+        code, caught = self.run(tmp_path, doc)
+        assert code == 0
+        assert capsys.readouterr().out == "5.88374933250e+22\n"
+        assert [category for category, _ in caught] == [RegimeWarning] * warns
+
+    def test_width_warning(self, tmp_path, capsys):
+        code, caught = self.run(tmp_path, REPORT_DOC.replace("mode = report", "mode = tau-star")
+                                + "r1 = 1e-14\n")
+        assert code == 0
+        assert [category for category, _ in caught] == [WidthWarning]
+        assert "body 1: zero-point width" in caught[0][1]
+
+    def test_no_regime_warning_ahead_of_an_error(self, tmp_path, capsys):
+        # d below the summed widths: the expansion diverges, x = 6.5
+        code, caught = self.run(tmp_path, self.DOC.replace("d = 1e-6", "d = 1e-7"))
+        assert code == 2
+        assert "geometric expansion diverges" in capsys.readouterr().err
+        assert caught == []
+
+    def test_quiet_silences_both(self, tmp_path, capsys):
+        code, caught = self.run(tmp_path, self.DOC + "r1 = 1e-20\n", "--quiet")
+        assert code == 0
+        assert capsys.readouterr().out == "5.88374933250e+22\n"
+        assert caught == []
+
+
+def test_a_bool_is_not_a_precision():
+    from gravent.sweep import SweepRow
+
+    row = SweepRow(index=0, m1=1e-14, m2=1e-14, r1=0.0, r2=0.0,
+                   omega1=1e5, omega2=1e5, d=1e-6, tau=1.0)
+    with pytest.raises(InputDomainError, match="^precision .*got True$"):
+        rows_to_csv([row], precision=True)

@@ -311,3 +311,14 @@ SYSTEM = make_system()
 def test_bad_order_or_displacement_is_an_input_domain_error(call, message):
     with pytest.raises(InputDomainError, match=f"^{re.escape(message)}"):
         call()
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: expand_potential(SYSTEM, 0.0, True), "max_order must be an integer, got True"),
+    (lambda: expand_potential(SYSTEM, 0.0, False), "max_order must be an integer, got False"),
+    (lambda: corrected_potential(SYSTEM, series_order=True),
+     "series_order must be an integer, got True"),
+])
+def test_a_bool_is_not_an_order(call, message):
+    with pytest.raises(InputDomainError, match=f"^{re.escape(message)}"):
+        call()

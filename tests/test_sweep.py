@@ -224,3 +224,70 @@ class TestTimeToMaxEntanglement:
         sys = reference_system(constants=PhysicalConstants(hbar=0.0))
         with pytest.raises(NoEntanglementError):
             time_to_max_entanglement(sys)
+
+
+def _bits(row):
+    """Each field of ``row`` with its type, a float by its bits."""
+    return [
+        (type(value), np.float64(value).tobytes() if isinstance(value, float) else value)
+        for value in (getattr(row, name) for name in ROW_FIELD_NAMES)
+    ]
+
+
+class TestAxisFromItsEndpoints:
+    """Every axis is float64, built from its endpoints as floats, whatever
+    their number type and whatever the count."""
+
+    # d*d*d of an int64 3e6 wraps; -0.0 keeps its sign
+    @pytest.mark.parametrize("d", [3_000_000, -0.0])
+    def test_one_point_axis_is_the_fixed_value(self, d):
+        fixed = {k: v for k, v in FIXED.items() if k != "d"}
+        (row,) = run_sweep(SweepSpec(axes={"d": AxisSpec(d, d, 1)}, fixed=fixed))
+        (float_row,) = run_sweep(SweepSpec(axes={"d": AxisSpec(float(d), 1.0, 1)}, fixed=fixed))
+        single = evaluate_point(0, {**fixed, "d": float(d)}, 0.0, 0.0, C)
+        assert _bits(row) == _bits(float_row) == _bits(single)
+
+    def test_uint64_range_separation_is_a_float(self):
+        fixed = {k: v for k, v in FIXED.items() if k != "d"}
+        (row,) = run_sweep(SweepSpec(axes={"d": AxisSpec(2**63, 2**63, 1)}, fixed=fixed))
+        assert "FloatRangeError" not in row.status
+        assert type(row.d) is float and row.d == 2.0**63
+
+    def test_endpoints_past_uint64_sweep(self):
+        fixed = {k: v for k, v in FIXED.items() if k != "tau"}
+        rows = list(run_sweep(SweepSpec(axes={"tau": AxisSpec(2**64, 2**65, 3)}, fixed=fixed)))
+        assert [row.tau for row in rows] == [2.0**64, 1.5 * 2.0**64, 2.0**65]
+        assert all(type(row.tau) is float for row in rows)
+
+    @pytest.mark.parametrize("spacing", ["linear", "log"])
+    def test_endpoints_are_exact(self, spacing):
+        start = 0.1 if spacing == "log" else -0.0
+        values = AxisSpec(start, 7.3, 4, spacing).values()
+        assert values.dtype == np.float64
+        assert values[0].tobytes() == np.float64(start).tobytes()
+        assert values[-1] == 7.3
+
+
+class TestIndexOutsideTheGrid:
+    SPEC = SweepSpec(axes={"tau": AxisSpec(1.0, 3.0, 3)},
+                     fixed={k: v for k, v in FIXED.items() if k != "tau"})
+
+    @pytest.mark.parametrize("index", [3, 5, -4])
+    def test_point_raises_as_the_result_does(self, index):
+        with pytest.raises(IndexError):
+            run_sweep(self.SPEC)[index]
+        with pytest.raises(IndexError):
+            self.SPEC.point(index)
+
+    def test_negative_index_counts_from_the_end(self):
+        assert self.SPEC.point(-1) == self.SPEC.point(2) == {**FIXED, "tau": 3.0}
+
+
+class TestBoolIsNotACount:
+    def test_axis_count(self):
+        with pytest.raises(InputDomainError, match="^count must be an integer, got True"):
+            AxisSpec(1.0, 2.0, True)
+
+    def test_workers(self):
+        with pytest.raises(InputDomainError, match="^workers must be an integer, got True"):
+            run_sweep(SweepSpec(axes={}, fixed=FIXED), workers=True)
