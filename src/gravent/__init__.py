@@ -16,7 +16,6 @@ from .errors import (
     NoEntanglementError,
     PrecisionError,
     RegimeWarning,
-    SingularityError,
     WidthWarning,
 )
 from .model import MassiveBody, PairSystem, PhysicalConstants
@@ -41,7 +40,6 @@ __all__ = [
     "PhysicalConstants",
     "PrecisionError",
     "RegimeWarning",
-    "SingularityError",
     "SweepSpec",
     "WidthWarning",
     "accumulated_phase",

@@ -5,7 +5,7 @@ time-to-maximal-entanglement inversion, and writes CSV or JSON. Diagnostics
 go to stderr; data goes to the output file or stdout.
 
 Exit codes: 0 success, 1 configuration/validation failure, 2 numerical
-domain failure.
+domain failure, printed with its class: ``gravent: error: ClassName: message``.
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ from typing import TextIO
 import numpy as np
 
 from .config import MODES, FORMATS, PRECISIONS, RunConfig, parse_config, parse_constants_overrides
+from . import errors
 from .errors import ConfigError, GraventError, InputDomainError, WidthWarning
 from .model import MassiveBody, PairSystem, zero_point_width
 from .kernel import evaluate_system, warn_out_of_regime
@@ -428,7 +429,8 @@ def _run_report(config: RunConfig) -> list[SweepRow]:
     _warn_width_vs_radius(config)
     (row,) = run_sweep(config.sweep_spec())
     if row.status != "ok":
-        raise GraventError(row.status.removeprefix("error: "))
+        name, message = row.status.removeprefix("error: ").split(": ", 1)
+        raise getattr(errors, name)(message)
     if not row.in_regime:
         warn_out_of_regime(row.ratio_x, row.regime_threshold, stacklevel=1)
     return [row]
@@ -513,7 +515,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"gravent: error: {exc}", file=sys.stderr)
         return 1
     except GraventError as exc:
-        print(f"gravent: error: {exc}", file=sys.stderr)
+        print(f"gravent: error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
     return 0
 

@@ -9,10 +9,6 @@ class InputDomainError(GraventError, ValueError):
     """An input is outside the mathematical domain of an operation."""
 
 
-class SingularityError(GraventError, ArithmeticError):
-    """A potential was requested at (or past) a vanishing separation."""
-
-
 class ConvergenceDomainError(GraventError, ValueError):
     """A series expansion was requested outside its convergence region."""
 

@@ -35,8 +35,11 @@ REGIME_THRESHOLD_DEFAULT = 0.1
 
 
 def _real(name: str, value) -> float:
-    """``value`` as a float; ``InputDomainError`` if it is not a real number."""
-    if not isinstance(value, (float, numbers.Real)):
+    """``value`` as a float; ``InputDomainError`` if it is not a real number.
+    A bool is not a real number; a float is decided by its first test."""
+    if not isinstance(value, float) and (
+        isinstance(value, bool) or not isinstance(value, numbers.Real)
+    ):
         raise InputDomainError(f"{name} must be a real number, got {value!r}")
     try:
         return float(value)

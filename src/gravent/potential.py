@@ -1,8 +1,9 @@
-"""Potential engine: classical, size-corrected, expanded, and quantum-corrected
-gravitational potential energies, plus the entanglement energy and force.
+"""Potential engine: the expanded and the quantum-corrected gravitational
+potential energies, plus the entanglement energy and force.
 
 ``quantum_correction`` and ``entanglement_force`` evaluate the kernel's
-expressions; ``tests/oracles.py`` keeps their scalar forms as the reference.
+expressions; ``tests/oracles.py`` keeps their scalar forms, and the
+point-mass and un-expanded size-corrected potentials, as the reference.
 
 Conventions
 -----------
@@ -16,20 +17,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import kernel
-from .errors import InputDomainError, SingularityError
+from .errors import InputDomainError
 from .kernel import warn_out_of_regime
 from .model import (
-    REGIME_THRESHOLD_DEFAULT, PairSystem, PhysicalConstants, _bound, _check_converges,
-    _check_dr_sum, _count, _finite, _raise, _real, _require_type, assess_validity,
-    zero_point_width,
+    REGIME_THRESHOLD_DEFAULT, PairSystem, _check_converges, _check_dr_sum, _count, _raise,
+    _real, _require_type, assess_validity, zero_point_width,
 )
 
 __all__ = [
     "SeriesTerm",
     "PotentialBreakdown",
     "ForceEstimate",
-    "newtonian_potential",
-    "exact_size_corrected_potential",
     "expand_potential",
     "zero_point_width",
     "quantum_correction",
@@ -92,39 +90,6 @@ class ForceEstimate:
     gradient_based: float
 
 
-def newtonian_potential(m1: float, m2: float, d: float, c: PhysicalConstants) -> float:
-    """Point-mass gravitational potential energy -G*m1*m2/d in joules.
-
-    Masses may be zero (the energy vanishes); the separation must be
-    positive.
-    """
-    for name, v in (("m1", m1), ("m2", m2), ("d", d)):
-        _real(name, v)
-        _finite(_raise, name, v)
-    if m1 < 0 or m2 < 0:
-        raise InputDomainError("masses must be non-negative")
-    _bound(_raise, "d", d, "positive")
-    return -c.G * m1 * m2 / d
-
-
-def exact_size_corrected_potential(sys: PairSystem, dr1: float, dr2: float) -> float:
-    """Potential energy -G*m1*m2/(d + dr1 + dr2) with explicit displacements.
-
-    This is the un-expanded reference value the series results are checked
-    against. Raises ``SingularityError`` when the effective separation
-    d + dr1 + dr2 is not positive.
-    """
-    dr1 = _finite(_raise, "dr1", _real("dr1", dr1))
-    dr2 = _finite(_raise, "dr2", _real("dr2", dr2))
-    _require_type("sys", sys, PairSystem)
-    denom = sys.separation_d + dr1 + dr2
-    if denom <= 0:
-        raise SingularityError(
-            f"effective separation d + dr1 + dr2 = {denom!r} is not positive"
-        )
-    return -sys.constants.G * sys.body1.mass * sys.body2.mass / denom
-
-
 def expand_potential(
     sys: PairSystem, dr_sum: float, max_order: int
 ) -> tuple[SeriesTerm, ...]:
@@ -141,9 +106,7 @@ def expand_potential(
     _require_type("sys", sys, PairSystem)
     x = dr_sum / sys.separation_d
     _check_converges(_raise, x)
-    v0 = newtonian_potential(
-        sys.body1.mass, sys.body2.mass, sys.separation_d, sys.constants
-    )
+    v0 = -sys.constants.G * sys.body1.mass * sys.body2.mass / sys.separation_d
     return tuple(
         SeriesTerm(order=n, value=v0 * (-x) ** n, absorbable=(n == 1))
         for n in range(max_order + 1)

@@ -10,6 +10,12 @@ time, with each cube and square formed as a left-to-right product
 with the kernel bit for bit: values, error class and message, and the
 ``RegimeWarning`` text.
 
+``newtonian_potential`` (-G*m1*m2/d) and ``exact_size_corrected_potential``
+(-G*m1*m2/(d + dr1 + dr2), which raises ``SingularityError`` where that
+separation is not positive) are the reference values of the expansion
+``gravent.potential.expand_potential``: its zeroth term is the first, and its
+partial sums converge to the second.
+
 ``operator_from_phases``, ``evolve_numeric`` (a fixed-step RK4 integrator
 of the Schrodinger equation under a diagonal operator) and
 ``is_product_state`` (the rank of the amplitude matrix) are the independent
@@ -25,12 +31,19 @@ import warnings
 import numpy as np
 
 from gravent.dynamics import PhaseSet, PotentialOperator, TwoQubitState
-from gravent.errors import FloatRangeError, InputDomainError, PrecisionError, RegimeWarning
+from gravent import model
+from gravent.errors import (
+    FloatRangeError, GraventError, InputDomainError, PrecisionError, RegimeWarning,
+)
 from gravent.model import PairSystem, PhysicalConstants, assess_validity, zero_point_width
 from gravent.potential import FORCE_CLOSED_FORM_UNIT, ForceEstimate, expand_potential
 
 #: The smallest delta_phi whose ulp exceeds 1e-6 rad.
 PHASE_RESOLUTION_LIMIT = 2.0**33
+
+
+class SingularityError(GraventError, ArithmeticError):
+    """A potential was requested at (or past) a vanishing separation."""
 
 
 def _finite(value: float, name: str) -> float:
@@ -45,6 +58,38 @@ def _nonzero(value: float, name: str) -> float:
     if value == 0:
         raise FloatRangeError(f"{name} underflows to 0")
     return value
+
+
+def newtonian_potential(m1: float, m2: float, d: float, c: PhysicalConstants) -> float:
+    """Point-mass gravitational potential energy -G*m1*m2/d in joules.
+
+    Masses may be zero (the energy vanishes); the separation must be
+    positive.
+    """
+    for name, v in (("m1", m1), ("m2", m2), ("d", d)):
+        model._real(name, v)
+        model._finite(model._raise, name, v)
+    if m1 < 0 or m2 < 0:
+        raise InputDomainError("masses must be non-negative")
+    model._bound(model._raise, "d", d, "positive")
+    return -c.G * m1 * m2 / d
+
+
+def exact_size_corrected_potential(sys: PairSystem, dr1: float, dr2: float) -> float:
+    """Potential energy -G*m1*m2/(d + dr1 + dr2) with explicit displacements.
+
+    Raises ``SingularityError`` when the effective separation d + dr1 + dr2
+    is not positive.
+    """
+    dr1 = model._finite(model._raise, "dr1", model._real("dr1", dr1))
+    dr2 = model._finite(model._raise, "dr2", model._real("dr2", dr2))
+    model._require_type("sys", sys, PairSystem)
+    denom = sys.separation_d + dr1 + dr2
+    if denom <= 0:
+        raise SingularityError(
+            f"effective separation d + dr1 + dr2 = {denom!r} is not positive"
+        )
+    return -sys.constants.G * sys.body1.mass * sys.body2.mass / denom
 
 
 def quantum_correction(sys: PairSystem) -> float:

@@ -10,7 +10,9 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
-from oracles import evolve_numeric, is_product_state, operator_from_phases
+from oracles import (
+    evolve_numeric, exact_size_corrected_potential, is_product_state, operator_from_phases,
+)
 from gravent.cli import rows_to_csv
 from gravent.dynamics import (
     PhaseSet,
@@ -30,7 +32,6 @@ from gravent.measures import (
 from gravent.model import MassiveBody, PairSystem, PhysicalConstants, zero_point_width
 from gravent.potential import (
     entanglement_force,
-    exact_size_corrected_potential,
     expand_potential,
     quantum_correction,
 )

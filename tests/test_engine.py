@@ -37,9 +37,7 @@ from gravent.measures import report, report_from_phases
 from gravent.model import MassiveBody, PairSystem, PhysicalConstants, assess_validity
 from gravent.potential import (
     corrected_potential,
-    exact_size_corrected_potential,
     expand_potential,
-    newtonian_potential,
     quantum_correction,
 )
 from gravent.sweep import (
@@ -51,7 +49,7 @@ from gravent.sweep import (
     run_sweep,
     time_to_max_entanglement,
 )
-from oracles import entanglement_force
+from oracles import entanglement_force, exact_size_corrected_potential, newtonian_potential
 
 # 37 x 31 = 1147 points, not a multiple of CHUNK_POINTS: ok rows, rows past
 # the 0.2 threshold, ConvergenceDomainError rows (d below the summed widths),
@@ -220,27 +218,30 @@ PAPER_BODIES = dict(m1=1e-14, m2=1e-14, omega1=1e5, omega2=1e5, d=1e-6)
 # at 1e100 rad/s have widths small enough to reach it.
 HEAVY_BODIES = dict(m1=1e100, m2=1e100, omega1=1e100, omega2=1e100)
 TAU_STAR_RANGE_CASES = [
-    (dict(d=1e120), "d**3 overflows"),
-    (dict(**HEAVY_BODIES, d=1e-110), "d**3 underflows to 0"),
-    (dict(m1=1e-200, omega1=1e-200), "mass*omega underflows to 0 at 1e-200 and 1e-200"),
+    (dict(d=1e120), "FloatRangeError: d**3 overflows"),
+    (dict(**HEAVY_BODIES, d=1e-110), "FloatRangeError: d**3 underflows to 0"),
+    (dict(m1=1e-200, omega1=1e-200),
+     "FloatRangeError: mass*omega underflows to 0 at 1e-200 and 1e-200"),
 ]
 # (system, tau-star's error, whether report mode at tau = 1 fails with it)
 TAU_STAR_FAILURES = [
     (dict(d=1e-120),
-     "|dr_sum/d| = 6.494834307355346e+107 >= 1: geometric expansion diverges", True),
+     "ConvergenceDomainError: |dr_sum/d| = 6.494834307355346e+107 >= 1: "
+     "geometric expansion diverges", True),
     # The scalar correction was 0*inf = nan here, and tau-star printed nan.
     (dict(m1=1e-160, omega1=1e-150, m2=1e100, omega2=1e100, d=1e100),
-     "|dr_sum/d| = 1.0269234718322505e+38 >= 1: geometric expansion diverges", True),
+     "ConvergenceDomainError: |dr_sum/d| = 1.0269234718322505e+38 >= 1: "
+     "geometric expansion diverges", True),
     # The rate overflows: tau-star read the phase at tau = 0, inf*0, and
     # printed "got nan".
     (dict(m1=1e160, m2=1e160, omega1=1.0, omega2=1.0, d=1.0),
-     "phi must be finite, got -inf", True),
+     "InputDomainError: phi must be finite, got -inf", True),
     # The rate after 1 s is subnormal; tau* is past the float64 range.
     (dict(m1=1e-100, m2=1e-100, omega1=1e150, omega2=1e150, d=1e21),
-     "tau* = (pi/2)/2.5e-323 overflows", False),
+     "FloatRangeError: tau* = (pi/2)/2.5e-323 overflows", False),
     # G*m1*m2/d**3 underflows: the rate is 0.
     (dict(m1=1e-100, m2=1e-100, omega1=1e150, omega2=1e150, d=1e22),
-     "quantum correction is zero; entanglement never accumulates", False),
+     "NoEntanglementError: quantum correction is zero; entanglement never accumulates", False),
 ]
 
 
@@ -630,13 +631,31 @@ def test_a_scalar_input_that_is_not_real_is_an_input_domain_error(call, name):
         call()
 
 
-@pytest.mark.parametrize("tau", [1, True, np.float32(0.5), np.float64(2.0), np.int64(3)],
-                         ids=["int", "bool", "float32", "float64", "int64"])
+@pytest.mark.parametrize("tau", [1, np.float32(0.5), np.float64(2.0), np.int64(3)],
+                         ids=["int", "float32", "float64", "int64"])
 def test_real_tau_of_any_type_is_taken_as_its_float(tau):
     body = MassiveBody(1e-14, 0.0, 1e5)
     system = PairSystem(body, body, 1e-6)
     assert report(system, tau) == report(system, float(tau))
     assert type(evaluate_point(0, {**PAPER_BODIES, "tau": tau}, 0.0, 0.0, PhysicalConstants()).tau) is float
+
+
+BOOL_CALLS = {
+    "body-mass": (lambda: MassiveBody(True, 0.0, 1e5), "mass"),
+    "system-d": (lambda: PairSystem(*[MassiveBody(1e-14, 0.0, 1e5)] * 2, True), "separation_d"),
+    "constants-G": (lambda: PhysicalConstants(G=True), "G"),
+    "report-tau": (lambda: report(PairSystem(*[MassiveBody(1e-14, 0.0, 1e5)] * 2, 1e-6), True),
+                   "tau"),
+    "fixed-tau": (lambda: SweepSpec(axes={}, fixed={**PAPER_BODIES, "tau": True}), "tau"),
+    "axis-start": (lambda: AxisSpec(True, 2.0, 2), "start"),
+}
+
+
+@pytest.mark.parametrize("call, name", BOOL_CALLS.values(), ids=BOOL_CALLS.keys())
+def test_a_bool_is_not_a_real_number(call, name):
+    with pytest.raises(InputDomainError) as info:
+        call()
+    assert str(info.value) == f"{name} must be a real number, got True"
 
 
 def test_numpy_typed_inputs_give_python_typed_results():

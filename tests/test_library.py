@@ -14,7 +14,7 @@ README = Path(__file__).resolve().parent.parent / "README.md"
 SURFACE = [
     "AxisSpec", "ConfigError", "ConvergenceDomainError", "FloatRangeError", "GraventError",
     "InputDomainError", "MassiveBody", "NoEntanglementError", "PairSystem", "PhysicalConstants",
-    "PrecisionError", "RegimeWarning", "SingularityError", "SweepSpec", "WidthWarning",
+    "PrecisionError", "RegimeWarning", "SweepSpec", "WidthWarning",
     "accumulated_phase", "entanglement_force", "parse_config", "quantum_correction", "report",
     "run_sweep", "time_to_max_entanglement",
 ]

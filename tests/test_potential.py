@@ -9,18 +9,16 @@ from gravent.errors import (
     ConvergenceDomainError,
     InputDomainError,
     RegimeWarning,
-    SingularityError,
 )
 from gravent.model import MassiveBody, PairSystem, PhysicalConstants, zero_point_width
 from gravent.potential import (
     FORCE_CLOSED_FORM_UNIT,
     corrected_potential,
     entanglement_force,
-    exact_size_corrected_potential,
     expand_potential,
-    newtonian_potential,
     quantum_correction,
 )
+from oracles import SingularityError, exact_size_corrected_potential, newtonian_potential
 
 C = PhysicalConstants()
 
@@ -107,6 +105,21 @@ class TestExpansion:
         v0 = newtonian_potential(1e-14, 1e-14, 1e-6, C)
         assert terms[0].value == v0
         assert all(t.value == 0.0 for t in terms[1:])
+
+    @given(
+        masses=st.tuples(*[st.floats(min_value=1e-40, max_value=1e40)] * 4),
+        d=st.floats(min_value=1e-20, max_value=1e20),
+        hbar=st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=1.0)),
+        fraction=st.floats(min_value=-0.99, max_value=0.99),
+        order=st.integers(min_value=0, max_value=12),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_zeroth_term_is_the_newtonian_oracle_bit_for_bit(self, masses, d, hbar, fraction, order):
+        m1, m2, w1, w2 = masses
+        c = PhysicalConstants(hbar=hbar)
+        sys = make_system(m1, m2, w1, w2, d, c)
+        v0 = expand_potential(sys, fraction * d, order)[0].value
+        assert v0.hex() == newtonian_potential(m1, m2, d, c).hex()
 
     def test_sign_pattern(self):
         sys = make_system(d=1e-6)

@@ -91,14 +91,17 @@ def test_no_oracle_calls_the_kernel(monkeypatch):
     body = MassiveBody(1e-14, 0.0, 1e5)
     system = PairSystem(body, body, 1e-6)
     c, tau = system.constants, 0.2
+    oracles.newtonian_potential(1e-14, 1e-14, 1e-6, c)
+    oracles.exact_size_corrected_potential(system, 0.0, 0.0)
     oracles.quantum_correction(system)
     oracles.entanglement_force(system, True)
     phases = oracles.accumulated_phase(system, tau)
     op = oracles.operator_from_phases(phases, tau, c)
     oracles.evolve_numeric(initial_product_state(), op, tau, c, steps=2048)
     assert oracles.is_product_state(initial_product_state())
-    ran = {"quantum_correction", "entanglement_force", "accumulated_phase",
-           "operator_from_phases", "evolve_numeric", "is_product_state"}
+    ran = {"newtonian_potential", "exact_size_corrected_potential", "quantum_correction",
+           "entanglement_force", "accumulated_phase", "operator_from_phases", "evolve_numeric",
+           "is_product_state"}
     public = {name for name, f in inspect.getmembers(oracles, inspect.isfunction)
               if f.__module__ == oracles.__name__ and not name.startswith("_")}
     assert ran == public
