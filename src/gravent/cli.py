@@ -1,8 +1,9 @@
 """Batch command-line front-end.
 
 Reads a config document, runs a single report, a parameter sweep, or the
-time-to-maximal-entanglement inversion, and writes CSV or JSON. Diagnostics
-go to stderr; data goes to the output file or stdout.
+time-to-maximal-entanglement inversion (report mode's row at tau*), and
+writes CSV or JSON. Diagnostics go to stderr; data goes to the output file or
+stdout.
 
 Exit codes: 0 success, 1 configuration/validation failure, 2 numerical
 domain failure, printed with its class: ``gravent: error: ClassName: message``.
@@ -30,7 +31,7 @@ from .config import MODES, FORMATS, PRECISIONS, RunConfig, parse_config, parse_c
 from . import errors
 from .errors import ConfigError, GraventError, InputDomainError, WidthWarning
 from .model import MassiveBody, PairSystem, zero_point_width
-from .kernel import evaluate_system, warn_out_of_regime
+from .kernel import warn_out_of_regime
 from .sweep import (
     ROW_FIELD_NAMES,
     ROW_FIELD_TYPES,
@@ -378,12 +379,6 @@ def _emit(write: Callable[[TextIO], object], output: str | None) -> None:
         raise ConfigError(f"cannot write output: {exc}") from None
 
 
-def _build_system(config: RunConfig) -> PairSystem:
-    body1 = MassiveBody(config.m1, config.r1, config.omega1)
-    body2 = MassiveBody(config.m2, config.r2, config.omega2)
-    return PairSystem(body1, body2, config.d, config.constants)
-
-
 def _warn_width_vs_radius(config: RunConfig) -> None:
     # The geometric radii never enter the math; they only sanity-check the
     # narrow-wave-packet picture, so a zero (unset) radius is not compared.
@@ -425,15 +420,23 @@ def _apply_env_constants(config: RunConfig) -> RunConfig:
     return dataclasses.replace(config, constants=constants)
 
 
-def _run_report(config: RunConfig) -> list[SweepRow]:
+def _run_point(config: RunConfig) -> SweepRow:
+    """The one-point row of report mode, at tau* in tau-star mode. The width
+    against each radius is warned first; a failed row raises its error, and
+    an ok row warns of the regime at the config's threshold."""
     _warn_width_vs_radius(config)
+    if config.mode == "tau-star":
+        body1 = MassiveBody(config.m1, config.r1, config.omega1)
+        body2 = MassiveBody(config.m2, config.r2, config.omega2)
+        system = PairSystem(body1, body2, config.d, config.constants)
+        config = dataclasses.replace(config, tau=time_to_max_entanglement(system))
     (row,) = run_sweep(config.sweep_spec())
     if row.status != "ok":
         name, message = row.status.removeprefix("error: ").split(": ", 1)
         raise getattr(errors, name)(message)
     if not row.in_regime:
         warn_out_of_regime(row.ratio_x, row.regime_threshold, stacklevel=1)
-    return [row]
+    return row
 
 
 def _serialize(rows: Iterable[SweepRow], config: RunConfig, out: TextIO) -> None:
@@ -441,20 +444,6 @@ def _serialize(rows: Iterable[SweepRow], config: RunConfig, out: TextIO) -> None
         rows_to_json(rows, out)
     else:
         rows_to_csv(rows, config.precision, out)
-
-
-def _run_tau_star(config: RunConfig) -> str:
-    """The inverted time's text, with report mode's warnings: the width
-    against each radius and, once tau* is found, the regime at the config's
-    threshold."""
-    _warn_width_vs_radius(config)
-    system = _build_system(config)
-    tau_star = time_to_max_entanglement(system)
-    ratio = evaluate_system(system, tau_star)[0]["ratio_x"]
-    if not ratio < config.regime_threshold:
-        warn_out_of_regime(ratio, config.regime_threshold, stacklevel=1)
-    (text,) = _percent_e(np.array([tau_star]), config.precision)
-    return text + "\n"
 
 
 class _Parser(argparse.ArgumentParser):
@@ -501,13 +490,14 @@ def main(argv: list[str] | None = None) -> int:
             if config.mode == "tau-star":
                 # The inverted time always lands on stdout; a configured
                 # output path receives a copy.
-                payload = _run_tau_star(config)
+                (text,) = _percent_e(np.array([_run_point(config).tau]), config.precision)
+                payload = text + "\n"
                 sys.stdout.write(payload)
                 if config.output is not None:
                     _emit(lambda out: out.write(payload), config.output)
             else:
                 if config.mode == "report":
-                    rows = _run_report(config)
+                    rows = [_run_point(config)]
                 else:
                     rows = run_sweep(config.sweep_spec())
                 _emit(lambda out: _serialize(rows, config, out), config.output)

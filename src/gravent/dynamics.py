@@ -158,10 +158,7 @@ def accumulated_phase(sys: PairSystem, tau: float) -> PhaseSet:
     ulp exceeds 1e-6 rad, raises ``PrecisionError``; the other checks, and
     the ``RegimeWarning``, are ``report``'s.
     """
-    values, error = kernel.evaluate_system(sys, tau)
-    kernel.warn_point_out_of_regime(values, stacklevel=2)
-    if error is not None:
-        raise error
+    values = kernel.report_system(sys, tau, stacklevel=2)
     return PhaseSet(phi=values["phi"], phi_prime=values["phi_prime"], delta_phi=values["delta_phi"])
 
 

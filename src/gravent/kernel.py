@@ -4,9 +4,10 @@
 ``evaluate`` takes columns, one entry per point, and returns columns of the
 validity ratio, the correction, the phases, the matrix-derived measures and
 both forces, and for each point the first check it fails; every row, of a
-sweep or of one point, comes from it. ``evaluate_system`` evaluates one
-system on plain floats, without the forces, for ``report``,
-``accumulated_phase`` and tau-star; ``evaluate_correction`` runs only the
+sweep or of one point, comes from it, the CLI's tau-star row included.
+``evaluate_system`` evaluates one system on plain floats, without the
+forces, for tau* and, through ``report_system``, for ``report`` and
+``accumulated_phase``; ``evaluate_correction`` runs only the
 correction and the forces, for ``quantum_correction`` and
 ``entanglement_force``. The input checks are ``gravent.model``'s, made in
 the order a scalar evaluation meets them, plus ``FloatRangeError`` where the
@@ -158,16 +159,6 @@ def warn_out_of_regime(ratio_x: float, threshold: float, stacklevel: int) -> Non
     )
 
 
-def warn_point_out_of_regime(values: dict, stacklevel: int) -> None:
-    """The ``RegimeWarning`` a scalar evaluation emits, if any, for the
-    ``values`` of ``evaluate_system``: the ratio was computed, so the
-    expansion's checks were reached, and it is not below the default regime
-    threshold."""
-    ratio = values.get("ratio_x")
-    if ratio is not None and not ratio < REGIME_THRESHOLD_DEFAULT:
-        warn_out_of_regime(ratio, REGIME_THRESHOLD_DEFAULT, stacklevel + 1)
-
-
 def evaluate(
     inputs: Inputs,
     r1: float,
@@ -214,6 +205,19 @@ def evaluate_system(
     except GraventError as error:
         return values, error
     return values, None
+
+
+def report_system(sys: PairSystem, tau: float, stacklevel: int) -> dict[str, float | bool]:
+    """``evaluate_system``'s values, after the ``RegimeWarning`` if the ratio
+    was reached and is not below the default regime threshold; then the first
+    failed check raises. ``stacklevel`` counts from the caller."""
+    values, error = evaluate_system(sys, tau)
+    ratio = values.get("ratio_x")
+    if ratio is not None and not ratio < REGIME_THRESHOLD_DEFAULT:
+        warn_out_of_regime(ratio, REGIME_THRESHOLD_DEFAULT, stacklevel + 1)
+    if error is not None:
+        raise error
+    return values
 
 
 def evaluate_correction(sys: PairSystem, force: bool = False, symmetrize: bool = False) -> dict:

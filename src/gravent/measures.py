@@ -201,7 +201,7 @@ def report(sys: PairSystem, tau: float) -> EntanglementReport:
     form and takes every measure from its 2x2 amplitude matrix A: the
     linear entropy 2|det A|^2, the reduced spectrum from it, and the full
     purity from the norm. Rows come from the kernel's array path; report()
-    runs the same expressions on plain floats (``kernel.evaluate_system``)
+    runs the same expressions on plain floats (``kernel.report_system``)
     and gives the values of a sweep row at the same point, bit for bit. The
     first failed check raises what the scalar pipeline raises, after
     ``RegimeWarning`` if the ratio, reached before it, is past the default
@@ -213,10 +213,7 @@ def report(sys: PairSystem, tau: float) -> EntanglementReport:
     signed relative phase -delta_phi is well conditioned where the raw
     branch phases can exceed float64 angular resolution by many orders.
     """
-    values, error = kernel.evaluate_system(sys, tau)
-    kernel.warn_point_out_of_regime(values, stacklevel=2)
-    if error is not None:
-        raise error
+    values = kernel.report_system(sys, tau, stacklevel=2)
     rep = object.__new__(EntanglementReport)
     _set_delta_phi(rep, values["delta_phi"])
     _set_purity_full(rep, values["purity_full"])

@@ -220,7 +220,7 @@ def assess_validity(
     below ``threshold``; the truncated potential expansion is only reliable
     when it does.
     """
-    _finite(_raise, "threshold", _real("threshold", threshold))
+    threshold = _finite(_raise, "threshold", _real("threshold", threshold))
     _bound(_raise, "threshold", threshold, "positive")
     _require_type("sys", sys, PairSystem)
     dr1 = zero_point_width(sys.body1.mass, sys.body1.omega, sys.constants)

@@ -82,11 +82,13 @@ class AxisSpec:
 @dataclass(frozen=True, slots=True)
 class SweepSpec:
     """Grid description: axes for swept parameters, fixed values for the rest.
-    Axes or fixed values that are not a mapping, an axis that is not an
-    ``AxisSpec``, a fixed value, radius or regime threshold that is not a
-    real number or is an int outside the float64 range, constants that are
-    not ``PhysicalConstants``, a ``symmetrize_force`` that is not a bool, and
-    a grid of more than MAX_GRID_POINTS points raise ``InputDomainError``."""
+    Each fixed value, radius and regime threshold is kept as its float, which
+    the kernel checks and the rows carry. Axes or fixed values that are not a
+    mapping, an axis that is not an ``AxisSpec``, a fixed value, radius or
+    regime threshold that is not a real number or is an int outside the
+    float64 range, constants that are not ``PhysicalConstants``, a
+    ``symmetrize_force`` that is not a bool, and a grid of more than
+    MAX_GRID_POINTS points raise ``InputDomainError``."""
 
     axes: dict[str, AxisSpec]
     fixed: dict[str, float]
@@ -115,11 +117,11 @@ class SweepSpec:
         ]
         if missing:
             raise InputDomainError(f"parameters neither swept nor fixed: {missing}")
-        for name in SWEEP_PARAMETERS:
-            if name in self.fixed:
-                _real(name, self.fixed[name])
+        fixed = {name: _real(name, self.fixed[name]) for name in SWEEP_PARAMETERS
+                 if name in self.fixed}
+        object.__setattr__(self, "fixed", fixed)
         for name in ("r1", "r2", "regime_threshold"):
-            _real(name, getattr(self, name))
+            object.__setattr__(self, name, _real(name, getattr(self, name)))
         _require_type("constants", self.constants, PhysicalConstants)
         _bool("symmetrize_force", self.symmetrize_force)
         total = self.grid_size()
@@ -227,8 +229,9 @@ def evaluate_point(
 
     No warning is emitted: the row's in_regime column carries the regime.
     A parameter that is not a real number raises ``InputDomainError``, as
-    ``SweepSpec`` does.
+    ``SweepSpec`` does, and so does an ``index`` that is not an integer >= 0.
     """
+    _count("index", index, least=0)
     spec = SweepSpec(axes={}, fixed=dict(params), r1=r1, r2=r2, constants=constants,
                      regime_threshold=regime_threshold, symmetrize_force=symmetrize_force)
     (row,) = _rows(SweepResult(spec)._columns(np.array([index])))

@@ -122,6 +122,16 @@ class TestOperator:
         with pytest.raises(InputDomainError):
             PotentialOperator(np.array([1.0, 2.0, 3.0, 1.0]))
 
+    @pytest.mark.parametrize("diag, message", [
+        ([1.0, 2.0, 2.0], r"operator needs 4 diagonal energies, got \(3,\)"),
+        ([[1.0, 2.0], [2.0, 1.0]], r"operator needs 4 diagonal energies, got \(2, 2\)"),
+        ([1.0, np.nan, np.nan, 1.0], "operator energies must be finite"),
+        ([np.inf, 2.0, 2.0, np.inf], "operator energies must be finite"),
+    ])
+    def test_shape_and_finiteness_validated(self, diag, message):
+        with pytest.raises(InputDomainError, match=f"^{message}$"):
+            PotentialOperator(np.array(diag))
+
     def test_shift_by_offset(self):
         op = PotentialOperator(np.array([5.0, 2.0, 2.0, 5.0]))
         np.testing.assert_array_equal(op.shifted(5.0).diag, [0.0, -3.0, -3.0, 0.0])

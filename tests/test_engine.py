@@ -212,8 +212,9 @@ def test_scalar_force_raises_what_the_kernel_reports(values, error):
 
 
 PAPER_BODIES = dict(m1=1e-14, m2=1e-14, omega1=1e5, omega2=1e5, d=1e-6)
-# Tau-star evaluates the system through the kernel, so it meets the checks
-# report mode makes in report mode's order. At d = 1e-120 the paper's bodies
+# Tau-star evaluates report mode's row at tau*, so it meets the checks report
+# mode makes, the forces' included, in report mode's order, and exits 2 where
+# report mode at tau* would. At d = 1e-120 the paper's bodies
 # fail the expansion's convergence before d**3 is taken; bodies of 1e100 kg
 # at 1e100 rad/s have widths small enough to reach it.
 HEAVY_BODIES = dict(m1=1e100, m2=1e100, omega1=1e100, omega2=1e100)
@@ -222,6 +223,7 @@ TAU_STAR_RANGE_CASES = [
     (dict(**HEAVY_BODIES, d=1e-110), "FloatRangeError: d**3 underflows to 0"),
     (dict(m1=1e-200, omega1=1e-200),
      "FloatRangeError: mass*omega underflows to 0 at 1e-200 and 1e-200"),
+    (OVERFLOW, "FloatRangeError: omega1**3 overflows"),
 ]
 # (system, tau-star's error, whether report mode at tau = 1 fails with it)
 TAU_STAR_FAILURES = [
@@ -239,6 +241,9 @@ TAU_STAR_FAILURES = [
     # The rate after 1 s is subnormal; tau* is past the float64 range.
     (dict(m1=1e-100, m2=1e-100, omega1=1e150, omega2=1e150, d=1e21),
      "FloatRangeError: tau* = (pi/2)/2.5e-323 overflows", False),
+    # The rate is 1.33e-130 rad/s: the branch phase is finite at 1 s and
+    # overflows at tau* = 1.18e130 s.
+    (dict(**HEAVY_BODIES, d=1e40), "InputDomainError: phi must be finite, got -inf", False),
     # G*m1*m2/d**3 underflows: the rate is 0.
     (dict(m1=1e-100, m2=1e-100, omega1=1e150, omega2=1e150, d=1e22),
      "NoEntanglementError: quantum correction is zero; entanglement never accumulates", False),
@@ -246,7 +251,8 @@ TAU_STAR_FAILURES = [
 
 
 @pytest.mark.parametrize("values, error", TAU_STAR_RANGE_CASES,
-                         ids=["d-overflow", "d-underflow", "mass-omega-underflow"])
+                         ids=["d-overflow", "d-underflow", "mass-omega-underflow",
+                              "omega-overflow"])
 def test_float_range_failures_exit_2_in_tau_star_mode(tmp_path, capsys, values, error):
     doc = system_doc("tau-star", {**PAPER_BODIES, **values})
     assert main(["--config", write_config(tmp_path, doc)]) == 2
@@ -256,7 +262,7 @@ def test_float_range_failures_exit_2_in_tau_star_mode(tmp_path, capsys, values, 
 @pytest.mark.filterwarnings("ignore::gravent.errors.RegimeWarning")
 @pytest.mark.parametrize("values, error, in_report", TAU_STAR_FAILURES,
                          ids=["diverges", "nan-correction", "rate-overflow", "tau-star-overflow",
-                              "zero-rate"])
+                              "phase-overflow-at-tau-star", "zero-rate"])
 def test_tau_star_fails_where_the_kernel_does(tmp_path, capsys, values, error, in_report):
     doc = system_doc("tau-star", {**PAPER_BODIES, **values})
     assert main(["--config", write_config(tmp_path, doc)]) == 2

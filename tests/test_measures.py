@@ -80,6 +80,18 @@ class TestDensityMatrix:
         with pytest.raises(InputDomainError):
             DensityMatrix(np.eye(4, dtype=complex))
 
+    @pytest.mark.parametrize("entries, message", [
+        (np.eye(3) / 3, r"density matrix must be 2x2 or 4x4, got \(3, 3\)"),
+        (np.full((2, 4), 0.25), r"density matrix must be 2x2 or 4x4, got \(2, 4\)"),
+        (np.full(4, 0.25), r"density matrix must be 2x2 or 4x4, got \(4,\)"),
+        (np.array([[0.5, np.nan], [np.nan, 0.5]]), "density matrix entries must be finite"),
+        (np.array([[0.5, 1j * np.inf], [-1j * np.inf, 0.5]]),
+         "density matrix entries must be finite"),
+    ])
+    def test_shape_and_finiteness_enforced(self, entries, message):
+        with pytest.raises(InputDomainError, match=f"^{message}$"):
+            DensityMatrix(entries)
+
     def test_unnormalized_state_rejected(self):
         psi = initial_product_state()
         object.__setattr__(psi, "amplitudes", psi.amplitudes * 1.001)

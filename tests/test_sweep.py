@@ -1,10 +1,12 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from gravent.cli import rows_to_csv
 from gravent.errors import InputDomainError, NoEntanglementError
-from gravent.model import MassiveBody, PairSystem, PhysicalConstants
+from gravent.model import MassiveBody, PairSystem, PhysicalConstants, assess_validity
 from gravent.measures import report
 from gravent.sweep import (
     ROW_FIELD_NAMES,
@@ -64,6 +66,10 @@ class TestSweepSpec:
     def test_unknown_parameter_rejected(self):
         with pytest.raises(InputDomainError):
             SweepSpec(axes={"mass3": AxisSpec(1, 2, 2)}, fixed=FIXED)
+
+    def test_unknown_fixed_parameter_rejected(self):
+        with pytest.raises(InputDomainError, match="^unknown fixed parameter 'mass3'$"):
+            SweepSpec(axes={}, fixed={**FIXED, "mass3": 1.0})
 
     def test_missing_parameter_rejected(self):
         incomplete = {k: v for k, v in FIXED.items() if k != "d"}
@@ -177,6 +183,12 @@ class TestRunSweep:
         assert math.isnan(rows[0].delta_phi)
         assert rows[2].status == "ok"
 
+    def test_result_compares_only_with_rows(self):
+        result = run_sweep(SweepSpec(axes={}, fixed=FIXED))
+        assert result.__eq__("rows") is NotImplemented
+        assert result != "rows"
+        assert result == list(result)
+
     def test_bad_worker_count(self):
         for workers in (0, "2", 1.5):
             with pytest.raises(InputDomainError, match="^workers "):
@@ -187,6 +199,40 @@ class TestRunSweep:
             "index", "m1", "m2", "r1", "r2", "omega1", "omega2", "d", "tau",
         )
         assert ROW_FIELD_NAMES[-1] == "status"
+
+
+class TestValuesKeptAsTheirFloats:
+    """A fixed value, radius or regime threshold of any real number type is
+    checked, evaluated and written as its float."""
+
+    @pytest.mark.parametrize("kwargs, status, column, value", [
+        (dict(regime_threshold=Fraction(1, 3)), "ok", "regime_threshold", 1 / 3),
+        (dict(regime_threshold=np.longdouble("1e-400")),
+         "error: InputDomainError: threshold must be positive, got 0.0", "regime_threshold",
+         math.nan),
+        (dict(r1=Fraction(-1, 10**400)), "ok", "r1", -0.0),
+        (dict(fixed={**FIXED, "tau": Fraction(1, 3)}), "ok", "tau", 1 / 3),
+    ], ids=["fraction-threshold", "underflowing-threshold", "underflowing-radius", "fraction-tau"])
+    def test_row_carries_the_float(self, kwargs, status, column, value):
+        spec = SweepSpec(**{"axes": {}, "fixed": FIXED, **kwargs})
+        result = run_sweep(spec)
+        (row,) = result
+        assert row.status == status
+        assert all(type(v) is float for v in (*spec.fixed.values(), spec.r1, spec.regime_threshold))
+        assert np.float64(getattr(row, column)).tobytes() == np.float64(value).tobytes()
+        float_spec = SweepSpec(
+            axes={}, fixed={name: float(v) for name, v in spec.fixed.items()},
+            r1=float(spec.r1), r2=float(spec.r2),
+            regime_threshold=float(spec.regime_threshold),
+        )
+        assert rows_to_csv(result) == rows_to_csv(run_sweep(float_spec))
+
+    def test_assess_validity_takes_the_float_threshold(self):
+        check = assess_validity(reference_system(), np.longdouble("0.5"))
+        assert type(check.threshold) is float and type(check.in_regime) is bool
+        assert check.in_regime
+        with pytest.raises(InputDomainError, match="^threshold must be positive, got 0.0$"):
+            assess_validity(reference_system(), np.longdouble("1e-400"))
 
 
 class TestEvaluatePoint:
@@ -202,6 +248,20 @@ class TestEvaluatePoint:
         base = evaluate_point(0, FIXED, 0.0, 0.0, C)
         assert row.delta_phi == base.delta_phi  # hbar-free observable
         assert row.ratio_x != base.ratio_x
+
+    @pytest.mark.parametrize("index, message", [
+        ("x", "must be an integer, got 'x'"),
+        (1.5, "must be an integer, got 1.5"),
+        (True, "must be an integer, got True"),
+        (None, "must be an integer, got None"),
+        (-1, "must be >= 0, got -1"),
+    ], ids=["str", "float", "bool", "none", "negative"])
+    def test_index_must_be_a_grid_index(self, index, message):
+        with pytest.raises(InputDomainError, match=f"^index {message}$"):
+            evaluate_point(index, FIXED, 0.0, 0.0, C)
+
+    def test_numpy_integer_index(self):
+        assert evaluate_point(np.int64(4), FIXED, 0.0, 0.0, C).index == 4
 
 
 class TestTimeToMaxEntanglement:
@@ -219,6 +279,14 @@ class TestTimeToMaxEntanglement:
         sys = reference_system()
         rep = report(sys, time_to_max_entanglement(sys))
         assert rep.entropy_nats == pytest.approx(math.log(2.0), abs=1e-9)
+
+    def test_fails_at_tau_star_only(self):
+        # A rate of 1.33e-130 rad/s: the branch phase overflows at tau*, not at 1 s.
+        body = MassiveBody(1e100, 0.0, 1e100)
+        sys = PairSystem(body, body, 1e40)
+        assert report(sys, 1.0).delta_phi == pytest.approx(1.3349e-130, rel=1e-4)
+        with pytest.raises(InputDomainError, match=r"^phi must be finite, got -inf$"):
+            time_to_max_entanglement(sys)
 
     def test_no_entanglement_error(self):
         sys = reference_system(constants=PhysicalConstants(hbar=0.0))
