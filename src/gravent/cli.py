@@ -16,7 +16,6 @@ import dataclasses
 import io
 import itertools
 import json
-import math
 import numbers
 import os
 import sys
@@ -31,6 +30,7 @@ from .config import MODES, FORMATS, PRECISIONS, RunConfig, parse_config, parse_c
 from . import errors
 from .errors import ConfigError, GraventError, InputDomainError, WidthWarning
 from .model import MassiveBody, PairSystem, zero_point_width
+from .float_text import _format_e, _format_repr, _percent_e
 from .kernel import warn_out_of_regime
 from .sweep import (
     ROW_FIELD_NAMES,
@@ -46,173 +46,12 @@ __all__ = ["main", "rows_to_csv", "rows_to_json"]
 CONSTANTS_ENV_VAR = "GRAVENT_CONSTANTS"
 
 
-# _format_e certifies |v| in [1e-280, 1e280] at up to 15 significant digits:
-# in that range no product in _rounded_digits overflows or goes subnormal,
-# and a 15-digit integer is exact in float64 (10**15 < 2**53).
-_E_RANGE = 1e-280, 1e280
-_E_DIGITS = 15
-#: Scales 10**k that _format_e applies, k = precision - 1 - floor(log10|v|),
-#: with one to spare at each end.
-_K_MIN, _K_MAX = -281, 296
-_SPLIT = 134217729.0  # 2**27 + 1: Dekker's split into two 26-bit halves
-# log10|v| is estimated as ln|v| * log10(e): the kernel uses np.log already,
-# and np.log10 would page in machine code of its own.
-_LOG10_E = 1 / math.log(10)
-
-
-def _split(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    c = _SPLIT * x
-    high = c - (c - x)
-    return high, x - high
-
-
-def _powers_of_ten() -> tuple[np.ndarray, np.ndarray]:
-    """hi and lo for k in _K_MIN.._K_MAX: hi is 10**k rounded to float64 and
-    lo the rest, rounded, so hi + lo is 10**k to about 2**-106 relative.
-    Built with int arithmetic only, each rounding correct."""
-    hi, lo = [], []
-    for k in range(_K_MIN, _K_MAX + 1):
-        if k >= 0:
-            hi.append(float(10**k))
-            lo.append(float(10**k - int(hi[-1])))
-        else:
-            scale = 10**-k
-            hi.append(1 / scale)
-            num, den = hi[-1].as_integer_ratio()
-            lo.append((den - num * scale) / (den * scale))  # 10**k - hi, then rounded
-    return np.array(hi), np.array(lo)
-
-
-_TEN_HI, _TEN_LO = _powers_of_ten()
-_TEN_HI_HIGH, _TEN_HI_LOW = _split(_TEN_HI)
-
-
-def _digit_codes(count: int) -> np.ndarray:
-    """0..999 in ``count`` digits, zero-padded, each as the little-endian
-    uint32 of its ASCII bytes."""
-    i = np.arange(1000, dtype=np.uint32)
-    codes = sum((ord("0") + i // 10 ** (count - 1 - j) % 10) << (8 * j) for j in range(count))
-    return codes.astype("<u4")
-
-
-#: The digits of each group of up to three.
-_DIGITS = {count: _digit_codes(count) for count in (1, 2, 3)}
-#: The sign and first digit, without and with a point after it, as the
-#: little-endian uint32 of their ASCII bytes; index 10 * negative + digit.
-_LEADS = tuple(
-    np.array([int.from_bytes(f"{sign}{d}{point}".encode(), "little")
-              for sign in ("", "-") for d in range(10)], dtype="<u4")
-    for point in ("", ".")
-)
-
-
-def _exponent_codes() -> np.ndarray:
-    """The exponents e+00 to e-999, each with a newline after it, as the
-    little-endian uint64 of their ASCII bytes; index 1000 * (exponent < 0) +
-    |exponent|. An exponent has at least two digits, as "%e" writes it."""
-    short = np.arange(1000) < 100
-    digits = np.where(short, _DIGITS[2], _DIGITS[3]).astype(np.uint64)
-    end = np.uint64(ord("\n")) << np.where(short, 32, 40).astype(np.uint64)
-    return np.concatenate(
-        [ord("e") | np.uint64(ord(sign) << 8) | digits << np.uint64(16) | end for sign in "+-"]
-    ).astype("<u8")
-
-
-_EXPONENTS = _exponent_codes()
-
-
-def _rounded_digits(
-    values: np.ndarray, precision: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Each |v| rounded to ``precision`` significant digits: the digits as
-    an integer, the decimal exponent, and whether the rounding is certain.
-
-    |v| is scaled by 10**(precision - 1 - e), e = floor(log10|v|), in
-    double-double arithmetic: Dekker's exact two-product against hi, plus
-    |v| * lo, leaves the scaled value within ~1e-16 of exact. It is not
-    certain for zero, inf and nan, |v| outside [1e-280, 1e280], a scaled
-    value whose fraction is within 1e-6 of 1/2 (a possible tie, which "%"
-    rounds to even), or an exponent the logarithm mis-estimates (|v| next to
-    a power of ten).
-    """
-    low, high = 10.0 ** (precision - 1), 10.0**precision
-    with np.errstate(all="ignore"):
-        a = np.abs(values)
-        certified = (a >= _E_RANGE[0]) & (a <= _E_RANGE[1])  # false for 0, inf, nan
-        a[~certified] = 1.0
-        exponent = np.floor(np.log(a) * _LOG10_E).astype(np.int64)
-        k = precision - 1 - _K_MIN - exponent
-        hi, hi_high, hi_low = _TEN_HI[k], _TEN_HI_HIGH[k], _TEN_HI_LOW[k]
-        a_high, a_low = _split(a)
-        p = a * hi
-        err = a_low * hi_low - (((p - a_high * hi_high) - a_low * hi_high) - a_high * hi_low)
-        q = err + a * _TEN_LO[k]
-        s = p + q
-        whole = np.floor(s)
-        fraction = (s - whole) + (q - (s - p))
-    certified &= (np.abs(fraction - 0.5) >= 1e-6) & (whole < high)
-    certified &= (whole > low) | ((whole == low) & (fraction >= 0.0))
-    digits = whole + (fraction >= 0.5)
-    carry = digits == high  # 9.99...95 rounds up to 10.0...0: one digit more
-    exponent += carry
-    digits[carry | ~certified] = low
-    return digits.astype(np.int64), exponent, certified
-
-
-def _e_texts(
-    negative: np.ndarray, digits: np.ndarray, exponent: np.ndarray, precision: int
-) -> list[str]:
-    """The "%e" texts of sign, ``precision`` digits and exponent.
-
-    Each text is a row of bytes: sign, first digit and point; the other
-    digits in groups of up to three; exponent and a newline. Each field is
-    written, in that order, as the little-endian code of its text, so the
-    NUL padding of a field is overwritten by the next field or stays; the
-    rows are decoded at once and their NULs deleted.
-    """
-    widths = ((precision - 2) % 3 + 1,) + (3,) * ((precision - 2) // 3) if precision > 1 else ()
-    groups = []
-    for width in reversed(widths):
-        digits, group = np.divmod(digits, 10**width)
-        groups.append(_DIGITS[width][group])
-    fields = [_LEADS[precision > 1][10 * negative + digits], *reversed(groups)]
-    fields.append(_EXPONENTS[1000 * (exponent < 0) + np.abs(exponent)])
-    offsets = np.cumsum([0, 3, *widths])
-    row = offsets[-1] + 8
-    text = np.zeros((len(digits), row), dtype=np.uint8)
-    for offset, codes in zip(offsets, fields):
-        np.ndarray(len(digits), codes.dtype, text, offset, (row,))[...] = codes
-    texts = text.tobytes().translate(None, b"\0").decode("ascii").split("\n")
-    texts.pop()
-    return texts
-
-
-def _percent_e(values: np.ndarray, precision: int) -> list[str]:
-    """``'%.{precision - 1}e' % v`` for each of ``values``."""
-    pattern = f"%.{precision - 1}e"
-    return [pattern % v for v in values.tolist()]
-
-
-def _format_e(values: np.ndarray, precision: int) -> list[str]:
-    """``_percent_e(values, precision)``, byte for byte, vectorised: the
-    digits come from ``_rounded_digits`` and the texts from lookup tables
-    (``_e_texts``). ``_percent_e`` formats each value whose rounding is not
-    certain, and every value at a precision above 15.
-    """
-    if precision > _E_DIGITS:
-        return _percent_e(values, precision)
-    digits, exponent, certified = _rounded_digits(values, precision)
-    texts = _e_texts(np.signbit(values), digits, exponent, precision)
-    uncertain = np.flatnonzero(~certified)
-    if len(uncertain):
-        for i, text in zip(uncertain.tolist(), _percent_e(values[uncertain], precision)):
-            texts[i] = text
-    return texts
-
-
 def _json_floats(values: np.ndarray) -> list[str]:
     # Non-finite floats are not valid JSON; they are written as null.
-    return [repr(v) if math.isfinite(v) else "null" for v in values.tolist()]
+    texts = _format_repr(values)
+    for i in np.flatnonzero(~np.isfinite(values)).tolist():
+        texts[i] = "null"
+    return texts
 
 
 _BOOL_TEXTS = np.array(["false", "true"], dtype=object)
@@ -348,9 +187,11 @@ def rows_to_json(rows: Iterable[SweepRow], out: TextIO | None = None) -> str | N
     """JSON array of row objects, floats at full round-trip precision, as
     ``json.dumps(..., indent=2)`` lays it out; non-finite floats are null.
 
-    ``repr`` and ``json.dumps`` are applied to each distinct value of a
-    column in a chunk once. Writes to ``out`` when given, one chunk of rows
-    at a time, and otherwise returns the text.
+    Floats are written as ``repr`` writes them (``_format_repr``, with the
+    ``repr`` fallback for what it cannot certify), and strings as
+    ``json.dumps`` does; each distinct value of a column in a chunk is
+    formatted once. Writes to ``out`` when given, one chunk of rows at a
+    time, and otherwise returns the text.
     """
     buffer = io.StringIO() if out is None else out
     chunks = row_chunks(rows)

@@ -21,7 +21,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import gravent
-from gravent import cli, kernel, sweep
+from gravent import cli, float_text, kernel, sweep
 from gravent.cli import main, rows_to_json
 from gravent.config import parse_config
 from gravent.dynamics import PhaseSet, accumulated_phase, build_operator, delta_phi_to_tau
@@ -334,12 +334,7 @@ def test_json_writer_matches_json_module_on_hand_built_rows():
                  d=1e-6, tau=float(i), delta_phi=phase, in_regime=bool(i % 2), status=f"s{i % 2}")
         for i, phase in enumerate([0.0, -0.0, 0.1, 0.0, math.inf, 0.1])
     ]
-    expected = [
-        {name: (None if isinstance(v, float) and not math.isfinite(v) else v)
-         for name, v in zip(sweep.ROW_FIELD_NAMES, (getattr(r, n) for n in sweep.ROW_FIELD_NAMES))}
-        for r in rows
-    ]
-    assert rows_to_json(rows) == json.dumps(expected, indent=2) + "\n"
+    assert rows_to_json(rows) == json_rows(rows)
     assert rows_to_json([]) == "[]\n"
     assert cli.rows_to_csv([], precision=3) == ",".join(sweep.ROW_FIELD_NAMES) + "\n"
 
@@ -543,6 +538,34 @@ def test_batch_of_one_matches_the_array_path(params, r1, hbar, threshold, symmet
         expected = SimpleNamespace(**{name: column.tolist()[0] for name, column in batch.values.items()})
         names = [f.name for f in dataclasses.fields(got)]
         assert same_bits(got, expected, names), (got, expected)
+
+
+def test_passing_checks_on_numpy_scalars_are_dropped(monkeypatch):
+    """A check on r1, r2 or the threshold that every point shares passes
+    Batch.add a numpy bool when they are numpy scalars; a passing one is
+    dropped, so the batch is the one plain floats give, bit for bit."""
+    spec = parse_config(MIXED_DOC).sweep_spec()
+    inputs = spec.inputs(np.arange(spec.grid_size()))
+    plain = kernel.evaluate(inputs, spec.r1, spec.r2, spec.constants, spec.regime_threshold)
+    scalars = []
+    add = kernel.Batch.add
+
+    def recording(self, fails, *rest):
+        if not isinstance(fails, np.ndarray):
+            scalars.append(fails)
+        add(self, fails, *rest)
+
+    monkeypatch.setattr(kernel.Batch, "add", recording)
+    typed = kernel.evaluate(inputs, np.float64(spec.r1), np.float64(spec.r2), spec.constants,
+                            np.float64(spec.regime_threshold))
+    assert len(scalars) == 6 and not any(scalars)
+    assert {type(fails) for fails in scalars} == {np.bool_}
+    assert typed.failed.tobytes() == plain.failed.tobytes() and typed.failed.any()
+    assert typed.first.tobytes() == plain.first.tobytes()
+    assert typed.values.keys() == plain.values.keys()
+    for name, column in plain.values.items():
+        got = typed.values[name]
+        assert (got.dtype, got.tobytes()) == (column.dtype, column.tobytes()), name
 
 
 @pytest.mark.parametrize("d, tau, error", [(1e-13, 1.0, ConvergenceDomainError),
@@ -797,7 +820,7 @@ FIXED = {
 @pytest.mark.parametrize("values", list(FIXED.values()), ids=list(FIXED))
 def test_format_e_matches_percent_on_fixed_values(values):
     for precision in PRECISIONS:
-        assert cli._format_e(values, precision) == percent(values, precision)
+        assert float_text._format_e(values, precision) == percent(values, precision)
 
 
 @settings(max_examples=300, deadline=None)
@@ -806,23 +829,94 @@ def test_format_e_matches_percent_on_fixed_values(values):
 def test_format_e_matches_percent_on_any_floats(values):
     values = np.array(values, dtype=np.float64)
     for precision in PRECISIONS:
-        assert cli._format_e(values, precision) == percent(values, precision)
+        assert float_text._format_e(values, precision) == percent(values, precision)
 
 
 def test_format_e_formats_log_uniform_values_without_the_fallback(monkeypatch):
     passed = []
-    fallback = cli._percent_e
+    fallback = float_text._percent_e
 
     def counting(values, precision):
         passed.extend(values.tolist())
         return fallback(values, precision)
 
-    monkeypatch.setattr(cli, "_percent_e", counting)
+    monkeypatch.setattr(float_text, "_percent_e", counting)
     values = 10.0 ** np.random.default_rng(2401).uniform(-30.0, 30.0, 1024)
-    assert cli._format_e(values, 12) == percent(values, 12)
+    assert float_text._format_e(values, 12) == percent(values, 12)
     assert passed == []
     # The counter sees what the fallback formats: zero and nan.
-    assert cli._format_e(np.array([1.5, 0.0, np.nan]), 12) == percent([1.5, 0.0, np.nan], 12)
+    assert float_text._format_e(np.array([1.5, 0.0, np.nan]), 12) == percent([1.5, 0.0, np.nan], 12)
+    assert len(passed) == 2
+
+
+def reprs(values):
+    return [repr(v) if math.isfinite(v) else "null" for v in np.asarray(values, dtype=np.float64).tolist()]
+
+
+def powers_of_two_and_neighbours():
+    # 2**k for every binary exponent, the subnormal ones included, and the
+    # floats on either side: the gap below a power of two is half the gap
+    # above it.
+    powers = np.ldexp(1.0, np.arange(-1074, 1024))
+    return np.concatenate([powers, np.nextafter(powers, 0.0), np.nextafter(powers, np.inf)])
+
+
+def exact_ties_and_boundaries():
+    # 15 integer digits and an odd number of eighths: the 18th digit is a 5,
+    # so the two 17-digit candidates are equally near (repr takes the even
+    # one). Integers past 2**53: a multiple of a power of ten often lies
+    # exactly half a gap away, inside only if the significand is even.
+    rng = np.random.default_rng(17)
+    eighths = rng.integers(10**14, 10**15, 2000) + rng.choice([0.125, 0.375, 0.625, 0.875], 2000)
+    return np.concatenate([eighths, rng.integers(2**53, 2**63, 2000).astype(float)])
+
+
+REPR_FIXED = {
+    **FIXED,
+    "powers-of-two": powers_of_two_and_neighbours(),
+    "subnormals": np.random.default_rng(52).integers(1, 2**52, 2000).view(np.float64),
+    "every-binary-exponent": np.ldexp(np.random.default_rng(53).uniform(1.0, 2.0, 2098),
+                                      np.arange(-1074, 1024)),
+    "exact-ties-and-boundaries": exact_ties_and_boundaries(),
+    # Scaled distances within 1e-6 of the half-gap, or of the other
+    # multiple's, but not on it (found by a search of log-uniform values):
+    # float arithmetic cannot tell the side, so repr formats them.
+    "near-half-gap": np.array([407087.2191584057, 8.156391442832576e-06, 2.6058962497410224e-27,
+                               8.291729316352978e-25, 4.0525395010632636e-17,
+                               0.0037763475938293882, 0.00035778362572688825]),
+}
+
+
+@pytest.mark.parametrize("values", list(REPR_FIXED.values()), ids=list(REPR_FIXED))
+def test_json_floats_match_repr_on_fixed_values(values):
+    assert cli._json_floats(values) == reprs(values)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+                min_size=1, max_size=40))
+def test_json_floats_match_repr_on_any_floats(values):
+    values = np.array(values, dtype=np.float64)
+    assert cli._json_floats(values) == reprs(values)
+
+
+def test_json_floats_format_log_uniform_values_without_the_fallback(monkeypatch):
+    passed = []
+    fallback = float_text._reprs
+
+    def counting(values):
+        passed.extend(values.tolist())
+        return fallback(values)
+
+    monkeypatch.setattr(float_text, "_reprs", counting)
+    values = 10.0 ** np.random.default_rng(2401).uniform(-30.0, 30.0, 1024)
+    assert cli._json_floats(values) == reprs(values)
+    # Exact ties and half-gap boundaries are decided exactly, not passed on.
+    values = exact_ties_and_boundaries()
+    assert cli._json_floats(values) == reprs(values)
+    assert passed == []
+    # The counter sees what the fallback formats: zero and nan.
+    assert cli._json_floats(np.array([1.5, 0.0, np.nan])) == ["1.5", "0.0", "null"]
     assert len(passed) == 2
 
 
@@ -854,6 +948,30 @@ def test_csv_writer_matches_a_per_cell_writer_at_every_precision():
         text = cli.rows_to_csv(rows, precision)
         assert text == percent_csv(listed, precision)
         assert cli.rows_to_csv(listed, precision) == text
+
+
+def json_rows(rows):
+    """The JSON writer as json.dumps of one dict per row."""
+    return json.dumps([
+        {name: None if isinstance(v := getattr(row, name), float) and not math.isfinite(v) else v
+         for name in sweep.ROW_FIELD_NAMES}
+        for row in rows
+    ], indent=2) + "\n"
+
+
+@pytest.mark.parametrize("doc", [MIXED_DOC, MIXED_DOC.replace("tau = -1.0:2.0:31", "tau = -0.0:2.0:31")],
+                         ids=["negative-tau", "minus-zero-tau"])
+def test_json_writer_matches_json_module_on_a_whole_sweep(doc):
+    # Over more than one chunk: failed rows (error statuses, nan written as
+    # null) and, on the second grid, -0.0 for tau and delta_phi.
+    rows = run_sweep(parse_config(doc).sweep_spec())
+    listed = list(rows)
+    assert {row.status == "ok" for row in listed} == {True, False}
+    text = rows_to_json(rows)
+    assert text == json_rows(listed)
+    assert rows_to_json(listed) == text
+    assert "null" in text
+    assert ('"delta_phi": -0.0' in text) == ("-0.0" in doc)
 
 
 def test_a_float_field_is_written_as_a_float_whatever_number_a_row_holds():
