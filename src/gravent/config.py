@@ -1,19 +1,11 @@
 """Run-configuration document parsing and validation.
 
-The accepted format is flat sectioned key-value text (INI surface); the
-README's "CLI" section shows a full document:
-
-    [run]        mode = report | sweep | tau-star; output (stdout when
-                 omitted); format = csv | json; precision (CSV digits);
-                 regime_threshold; symmetrize_force
-    [system]     m1, m2, omega1, omega2, d, tau; r1, r2 (optional radii)
-    [constants]  G, hbar
-    [sweep]      a start:stop:count[:linear|log] range per swept parameter;
-                 workers (checked, >= 1, otherwise ignored)
-
-Unknown sections or keys are rejected by name, [DEFAULT] among them.
-[sweep] is read in sweep mode only, where swept parameters override any
-fixed value given for them in [system].
+The accepted format is flat sectioned key-value text (INI surface). The
+README's "CLI" section shows a full document; ``_KEYS`` holds each section's
+keys, each with its reader and default, in the order they are read. Unknown
+sections or keys are rejected by name, [DEFAULT] among them. [sweep] is read
+in sweep mode only, where swept parameters override any fixed value given
+for them in [system].
 
 The document and the constants override file (``parse_constants_overrides``)
 go through one reader: it rejects unknown names, and its getter gives a
@@ -41,25 +33,6 @@ MODES = ("report", "sweep", "tau-star")
 FORMATS = ("csv", "json")
 #: The significant digits a CSV float may be written with.
 PRECISIONS = range(1, 18)
-
-_RUN_KEYS = {"mode", "output", "format", "precision", "regime_threshold", "symmetrize_force"}
-#: Each [system] key, in the order its checks run: the quantity it gives,
-#: the bound its value must meet, and its value when absent (None where a
-#: mode needs it, fixed or swept).
-_SYSTEM_KEYS = {
-    "m1": ("mass", "positive", None),
-    "m2": ("mass", "positive", None),
-    "omega1": ("frequency", "positive", None),
-    "omega2": ("frequency", "positive", None),
-    "d": ("separation", "positive", None),
-    "tau": ("time", "non-negative", None),
-    "r1": ("radius", "non-negative", 0.0),
-    "r2": ("radius", "non-negative", 0.0),
-}
-_CONSTANTS_KEYS = {"G", "hbar"}
-_SWEEP_KEYS = set(SWEEP_PARAMETERS) | {"workers"}
-_SECTIONS = {"run": _RUN_KEYS, "system": _SYSTEM_KEYS, "constants": _CONSTANTS_KEYS,
-             "sweep": _SWEEP_KEYS}
 
 _BOOL_VALUES = {"true": True, "yes": True, "1": True, "false": False, "no": False, "0": False}
 
@@ -188,13 +161,39 @@ def _axis(section: str, key: str, raw: str) -> AxisSpec:
         raise ConfigError(f"[{section}] {key}: {exc}") from None
 
 
-def _check_names(parser: configparser.RawConfigParser, sections: dict) -> None:
-    """Reject the first section, or key of a section, that ``sections`` lacks."""
+#: Each section's keys in read order, but [run] output is read last: the key's
+#: reader and its value when absent, None where a mode needs it.
+_KEYS = {
+    "run": {
+        "mode": (_one_of(MODES), None),
+        "format": (_one_of(FORMATS), "csv"),
+        "precision": (_precision, 12),
+        "regime_threshold": (_within("positive"), REGIME_THRESHOLD_DEFAULT),
+        "symmetrize_force": (_bool, False),
+        "output": (_path, None),
+    },
+    "constants": {"G": (_float, G_DEFAULT), "hbar": (_float, HBAR_DEFAULT)},
+    "sweep": {**{key: (_axis, None) for key in SWEEP_PARAMETERS}, "workers": (_workers, None)},
+    "system": {
+        "m1": (_within("positive", "mass"), None),
+        "m2": (_within("positive", "mass"), None),
+        "omega1": (_within("positive", "frequency"), None),
+        "omega2": (_within("positive", "frequency"), None),
+        "d": (_within("positive", "separation"), None),
+        "tau": (_within("non-negative", "time"), None),
+        "r1": (_within("non-negative", "radius"), 0.0),
+        "r2": (_within("non-negative", "radius"), 0.0),
+    },
+}
+
+
+def _check_names(parser: configparser.RawConfigParser, keys: dict) -> None:
+    """Reject the first section, or key of a section, that ``keys`` lacks."""
     for section in parser.sections():
-        if section not in sections:
+        if section not in keys:
             raise ConfigError(f"unknown section [{section}]")
         for key in parser.options(section):
-            if key not in sections[section]:
+            if key not in keys[section]:
                 raise ConfigError(f"unknown key {key!r} in section [{section}]")
 
 
@@ -203,10 +202,10 @@ def _keys(parser: configparser.RawConfigParser, section: str) -> list[str]:
     return parser.options(section) if parser.has_section(section) else []
 
 
-def _read_document(text: str, sections: dict):
-    """The parsed document, its names checked against ``sections``, and its
-    getter: ``get(section, key, read, default)`` is ``default`` where the key
-    is absent and ``read(section, key, value)`` where it is present."""
+def _read_document(text: str, keys: dict):
+    """The parsed document, its names checked against ``keys`` (a table like
+    ``_KEYS``), and its getter: ``get(section, key)`` is the key's default
+    where it is absent and its reader's value where it is present."""
     # No header names the empty section, so [DEFAULT] is a section like any
     # other, checked by name, and no key is shared between sections.
     parser = configparser.RawConfigParser(
@@ -217,9 +216,10 @@ def _read_document(text: str, sections: dict):
         parser.read_file(io.StringIO(text), source="<config>")
     except configparser.Error as exc:
         raise ConfigError(f"malformed config document: {exc}") from None
-    _check_names(parser, sections)
+    _check_names(parser, keys)
 
-    def get(section: str, key: str, read, default):
+    def get(section: str, key: str):
+        read, default = keys[section][key]
         if parser.has_option(section, key):
             return read(section, key, parser.get(section, key).strip())
         return default
@@ -237,52 +237,32 @@ def parse_config(text: str, mode: str | None = None) -> RunConfig:
     invalid values, empty ones included, are reported with their section
     and key.
     """
-    parser, get = _read_document(text, _SECTIONS)
+    parser, get = _read_document(text, _KEYS)
 
-    read_mode = _one_of(MODES)
-    mode = get("run", "mode", read_mode, None) if mode is None else read_mode("run", "mode", mode)
+    read_mode, _ = _KEYS["run"]["mode"]
+    mode = get("run", "mode") if mode is None else read_mode("run", "mode", mode)
     if mode is None:
         raise ConfigError("missing required key 'mode' in section [run]")
-    fmt = get("run", "format", _one_of(FORMATS), "csv")
-    precision = get("run", "precision", _precision, 12)
-    threshold = get("run", "regime_threshold", _within("positive"), REGIME_THRESHOLD_DEFAULT)
-    symmetrize = get("run", "symmetrize_force", _bool, False)
+    run = {key: get("run", key) for key in _KEYS["run"] if key not in ("mode", "output")}
 
-    G = get("constants", "G", _float, G_DEFAULT)
-    hbar = get("constants", "hbar", _float, HBAR_DEFAULT)
+    values = {key: get("constants", key) for key in _KEYS["constants"]}
     try:
-        constants = PhysicalConstants(G=G, hbar=hbar)
+        constants = PhysicalConstants(**values)
     except GraventError as exc:
         raise ConfigError(f"[constants]: {exc}") from None
 
-    axes: dict[str, AxisSpec] = {}
-    if mode == "sweep":
-        for key in _keys(parser, "sweep"):
-            value = get("sweep", key, _workers if key == "workers" else _axis, None)
-            if key != "workers":
-                axes[key] = value
-        if not axes:
-            raise ConfigError("sweep mode requires at least one range in [sweep]")
+    axes = {key: get("sweep", key) for key in _keys(parser, "sweep")} if mode == "sweep" else {}
+    axes.pop("workers", None)
+    if mode == "sweep" and not axes:
+        raise ConfigError("sweep mode requires at least one range in [sweep]")
 
-    system = {
-        key: get("system", key, _within(bound, quantity), default)
-        for key, (quantity, bound, default) in _SYSTEM_KEYS.items()
-    }
+    system = {key: get("system", key) for key in _KEYS["system"]}
     for key in SWEEP_PARAMETERS:
         if system[key] is None and key not in axes and (mode, key) != ("tau-star", "tau"):
             raise ConfigError(f"missing required key {key!r} in section [system]")
 
-    return RunConfig(
-        mode=mode,
-        **system,
-        constants=constants,
-        output=get("run", "output", _path, None),
-        format=fmt,
-        precision=precision,
-        regime_threshold=threshold,
-        symmetrize_force=symmetrize,
-        sweep_axes=axes,
-    )
+    run["output"] = get("run", "output")
+    return RunConfig(mode=mode, **run, **system, constants=constants, sweep_axes=axes)
 
 
 def parse_constants_overrides(text: str) -> dict[str, float]:
@@ -292,5 +272,5 @@ def parse_constants_overrides(text: str) -> dict[str, float]:
     Used for the environment-variable override path; returns the subset of
     {G, hbar} present.
     """
-    parser, get = _read_document(text, {"constants": _CONSTANTS_KEYS})
-    return {key: get("constants", key, _float, None) for key in _keys(parser, "constants")}
+    parser, get = _read_document(text, {"constants": _KEYS["constants"]})
+    return {key: get("constants", key) for key in _keys(parser, "constants")}

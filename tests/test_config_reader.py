@@ -2,12 +2,13 @@
 faults, empty values, and the constants override file read like the
 document."""
 
+import configparser
 import re
 from pathlib import Path
 
 import pytest
 
-from gravent.config import MODES, parse_config, parse_constants_overrides
+from gravent.config import _KEYS, MODES, parse_config, parse_constants_overrides
 from gravent.errors import ConfigError
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -45,6 +46,22 @@ def test_readme_config_parses_in_each_mode(mode):
         assert config.sweep_spec().grid_size() == 50
     else:
         assert config.sweep_axes == {}
+
+
+def test_readme_config_names_every_key_the_reader_accepts():
+    """Every [run], [system] and [constants] key is in the README's document,
+    and every key there, [sweep] included, is one the reader accepts."""
+    parser = configparser.RawConfigParser(
+        delimiters=("=",), inline_comment_prefixes=(";",), default_section=""
+    )
+    parser.optionxform = str
+    parser.read_string(readme_config())
+    named = {section: set(parser.options(section)) for section in parser.sections()}
+    assert set(named) == set(_KEYS)
+    for section, keys in _KEYS.items():
+        assert named[section] <= set(keys), section
+        if section != "sweep":
+            assert named[section] == set(keys), section
 
 
 SWEEP_SYSTEM = SYSTEM.replace("tau = 1.0\n", "")
@@ -87,6 +104,11 @@ FIRST_FAULTS = [
      None, r"^\[system\] r1: radius must be non-negative, got -1\.0$"),
     (document(system=SWEEP_SYSTEM.replace("m1 = 1e-14\n", "")),
      None, r"^missing required key 'm1' in section \[system\]$"),
+    # [run] output is read after every other key.
+    (document(run="output =", system=SYSTEM.replace("m1 = 1e-14", "m1 = -1")),
+     None, r"^\[system\] m1: mass must be positive, got -1\.0$"),
+    (document(run="output =", system=SWEEP_SYSTEM),
+     None, r"^missing required key 'tau' in section \[system\]$"),
     (document(run="mode = dance").replace("mode = report\n", "") + "\n[plot]\n",
      None, r"^unknown section \[plot\]$"),
     (document(run="colour = red\nprecision = 0").replace("mode = report", "mode = dance"),
