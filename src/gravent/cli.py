@@ -36,6 +36,7 @@ from .sweep import (
     ROW_FIELD_NAMES,
     ROW_FIELD_TYPES,
     SweepRow,
+    SweepSpec,
     row_chunks,
     run_sweep,
     time_to_max_entanglement,
@@ -209,26 +210,28 @@ def rows_to_json(rows: Iterable[SweepRow], out: TextIO | None = None) -> str | N
 
 
 def _emit(write: Callable[[TextIO], object], output: str | None) -> None:
-    """Run ``write`` on stdout, or on the output file, which it replaces."""
-    if output is None:
-        write(sys.stdout)
-        return
+    """Run ``write`` on stdout, then flush it, or on the output file, which
+    it replaces; a failed write or flush is a ConfigError."""
     try:
-        with open(output, "w", encoding="utf-8", newline="\n") as fh:
-            write(fh)
+        if output is None:
+            write(sys.stdout)
+            sys.stdout.flush()
+        else:
+            with open(output, "w", encoding="utf-8", newline="\n") as fh:
+                write(fh)
     except OSError as exc:
         raise ConfigError(f"cannot write output: {exc}") from None
 
 
-def _warn_width_vs_radius(config: RunConfig) -> None:
+def _warn_width_vs_radius(spec: SweepSpec) -> None:
     # The geometric radii never enter the math; they only sanity-check the
     # narrow-wave-packet picture, so a zero (unset) radius is not compared.
     for label, mass, radius, omega in (
-        ("body 1", config.m1, config.r1, config.omega1),
-        ("body 2", config.m2, config.r2, config.omega2),
+        ("body 1", spec.fixed["m1"], spec.r1, spec.fixed["omega1"]),
+        ("body 2", spec.fixed["m2"], spec.r2, spec.fixed["omega2"]),
     ):
         if radius > 0:
-            width = zero_point_width(mass, omega, config.constants)
+            width = zero_point_width(mass, omega, spec.constants)
             if width > radius:
                 warnings.warn(
                     f"{label}: zero-point width {width:.3e} m exceeds the geometric "
@@ -239,10 +242,10 @@ def _warn_width_vs_radius(config: RunConfig) -> None:
 
 
 def _read_text(path: str, failure: str) -> str:
-    """The UTF-8 text of the file at ``path``; a ConfigError that begins with
-    ``failure`` if it cannot be read or decoded."""
+    """The UTF-8 text of the file at ``path``, past any byte-order mark; a
+    ConfigError that begins with ``failure`` if it cannot be read or decoded."""
     try:
-        return Path(path).read_text(encoding="utf-8")
+        return Path(path).read_text(encoding="utf-8-sig")
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"{failure}: {exc}") from None
 
@@ -255,23 +258,25 @@ def _apply_env_constants(config: RunConfig) -> RunConfig:
         return config
     text = _read_text(path, f"{CONSTANTS_ENV_VAR} points to an unreadable file")
     try:
-        constants = dataclasses.replace(config.constants, **parse_constants_overrides(text))
+        constants = dataclasses.replace(config.spec.constants, **parse_constants_overrides(text))
     except GraventError as exc:
         raise ConfigError(f"{CONSTANTS_ENV_VAR}: {exc}") from None
-    return dataclasses.replace(config, constants=constants)
+    return dataclasses.replace(config, spec=dataclasses.replace(config.spec, constants=constants))
 
 
 def _run_point(config: RunConfig) -> SweepRow:
     """The one-point row of report mode, at tau* in tau-star mode. The width
     against each radius is warned first; a failed row raises its error, and
     an ok row warns of the regime at the config's threshold."""
-    _warn_width_vs_radius(config)
+    spec = config.sweep_spec()
+    _warn_width_vs_radius(spec)
     if config.mode == "tau-star":
-        body1 = MassiveBody(config.m1, config.r1, config.omega1)
-        body2 = MassiveBody(config.m2, config.r2, config.omega2)
-        system = PairSystem(body1, body2, config.d, config.constants)
-        config = dataclasses.replace(config, tau=time_to_max_entanglement(system))
-    (row,) = run_sweep(config.sweep_spec())
+        fixed = spec.fixed
+        body1 = MassiveBody(fixed["m1"], spec.r1, fixed["omega1"])
+        body2 = MassiveBody(fixed["m2"], spec.r2, fixed["omega2"])
+        system = PairSystem(body1, body2, fixed["d"], spec.constants)
+        spec = dataclasses.replace(spec, fixed={**fixed, "tau": time_to_max_entanglement(system)})
+    (row,) = run_sweep(spec)
     if row.status != "ok":
         name, message = row.status.removeprefix("error: ").split(": ", 1)
         raise getattr(errors, name)(message)
@@ -333,7 +338,7 @@ def main(argv: list[str] | None = None) -> int:
                 # output path receives a copy.
                 (text,) = _percent_e(np.array([_run_point(config).tau]), config.precision)
                 payload = text + "\n"
-                sys.stdout.write(payload)
+                _emit(lambda out: out.write(payload), None)
                 if config.output is not None:
                     _emit(lambda out: out.write(payload), config.output)
             else:

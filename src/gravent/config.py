@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import configparser
 import io
+import math
 from dataclasses import dataclass
 
 from .errors import ConfigError, GraventError
@@ -41,39 +42,21 @@ _BOOL_VALUES = {"true": True, "yes": True, "1": True, "false": False, "no": Fals
 class RunConfig:
     """Validated batch-run description; ``parse_config`` gives every field.
 
-    A parameter that is only swept is None, and so is tau in tau-star mode
-    when the document leaves it out.
+    ``spec`` is the grid the run evaluates, one point outside sweep mode.
+    Its ``fixed`` holds every [system] parameter the document gives, a
+    swept one's too, which its axis overrides. In tau-star mode a document
+    without tau gives it as nan, which tau-star replaces with tau*.
     """
 
     mode: str
-    m1: float | None
-    m2: float | None
-    omega1: float | None
-    omega2: float | None
-    d: float | None
-    tau: float | None
-    r1: float
-    r2: float
-    constants: PhysicalConstants
+    spec: SweepSpec
     output: str | None
     format: str
     precision: int
-    regime_threshold: float
-    symmetrize_force: bool
-    sweep_axes: dict[str, AxisSpec]
 
     def sweep_spec(self) -> SweepSpec:
         """The grid a table mode evaluates: one point in report mode."""
-        fixed = {
-            name: getattr(self, name)
-            for name in SWEEP_PARAMETERS
-            if name not in self.sweep_axes and getattr(self, name) is not None
-        }
-        return SweepSpec(
-            axes=dict(self.sweep_axes), fixed=fixed, r1=self.r1, r2=self.r2,
-            constants=self.constants, regime_threshold=self.regime_threshold,
-            symmetrize_force=self.symmetrize_force,
-        )
+        return self.spec
 
 
 # A reader, read(section, key, raw), is the value given as raw or a ConfigError naming the key.
@@ -235,7 +218,8 @@ def parse_config(text: str, mode: str | None = None) -> RunConfig:
     and sweep mode each one either fixed in [system] or swept; [sweep] is
     read in sweep mode only. Unknown sections/keys are rejected by name;
     invalid values, empty ones included, are reported with their section
-    and key.
+    and key. The spec is built once every key is read; a grid past
+    ``MAX_GRID_POINTS`` is a ConfigError that begins "[sweep]: ".
     """
     parser, get = _read_document(text, _KEYS)
 
@@ -257,12 +241,22 @@ def parse_config(text: str, mode: str | None = None) -> RunConfig:
         raise ConfigError("sweep mode requires at least one range in [sweep]")
 
     system = {key: get("system", key) for key in _KEYS["system"]}
+    if mode == "tau-star" and system["tau"] is None:
+        system["tau"] = math.nan  # replaced with tau*; evaluated as is, an error row
     for key in SWEEP_PARAMETERS:
-        if system[key] is None and key not in axes and (mode, key) != ("tau-star", "tau"):
+        if system[key] is None and key not in axes:
             raise ConfigError(f"missing required key {key!r} in section [system]")
 
-    run["output"] = get("run", "output")
-    return RunConfig(mode=mode, **run, **system, constants=constants, sweep_axes=axes)
+    output = get("run", "output")
+    fixed = {key: system[key] for key in SWEEP_PARAMETERS if system[key] is not None}
+    try:
+        spec = SweepSpec(
+            axes=axes, fixed=fixed, r1=system["r1"], r2=system["r2"], constants=constants,
+            regime_threshold=run["regime_threshold"], symmetrize_force=run["symmetrize_force"],
+        )
+    except GraventError as exc:
+        raise ConfigError(f"[sweep]: {exc}") from None
+    return RunConfig(mode, spec, output, run["format"], run["precision"])
 
 
 def parse_constants_overrides(text: str) -> dict[str, float]:

@@ -1,11 +1,15 @@
 import json
 import math
+import os
+import subprocess
 import sys
 import warnings
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+import gravent
 from gravent.cli import CONSTANTS_ENV_VAR, main, rows_to_csv, rows_to_json
 from gravent.config import MODES
 from gravent.errors import InputDomainError, RegimeWarning, WidthWarning
@@ -170,6 +174,15 @@ class TestTauStarMode:
         assert main(["--config", write_config(tmp_path, doc), "--output", str(target)]) == 0
         assert capsys.readouterr().out == target.read_text(encoding="utf-8")
 
+    def test_given_tau_is_replaced(self, tmp_path, capsys):
+        doc = REPORT_DOC.replace("mode = report", "mode = tau-star")
+        outputs = []
+        for tau in ("", "tau = 7.0\n"):
+            assert main(["--config", write_config(tmp_path, doc.replace("tau = 1.0\n", tau))]) == 0
+            outputs.append(capsys.readouterr())
+        assert outputs[0] == outputs[1]
+        assert outputs[0].out == "5.88374933250e+10\n"
+
     def test_no_entanglement_is_domain_failure(self, tmp_path, capsys):
         doc = REPORT_DOC.replace("mode = report", "mode = tau-star")
         doc += "\n[constants]\nhbar = 0.0\n"
@@ -226,6 +239,38 @@ class TestExitCodes:
         )
         assert code == 1
         assert "cannot write output" in capsys.readouterr().err
+
+    GRID_PAST_THE_CAP = SWEEP_DOC.replace("tau = 1.0:10.0:10", "d = 1e-6:1e-5:1001:log\ntau = 1:2:1000")
+
+    def test_grid_past_the_cap_is_validation_failure(self, tmp_path, capsys):
+        assert main(["--config", write_config(tmp_path, self.GRID_PAST_THE_CAP)]) == 1
+        assert capsys.readouterr() == (
+            "", "gravent: error: [sweep]: grid has 1001000 points, above the cap of 1000000\n"
+        )
+
+    def test_grid_past_the_cap_is_reported_before_the_constants_file(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        monkeypatch.setenv(CONSTANTS_ENV_VAR, str(tmp_path / "missing.ini"))
+        assert main(["--config", write_config(tmp_path, self.GRID_PAST_THE_CAP)]) == 1
+        assert capsys.readouterr().err.startswith("gravent: error: [sweep]: grid has 1001000")
+
+    def test_closed_stdout_is_one_line_on_stderr(self, tmp_path):
+        # More rows than a pipe buffer holds: the writes after the reader
+        # closes the pipe fail with EPIPE.
+        doc = SWEEP_DOC.replace("tau = 1.0:10.0:10", "tau = 1.0:10.0:2000")
+        stderr = tmp_path / "stderr.txt"
+        env = {**os.environ, "PYTHONPATH": str(Path(gravent.__file__).resolve().parent.parent)}
+        with open(stderr, "wb") as err, subprocess.Popen(
+            [sys.executable, "-m", "gravent.cli", "--config", write_config(tmp_path, doc)],
+            stdout=subprocess.PIPE, stderr=err, env=env,
+        ) as proc:
+            assert proc.stdout.readline().startswith(b"index,")
+            proc.stdout.close()
+            assert proc.wait(timeout=120) == 1
+        assert stderr.read_text(encoding="utf-8") == (
+            "gravent: error: cannot write output: [Errno 32] Broken pipe\n"
+        )
 
 
 FULL_RANGE = st.floats(min_value=5e-324, max_value=sys.float_info.max)
@@ -368,6 +413,27 @@ class TestInputFaults:
         monkeypatch.setenv(CONSTANTS_ENV_VAR, str(constants))
         err = self.run(capsys, ["--config", write_config(tmp_path, REPORT_DOC)])
         assert err.startswith(f"gravent: error: {CONSTANTS_ENV_VAR}: {message}")
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_config_with_a_byte_order_mark(self, tmp_path, capsys, mode):
+        doc = REPORT_DOC.replace("mode = report", f"mode = {mode}") + "\n[sweep]\ntau = 1:2:3\n"
+        assert main(["--config", write_config(tmp_path, doc)]) == 0
+        plain = capsys.readouterr()
+        path = tmp_path / "bom.ini"
+        path.write_bytes(b"\xef\xbb\xbf" + doc.encode())
+        assert main(["--config", str(path)]) == 0
+        assert capsys.readouterr() == plain
+
+    def test_constants_file_with_a_byte_order_mark(self, tmp_path, capsys, monkeypatch):
+        config = write_config(tmp_path, REPORT_DOC)
+        outputs = []
+        for encoding in ("utf-8", "utf-8-sig"):
+            constants = tmp_path / f"{encoding}.ini"
+            constants.write_text("[constants]\nhbar = 1.054571817e-33\n", encoding=encoding)
+            monkeypatch.setenv(CONSTANTS_ENV_VAR, str(constants))
+            assert main(["--config", config]) == 0
+            outputs.append(capsys.readouterr())
+        assert outputs[0] == outputs[1]
 
     def test_empty_output_fails_before_tau_star_prints(self, tmp_path, capsys):
         doc = REPORT_DOC.replace("mode = report", "mode = tau-star\noutput =")

@@ -1,8 +1,12 @@
+import math
+from dataclasses import fields
+
 import pytest
 
-from gravent.config import parse_config, parse_constants_overrides
+from gravent.config import RunConfig, parse_config, parse_constants_overrides
 from gravent.errors import ConfigError
 from gravent.model import G_DEFAULT, HBAR_DEFAULT
+from gravent.sweep import run_sweep
 
 MINIMAL_REPORT = """\
 [run]
@@ -25,18 +29,18 @@ class TestParseConfig:
         assert config.format == "csv"
         assert config.precision == 12
         assert config.output is None
-        assert config.r1 == 0.0 and config.r2 == 0.0
-        assert config.constants.G == G_DEFAULT
-        assert config.constants.hbar == HBAR_DEFAULT
-        assert config.regime_threshold == 0.1
-        assert config.symmetrize_force is False
-        assert config.sweep_axes == {}
+        assert config.spec.r1 == 0.0 and config.spec.r2 == 0.0
+        assert config.spec.constants.G == G_DEFAULT
+        assert config.spec.constants.hbar == HBAR_DEFAULT
+        assert config.spec.regime_threshold == 0.1
+        assert config.spec.symmetrize_force is False
+        assert config.spec.axes == {}
 
     def test_system_numbers_parsed(self):
         config = parse_config(MINIMAL_REPORT)
-        assert (config.m1, config.m2) == (1e-14, 1e-14)
-        assert (config.omega1, config.omega2) == (1e5, 1e5)
-        assert (config.d, config.tau) == (1e-6, 1.0)
+        assert (config.spec.fixed["m1"], config.spec.fixed["m2"]) == (1e-14, 1e-14)
+        assert (config.spec.fixed["omega1"], config.spec.fixed["omega2"]) == (1e5, 1e5)
+        assert (config.spec.fixed["d"], config.spec.fixed["tau"]) == (1e-6, 1.0)
 
     def test_unknown_key_named(self):
         doc = MINIMAL_REPORT + "mass3 = 1.0\n"
@@ -94,7 +98,7 @@ class TestParseConfig:
     def test_constants_override(self):
         doc = MINIMAL_REPORT + "\n[constants]\nG = 1.0\nhbar = 2.0\n"
         config = parse_config(doc)
-        assert (config.constants.G, config.constants.hbar) == (1.0, 2.0)
+        assert (config.spec.constants.G, config.spec.constants.hbar) == (1.0, 2.0)
 
     def test_run_options(self):
         doc = MINIMAL_REPORT.replace(
@@ -106,8 +110,8 @@ class TestParseConfig:
         assert config.output == "out.csv"
         assert config.format == "json"
         assert config.precision == 6
-        assert config.regime_threshold == 0.2
-        assert config.symmetrize_force is True
+        assert config.spec.regime_threshold == 0.2
+        assert config.spec.symmetrize_force is True
 
     def test_bad_precision(self):
         doc = MINIMAL_REPORT.replace("mode = report", "mode = report\nprecision = 0")
@@ -123,10 +127,10 @@ class TestParseConfig:
 
     def test_inline_comments_stripped(self):
         doc = MINIMAL_REPORT.replace("tau = 1.0", "tau = 1.0  ; one second")
-        assert parse_config(doc).tau == 1.0
+        assert parse_config(doc).spec.fixed["tau"] == 1.0
 
     def test_crlf_line_endings_tolerated(self):
-        assert parse_config(MINIMAL_REPORT.replace("\n", "\r\n")).tau == 1.0
+        assert parse_config(MINIMAL_REPORT.replace("\n", "\r\n")).spec.fixed["tau"] == 1.0
 
 
 class TestSweepConfig:
@@ -134,14 +138,14 @@ class TestSweepConfig:
         doc = MINIMAL_REPORT.replace("mode = report", "mode = sweep")
         doc += "\n[sweep]\ntau = 1.0:10.0:10\nd = 1e-6:1e-5:5:log\nworkers = 3\n"
         config = parse_config(doc)
-        assert set(config.sweep_axes) == {"tau", "d"}
-        assert config.sweep_axes["tau"].count == 10
-        assert config.sweep_axes["tau"].spacing == "linear"
-        assert config.sweep_axes["d"].spacing == "log"
+        assert set(config.spec.axes) == {"tau", "d"}
+        assert config.spec.axes["tau"].count == 10
+        assert config.spec.axes["tau"].spacing == "linear"
+        assert config.spec.axes["d"].spacing == "log"
         spec = config.sweep_spec()
         assert spec.grid_size() == 50
         assert spec.fixed["m1"] == 1e-14
-        assert "tau" not in spec.fixed
+        assert spec.fixed["tau"] == 1.0 and spec.point(1)["tau"] == 2.0  # the axis overrides it
 
     def test_swept_parameter_needs_no_fixed_value(self):
         doc = MINIMAL_REPORT.replace("mode = report", "mode = sweep").replace(
@@ -180,7 +184,7 @@ class TestModeRequirements:
 
     def test_swept_only_parameter_is_none(self):
         config = parse_config(self.SWEPT_M1, mode="sweep")
-        assert config.m1 is None
+        assert "m1" not in config.spec.fixed
         assert config.sweep_spec().axes["m1"].count == 3
 
     @pytest.mark.parametrize("mode", ["report", "tau-star"])
@@ -188,7 +192,7 @@ class TestModeRequirements:
         with pytest.raises(ConfigError, match="missing required key 'm1' in section"):
             parse_config(self.SWEPT_M1, mode=mode)
         config = parse_config(MINIMAL_REPORT + "\n[sweep]\nd = 1e-6:1e-5:5\n", mode=mode)
-        assert config.sweep_axes == {} and config.d == 1e-6
+        assert config.spec.axes == {} and config.spec.fixed["d"] == 1e-6
 
     def test_report_mode_is_a_one_point_grid(self):
         spec = parse_config(MINIMAL_REPORT).sweep_spec()
@@ -210,7 +214,41 @@ class TestTauStarConfig:
         )
         config = parse_config(doc)
         assert config.mode == "tau-star"
-        assert config.tau is None
+        assert math.isnan(config.spec.fixed["tau"])
+
+    def test_spec_without_tau_evaluates_to_an_error_row(self):
+        # Tau-star replaces the nan tau with tau*; evaluated as it stands,
+        # the spec gives an error row, never an "ok" one.
+        doc = MINIMAL_REPORT.replace("mode = report", "mode = tau-star").replace(
+            "tau = 1.0\n", ""
+        )
+        (row,) = run_sweep(parse_config(doc).sweep_spec())
+        assert row.status == "error: InputDomainError: tau must be finite, got nan"
+
+
+class TestRunConfig:
+    def test_fields(self):
+        assert [f.name for f in fields(RunConfig)] == [
+            "mode", "spec", "output", "format", "precision"
+        ]
+
+    def test_sweep_spec_is_the_spec(self):
+        config = parse_config(MINIMAL_REPORT)
+        assert config.sweep_spec() is config.spec
+
+    def test_swept_parameter_keeps_its_system_value(self):
+        doc = MINIMAL_REPORT.replace("mode = report", "mode = sweep") + "\n[sweep]\nd = 2e-6:4e-6:3\n"
+        spec = parse_config(doc).sweep_spec()
+        assert spec.fixed["d"] == 1e-6
+        assert [row.d for row in run_sweep(spec)] == [2e-6, 3e-6, 4e-6]
+
+    def test_grid_past_the_cap_is_a_config_error(self):
+        doc = MINIMAL_REPORT.replace("mode = report", "mode = sweep")
+        doc += "\n[sweep]\nd = 1e-6:1e-5:1001:log\ntau = 1:2:1000\n"
+        with pytest.raises(
+            ConfigError, match=r"^\[sweep\]: grid has 1001000 points, above the cap of 1000000$"
+        ):
+            parse_config(doc)
 
 
 class TestConstantsOverrides:

@@ -38,14 +38,15 @@ def readme_config() -> str:
 def test_readme_config_parses_in_each_mode(mode):
     config = parse_config(readme_config(), mode=mode)
     assert config.mode == mode
-    assert (config.m1, config.omega1, config.d, config.tau) == (1e-14, 1e5, 1e-6, 1.0)
+    fixed = config.spec.fixed
+    assert (fixed["m1"], fixed["omega1"], fixed["d"], fixed["tau"]) == (1e-14, 1e5, 1e-6, 1.0)
     assert (config.output, config.format, config.precision) == ("results.csv", "csv", 12)
-    assert config.constants.G == 6.67430e-11
+    assert config.spec.constants.G == 6.67430e-11
     if mode == "sweep":
-        assert {name: axis.count for name, axis in config.sweep_axes.items()} == {"tau": 10, "d": 5}
+        assert {name: axis.count for name, axis in config.spec.axes.items()} == {"tau": 10, "d": 5}
         assert config.sweep_spec().grid_size() == 50
     else:
-        assert config.sweep_axes == {}
+        assert config.spec.axes == {}
 
 
 def test_readme_config_names_every_key_the_reader_accepts():
