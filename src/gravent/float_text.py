@@ -94,32 +94,50 @@ def _exponent_codes() -> np.ndarray:
 _EXPONENTS = _exponent_codes()
 
 
+def _scale(a: np.ndarray, exponent: np.ndarray, precision: int) -> tuple[np.ndarray, np.ndarray]:
+    """``a`` times 10**(precision - 1 - exponent), as its float floor
+    ``whole`` plus ``fraction``.
+
+    The product is in double-double arithmetic: Dekker's exact two-product
+    against hi, the float nearest the power of ten, plus a times lo, its
+    rest, leaves ``whole + fraction`` within ~1e-16 relative of exact.
+    ``fraction`` is in [0, 1) to that error while the scaled value is below
+    2**53, and within 8 of 0 above it.
+    """
+    k = precision - 1 - _K_MIN - exponent
+    hi, hi_high, hi_low = _TEN_HI[k], _TEN_HI_HIGH[k], _TEN_HI_LOW[k]
+    a_high, a_low = _split(a)
+    p = a * hi
+    err = a_low * hi_low - (((p - a_high * hi_high) - a_low * hi_high) - a_high * hi_low)
+    q = err + a * _TEN_LO[k]
+    s = p + q
+    whole = np.floor(s)
+    return whole, (s - whole) + (q - (s - p))
+
+
 def _scaled(values: np.ndarray, precision: int) -> tuple[np.ndarray, ...]:
     """Each |v| scaled to ``precision`` significant digits, by 10**(precision
     - 1 - e), e = floor(log10|v|): |v|, e, the scaled value as its float floor
     ``whole`` plus ``fraction``, and whether |v| is in [1e-280, 1e280]
     (false for zero, inf and nan, whose |v| is taken as 1).
 
-    The scaling is in double-double arithmetic: Dekker's exact two-product
-    against hi, plus |v| * lo, leaves ``whole + fraction`` within ~1e-16
-    relative of exact. ``fraction`` is in [0, 1) to that error while the
-    scaled value is below 2**53, and within 8 of 0 above it. The logarithm
-    may mis-estimate e for |v| next to a power of ten.
+    e is first estimated from the logarithm, which may put a |v| next to a
+    power of ten one decade off; a value whose ``whole`` then has a digit
+    too few or too many is scaled once more, at the e next to it. This
+    leaves off only a few values whose scaled value is within its error of
+    a power of ten.
     """
     with np.errstate(all="ignore"):
         a = np.abs(values)
         in_range = (a >= _E_RANGE[0]) & (a <= _E_RANGE[1])  # false for 0, inf, nan
         a[~in_range] = 1.0
         exponent = np.floor(np.log(a) * _LOG10_E).astype(np.int64)
-        k = precision - 1 - _K_MIN - exponent
-        hi, hi_high, hi_low = _TEN_HI[k], _TEN_HI_HIGH[k], _TEN_HI_LOW[k]
-        a_high, a_low = _split(a)
-        p = a * hi
-        err = a_low * hi_low - (((p - a_high * hi_high) - a_low * hi_high) - a_high * hi_low)
-        q = err + a * _TEN_LO[k]
-        s = p + q
-        whole = np.floor(s)
-        fraction = (s - whole) + (q - (s - p))
+        whole, fraction = _scale(a, exponent, precision)
+        low, high = 10.0 ** (precision - 1), 10.0**precision
+        off = np.flatnonzero((whole < low) | (whole >= high))
+        if len(off):
+            exponent[off] += np.where(whole[off] < low, -1, 1)
+            whole[off], fraction[off] = _scale(a[off], exponent[off], precision)
     return a, exponent, whole, fraction, in_range
 
 
@@ -131,7 +149,7 @@ def _rounded_digits(
 
     It is not certain where ``_scaled`` is not, nor for a scaled value whose
     fraction is within 1e-6 of 1/2 (a possible tie, which "%" rounds to
-    even), or an exponent the logarithm mis-estimates.
+    even), or one that still has a digit too few or too many.
     """
     low, high = 10.0 ** (precision - 1), 10.0**precision
     _, exponent, whole, fraction, certified = _scaled(values, precision)
@@ -249,8 +267,8 @@ def _shortest_digits(
 
     They are not certain where ``_scaled`` is not; for a power of two,
     whose gap below is half its gap above; where such a near distance is
-    not exactly h, or not exactly a tie, at any k tried; or for an exponent
-    the logarithm mis-estimates.
+    not exactly h, or not exactly a tie, at any k tried; or for a scaled
+    value that still has a digit too few or too many.
     """
     a, exponent, whole, fraction, certified = _scaled(values, _R_DIGITS)
     bits = a.view(np.uint64)

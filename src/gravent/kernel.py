@@ -273,14 +273,27 @@ def _physics(path, inputs, constants, threshold, symmetrize, force, out) -> None
     # Plain floats: a numpy scalar would turn a point's outputs into numpy
     # scalars (the threshold, too, where it is compared below).
     G, hbar = float(constants.G), float(constants.hbar)
+    # The checks of tau, the m*omega divisors and the phases are written
+    # out, not through gravent.model's functions: report()'s path runs them.
     # accumulated_phase
-    _finite(add, "tau", tau, "non-negative")
+    fails = tau - tau != 0
+    if fails is not False:
+        add(fails, InputDomainError, "tau must be finite, got {}", tau)
+    fails = tau < 0
+    if fails is not False:
+        add(fails, InputDomainError, "tau must be non-negative, got {}", tau)
     fails = hbar <= 0
     if fails is not False:
         add(fails, InputDomainError, "hbar must be positive to accumulate phases")
 
     # zero-point widths and the validity ratio
-    mw1, mw2 = _mass_omega(add, m1, w1), _mass_omega(add, m2, w2)
+    mw1, mw2 = m1 * w1, m2 * w2
+    fails = mw1 == 0
+    if fails is not False:
+        add(fails, FloatRangeError, "mass*omega underflows to 0 at {} and {}", m1, w1)
+    fails = mw2 == 0
+    if fails is not False:
+        add(fails, FloatRangeError, "mass*omega underflows to 0 at {} and {}", m2, w2)
     dr_sum = fn.sqrt(hbar / mw1) + fn.sqrt(hbar / mw2)
     ratio = dr_sum / d
     # Set before the expansion's checks: a point that has a ratio has been
@@ -298,9 +311,16 @@ def _physics(path, inputs, constants, threshold, symmetrize, force, out) -> None
     delta = out["delta_v_g"]
     v_total = v0 + delta
     phi, phi_prime = (v_total - delta) * tau / hbar, v_total * tau / hbar
-    _finite(add, "phi", phi)
-    _finite(add, "phi_prime", phi_prime)
-    delta_phi = _finite(add, "delta_phi", out["phase_rate"] * tau)
+    delta_phi = out["phase_rate"] * tau
+    fails = phi - phi != 0
+    if fails is not False:
+        add(fails, InputDomainError, "phi must be finite, got {}", phi)
+    fails = phi_prime - phi_prime != 0
+    if fails is not False:
+        add(fails, InputDomainError, "phi_prime must be finite, got {}", phi_prime)
+    fails = delta_phi - delta_phi != 0
+    if fails is not False:
+        add(fails, InputDomainError, "delta_phi must be finite, got {}", delta_phi)
     fails = delta_phi >= PHASE_RESOLUTION_LIMIT
     if fails is not False:
         add(fails, PrecisionError,

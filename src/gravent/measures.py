@@ -15,7 +15,7 @@ eigenvalues) is kept as the scalar reference for the measures; its
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,7 +29,7 @@ from .dynamics import (
 )
 from .errors import InputDomainError, PositivityError
 from .kernel import LN2, PHASE_TOL, SEPARABLE_EPSILON_TOL
-from .model import PairSystem
+from .model import PairSystem, _slot_setters
 
 #: Hermiticity / trace tolerance for density-matrix construction.
 MATRIX_TOL = 1e-12
@@ -186,12 +186,11 @@ def report_from_phases(phases: PhaseSet) -> EntanglementReport:
 
 
 #: Each field's slot setter, in field order: ``report`` builds its return
-#: without the frozen ``__init__``, whose ``object.__setattr__`` per field
-#: finds the slot again, and sets the slots itself.
+#: without the frozen ``__init__`` and sets the slots itself.
 (
     _set_delta_phi, _set_purity_full, _set_purity_reduced, _set_epsilon, _set_entropy_nats,
     _set_entropy_bits, _set_separable_by_measures, _set_separable_by_two_pi_criterion,
-) = (EntanglementReport.__dict__[f.name].__set__ for f in fields(EntanglementReport))
+) = _slot_setters(EntanglementReport)
 
 
 def report(sys: PairSystem, tau: float) -> EntanglementReport:

@@ -2,23 +2,28 @@
 the input checks of every module.
 
 The value objects are immutable, in SI units; the numeric engines consume
-these and nothing else. Each input check is written once, here, and reports a
-failed condition to an adder, ``add(fails, exc, message, *args)``: the value
-objects, the scalar functions and the kernel's float path pass ``_raise``,
-which raises at the first failure, and the kernel's array path
-``kernel.Batch.add``, which records ``fails`` as a mask over a column.
-Each check calls its adder under ``if fails is not False:``: on floats a
-passing check makes no call, while an array condition always reaches the
-adder, so the array path records every mask.
-``_real``, ``_require_type``, ``_bool`` and ``_count`` decide which Python
-values are inputs at all.
+these and nothing else. ``MassiveBody`` and ``PairSystem`` set their slots
+in their own ``__init__`` (``_slot_setters``, which ``measures.report`` uses
+too) and then run ``__post_init__``: it accepts valid floats in one chained
+test and makes the ordered checks only where that test fails, so a rejected
+input raises what they raise.
+
+Each input check is written once, here, and reports a failed condition to an
+adder, ``add(fails, exc, message, *args)``: the value objects, the scalar
+functions and the kernel's float path pass ``_raise``, which raises at the
+first failure, and the kernel's array path ``kernel.Batch.add``, which
+records ``fails`` as a mask over a column. Each check calls its adder under
+``if fails is not False:``: on floats a passing check makes no call, while an
+array condition always reaches the adder, so the array path records every
+mask. ``_real``, ``_require_type``, ``_bool`` and ``_count`` decide which
+Python values are inputs at all.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -32,6 +37,10 @@ HBAR_DEFAULT = 1.054571817e-34
 #: Default upper bound on (dr1 + dr2)/d for the truncated expansion
 #: to be considered trustworthy.
 REGIME_THRESHOLD_DEFAULT = 0.1
+
+#: The value objects' valid-case tests compare against this global, which
+#: costs less than looking up ``math.inf``.
+_INF = math.inf
 
 
 def _real(name: str, value) -> float:
@@ -144,7 +153,15 @@ class PhysicalConstants:
         _bound(_raise, "hbar", hbar, "non-negative")
 
 
-@dataclass(frozen=True, slots=True)
+def _slot_setters(cls: type) -> tuple:
+    """Each field's slot setter, in field order: the ``__set__`` of the
+    field's member descriptor. A frozen dataclass's ``__init__`` sets each
+    field with ``object.__setattr__``, which looks the slot up again by name;
+    the setters store straight into it."""
+    return tuple(cls.__dict__[f.name].__set__ for f in fields(cls))
+
+
+@dataclass(frozen=True, slots=True, init=False)
 class MassiveBody:
     """One particle: mass (kg), geometric radius (m), oscillator frequency (rad/s).
 
@@ -156,28 +173,65 @@ class MassiveBody:
     radius: float
     omega: float
 
+    def __init__(self, mass: float, radius: float, omega: float) -> None:
+        _set_mass(self, mass)
+        _set_radius(self, radius)
+        _set_omega(self, omega)
+        self.__post_init__()
+
     def __post_init__(self) -> None:
-        _check_body(_raise, self.mass, self.radius, self.omega, _real)
+        mass, radius, omega = self.mass, self.radius, self.omega
+        # Floats that pass every check pass this one test; anything else
+        # takes the ordered checks, which raise the first failure or accept
+        # a real number that is not a float.
+        if not (type(mass) is type(radius) is type(omega) is float
+                and 0.0 < mass < _INF and 0.0 < omega < _INF and 0.0 <= radius < _INF):
+            _check_body(_raise, mass, radius, omega, _real)
 
 
-@dataclass(frozen=True, slots=True)
+_set_mass, _set_radius, _set_omega = _slot_setters(MassiveBody)
+#: ``PairSystem``'s default constants: CODATA 2018.
+_CODATA = PhysicalConstants()
+
+
+@dataclass(frozen=True, slots=True, init=False)
 class PairSystem:
     """Two massive bodies a center-of-mass distance ``separation_d`` apart."""
 
     body1: MassiveBody
     body2: MassiveBody
     separation_d: float
-    constants: PhysicalConstants = PhysicalConstants()
+    constants: PhysicalConstants = _CODATA
+
+    def __init__(
+        self,
+        body1: MassiveBody,
+        body2: MassiveBody,
+        separation_d: float,
+        constants: PhysicalConstants = _CODATA,
+    ) -> None:
+        _set_body1(self, body1)
+        _set_body2(self, body2)
+        _set_separation_d(self, separation_d)
+        _set_constants(self, constants)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
-        _require_type("body1", self.body1, MassiveBody)
-        _require_type("body2", self.body2, MassiveBody)
-        _require_type("constants", self.constants, PhysicalConstants)
-        _finite(_raise, "separation_d", _real("separation_d", self.separation_d), "positive")
+        body1, body2, d, constants = self.body1, self.body2, self.separation_d, self.constants
+        # As MassiveBody's: the valid case in one test, then the ordered checks.
+        if not (type(body1) is type(body2) is MassiveBody and type(constants) is PhysicalConstants
+                and type(d) is float and 0.0 < d < _INF):
+            _require_type("body1", body1, MassiveBody)
+            _require_type("body2", body2, MassiveBody)
+            _require_type("constants", constants, PhysicalConstants)
+            _finite(_raise, "separation_d", _real("separation_d", d), "positive")
 
     def swapped(self) -> "PairSystem":
         """The same system with body labels 1 and 2 exchanged."""
         return PairSystem(self.body2, self.body1, self.separation_d, self.constants)
+
+
+_set_body1, _set_body2, _set_separation_d, _set_constants = _slot_setters(PairSystem)
 
 
 @dataclass(frozen=True, slots=True)

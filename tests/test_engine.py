@@ -849,6 +849,35 @@ def test_format_e_formats_log_uniform_values_without_the_fallback(monkeypatch):
     assert len(passed) == 2
 
 
+def test_formatters_rescale_the_neighbours_of_powers_of_ten(monkeypatch):
+    """The logarithm puts many floats next to a power of ten a decade off;
+    _scaled scales those once more, so the fallbacks format only the few
+    whose scaled value is within its error of a power of ten. Counted on the
+    float on either side of each power of ten strictly inside [1e-280,
+    1e280], where the formatters certify values, and at the CSV's default
+    precision."""
+    passed = {"e": 0, "repr": 0}
+    percent_e, reprs_ = float_text._percent_e, float_text._reprs
+
+    def counting_e(values, precision):
+        passed["e"] += len(values)
+        return percent_e(values, precision)
+
+    def counting_repr(values):
+        passed["repr"] += len(values)
+        return reprs_(values)
+
+    monkeypatch.setattr(float_text, "_percent_e", counting_e)
+    monkeypatch.setattr(float_text, "_reprs", counting_repr)
+    powers = np.array([float(f"1e{k}") for k in range(-280, 281)])
+    for values, most in ((np.nextafter(powers[1:], 0.0), {"e": 20, "repr": 70}),
+                         (np.nextafter(powers[:-1], np.inf), {"e": 0, "repr": 0})):
+        passed.update(e=0, repr=0)
+        assert float_text._format_e(values, 12) == percent(values, 12)
+        assert float_text._format_repr(values) == [repr(v) for v in values.tolist()]
+        assert passed["e"] <= most["e"] and passed["repr"] <= most["repr"], passed
+
+
 def reprs(values):
     return [repr(v) if math.isfinite(v) else "null" for v in np.asarray(values, dtype=np.float64).tolist()]
 

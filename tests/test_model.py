@@ -1,4 +1,10 @@
+import copy
+import dataclasses
+import inspect
 import math
+import pickle
+import re
+import typing
 from fractions import Fraction
 
 import numpy as np
@@ -104,6 +110,167 @@ def test_first_error_of_an_input_with_several_faults(build, first):
     """Each value's finiteness is checked before any sign, and a field's type
     only once the fields before it have passed."""
     assert status(build) == f"error: InputDomainError: {first}"
+
+
+BODY = dict(mass=1e-14, radius=1e-7, omega=1e5)
+
+
+class FloatSubclass(float):
+    pass
+
+
+class BodySubclass(MassiveBody):
+    __slots__ = ()
+
+
+class ConstantsSubclass(PhysicalConstants):
+    __slots__ = ()
+
+
+def body(**changes):
+    return MassiveBody(**dict(BODY, **changes))
+
+
+def pair(**changes):
+    parts = dict(body1=body(), body2=body(), separation_d=1e-6, constants=PhysicalConstants())
+    return PairSystem(**dict(parts, **changes))
+
+
+#: Each float field, the constructor that takes it, and the bound its
+#: ordered checks apply.
+FLOAT_FIELDS = [(body, "mass", "positive"), (body, "radius", "non-negative"),
+                (body, "omega", "positive"), (pair, "separation_d", "positive")]
+FLOAT_FIELD_IDS = [name for _, name, _ in FLOAT_FIELDS]
+
+
+#: Single faults in a float field, each with what the ordered checks raise.
+SINGLE_FAULTS = {
+    "nan": (math.nan, "{name} must be finite, got nan"),
+    "inf": (math.inf, "{name} must be finite, got inf"),
+    "-inf": (-math.inf, "{name} must be finite, got -inf"),
+    "0.0": (0.0, "{name} must be {bound}, got 0.0"),
+    "-0.0": (-0.0, "{name} must be {bound}, got -0.0"),
+    "negative": (-1.0, "{name} must be {bound}, got -1.0"),
+    "bool": (True, "{name} must be a real number, got True"),
+    "None": (None, "{name} must be a real number, got None"),
+    "str": ("1", "{name} must be a real number, got '1'"),
+    "int-past-float64": (10**400, "{name} is outside the float64 range"),
+}
+
+
+class TestValueObjects:
+    """MassiveBody and PairSystem stay the immutable values they were: the
+    same constructor, equality, copies and errors, and one check per
+    construction."""
+
+    def test_keyword_and_positional_construction(self):
+        b = MassiveBody(**BODY)
+        assert b == MassiveBody(1e-14, 1e-7, 1e5)
+        assert (b.mass, b.radius, b.omega) == (1e-14, 1e-7, 1e5)
+        sys = PairSystem(b, b, 1e-6)
+        assert sys == PairSystem(body1=b, body2=b, separation_d=1e-6)
+        assert sys.constants == PhysicalConstants()
+        assert sys.constants is PairSystem(b, b, 2e-6).constants
+        other = PhysicalConstants(G=1.0, hbar=2.0)
+        assert PairSystem(b, b, 1e-6, other).constants is other
+        assert PairSystem(b, b, 1e-6, constants=other) == PairSystem(b, b, 1e-6, other)
+
+    def test_signatures(self):
+        P = inspect.Parameter
+        assert list(inspect.signature(MassiveBody).parameters.values()) == [
+            P(name, P.POSITIONAL_OR_KEYWORD, annotation="float")
+            for name in ("mass", "radius", "omega")
+        ]
+        assert list(inspect.signature(PairSystem).parameters.values()) == [
+            P("body1", P.POSITIONAL_OR_KEYWORD, annotation="MassiveBody"),
+            P("body2", P.POSITIONAL_OR_KEYWORD, annotation="MassiveBody"),
+            P("separation_d", P.POSITIONAL_OR_KEYWORD, annotation="float"),
+            P("constants", P.POSITIONAL_OR_KEYWORD, default=PhysicalConstants(),
+              annotation="PhysicalConstants"),
+        ]
+        for cls in (MassiveBody, PairSystem):
+            assert typing.get_type_hints(cls.__init__)["return"] is type(None)
+            assert [f.name for f in dataclasses.fields(cls)] == list(
+                inspect.signature(cls).parameters)
+
+    @pytest.mark.parametrize("make, other", [
+        (body, lambda: body(omega=2e5)), (pair, lambda: pair(separation_d=2e-6)),
+    ], ids=["MassiveBody", "PairSystem"])
+    def test_equality_hash_and_copies(self, make, other):
+        value = make()
+        assert value == make() and hash(value) == hash(make())
+        assert value != other() and value is not make()
+        for copied in (copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value)),
+                       dataclasses.replace(value)):
+            assert copied == value and hash(copied) == hash(value)
+            assert type(copied) is type(value)
+        assert dataclasses.replace(value, **{
+            f.name: getattr(other(), f.name) for f in dataclasses.fields(value)}) == other()
+
+    @pytest.mark.parametrize("make", [body, pair], ids=["MassiveBody", "PairSystem"])
+    def test_fields_are_frozen(self, make):
+        value = make()
+        for f in dataclasses.fields(value):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(value, f.name, 1.0)
+        with pytest.raises((AttributeError, TypeError)):
+            value.extra = 1.0
+
+    def test_post_init_runs_once_per_construction(self, monkeypatch):
+        calls = []
+        for cls in (MassiveBody, PairSystem):
+            check = cls.__post_init__
+
+            def counting(self, check=check):
+                calls.append(type(self).__name__)
+                return check(self)
+
+            monkeypatch.setattr(cls, "__post_init__", counting)
+        b = MassiveBody(**BODY)
+        MassiveBody(1e-14, 1e-7, 1e5)
+        assert calls == ["MassiveBody"] * 2
+        calls.clear()
+        sys = PairSystem(b, b, 1e-6)
+        PairSystem(body1=b, body2=b, separation_d=1e-6, constants=PhysicalConstants())
+        sys.swapped()
+        dataclasses.replace(sys, separation_d=2e-6)
+        assert calls == ["PairSystem"] * 4
+        calls.clear()
+        dataclasses.replace(b, mass=2e-14)
+        assert calls == ["MassiveBody"]
+
+    @pytest.mark.parametrize("make, name, bound", FLOAT_FIELDS, ids=FLOAT_FIELD_IDS)
+    @pytest.mark.parametrize("value", [3, np.float64(2.5), Fraction(1, 3), FloatSubclass(4.0),
+                                       5e-324, 1.7976931348623157e308],
+                             ids=["int", "float64", "Fraction", "float-subclass", "subnormal", "max"])
+    def test_real_numbers_are_stored_as_given(self, make, name, bound, value):
+        assert getattr(make(**{name: value}), name) is value
+
+    @pytest.mark.parametrize("name", ["body1", "body2", "constants"])
+    def test_part_subclasses_are_stored_as_given(self, name):
+        part = ConstantsSubclass() if name == "constants" else BodySubclass(**BODY)
+        assert getattr(pair(**{name: part}), name) is part
+
+    @pytest.mark.parametrize("make, name, bound", FLOAT_FIELDS, ids=FLOAT_FIELD_IDS)
+    @pytest.mark.parametrize("value, message", list(SINGLE_FAULTS.values()), ids=list(SINGLE_FAULTS))
+    def test_single_fault_raises_what_the_ordered_checks_raise(self, make, name, bound, value,
+                                                               message):
+        if bound == "non-negative" and value == 0.0:  # a radius may be 0.0 or -0.0
+            assert getattr(make(**{name: value}), name) is value
+            return
+        message = message.format(name=name, bound=bound)
+        with pytest.raises(InputDomainError, match=f"^{re.escape(message)}$"):
+            make(**{name: value})
+
+    @pytest.mark.parametrize("name, value", [
+        *((name, value) for name in ("body1", "body2") for value in ("x", 1.0, PhysicalConstants())),
+        *(("constants", value) for value in ("x", 1.0, MassiveBody(**BODY))),
+    ])
+    def test_part_of_a_wrong_type_raises_its_type_error(self, name, value):
+        expected = "PhysicalConstants" if name == "constants" else "MassiveBody"
+        message = f"{name} must be of type {expected}, got {value!r}"
+        with pytest.raises(InputDomainError, match=f"^{re.escape(message)}$"):
+            pair(**{name: value})
 
 
 class TestZeroPointWidth:
