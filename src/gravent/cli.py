@@ -30,7 +30,7 @@ from .config import MODES, FORMATS, PRECISIONS, RunConfig, parse_config, parse_c
 from . import errors
 from .errors import ConfigError, GraventError, InputDomainError, WidthWarning
 from .model import MassiveBody, PairSystem, zero_point_width
-from .float_text import _format_e, _format_repr, _percent_e
+from .float_text import _format_e, _format_repr
 from .kernel import warn_out_of_regime
 from .sweep import (
     ROW_FIELD_NAMES,
@@ -336,7 +336,7 @@ def main(argv: list[str] | None = None) -> int:
             if config.mode == "tau-star":
                 # The inverted time always lands on stdout; a configured
                 # output path receives a copy.
-                (text,) = _percent_e(np.array([_run_point(config).tau]), config.precision)
+                (text,) = _format_e(np.array([_run_point(config).tau]), config.precision)
                 payload = text + "\n"
                 _emit(lambda out: out.write(payload), None)
                 if config.output is not None:

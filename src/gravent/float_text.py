@@ -4,14 +4,17 @@
 ``_format_repr`` as ``repr`` does, byte for byte: each scales |v| to its
 significant digits in double-double arithmetic (``_scaled``), finds the
 digits with integer and float array arithmetic, and assembles the texts from
-lookup tables as one byte buffer. What a formatter cannot certify it passes
-to the Python formatting it stands in for (``_percent_e``, ``_reprs``).
+lookup tables as one byte buffer. Each table is written as the texts it
+holds, NUL-padded and read as little-endian codes (``_codes``). What a
+formatter cannot certify it passes to the Python formatting it stands in
+for (``_percent_e``, ``_reprs``).
 """
 
 from __future__ import annotations
 
 import math
 from collections.abc import Callable
+from itertools import product
 
 import numpy as np
 
@@ -60,38 +63,32 @@ _TEN_HI, _TEN_LO = _powers_of_ten()
 _TEN_HI_HIGH, _TEN_HI_LOW = _split(_TEN_HI)
 
 
-def _digit_codes(count: int) -> np.ndarray:
-    """0..999 in ``count`` digits, zero-padded, each as the little-endian
-    uint32 of its ASCII bytes."""
-    i = np.arange(1000, dtype=np.uint32)
-    codes = sum((ord("0") + i // 10 ** (count - 1 - j) % 10) << (8 * j) for j in range(count))
-    return codes.astype("<u4")
+def _codes(texts: list[str], width: int) -> np.ndarray:
+    """``texts``, each NUL-padded to ``width`` bytes, as the little-endian
+    codes of their bytes: uint32 at width 4, uint64 words from 8. A text is
+    encoded as Latin-1, so "\\xff" is the byte 0xFF."""
+    encoded = np.array([text.encode("latin-1") for text in texts], f"S{width}")
+    return encoded.view("<u4" if width == 4 else "<u8")
+
+
+def _groups(count: int, between: str = "") -> list[str]:
+    """The last ``count`` digits of 0..999, zero-padded, ``between`` each two."""
+    return [between.join(d) for d in product("0123456789", repeat=count)] * 10 ** (3 - count)
 
 
 #: The digits of each group of up to three.
-_DIGITS = {count: _digit_codes(count) for count in (1, 2, 3)}
-#: The sign and first digit, without and with a point after it, as the
-#: little-endian uint32 of their ASCII bytes; index 10 * negative + digit.
+_DIGITS = {count: _codes(_groups(count), 4) for count in (1, 2, 3)}
+#: The sign and first digit, without and with a point after it; index
+#: 10 * negative + digit.
 _LEADS = tuple(
-    np.array([int.from_bytes(f"{sign}{d}{point}".encode(), "little")
-              for sign in ("", "-") for d in range(10)], dtype="<u4")
-    for point in ("", ".")
+    _codes([f"{sign}{d}{point}" for sign in ("", "-") for d in range(10)], 4) for point in ("", ".")
 )
-
-
-def _exponent_codes() -> np.ndarray:
-    """The exponents e+00 to e-999, each with a newline after it, as the
-    little-endian uint64 of their ASCII bytes; index 1000 * (exponent < 0) +
-    |exponent|. An exponent has at least two digits, as "%e" writes it."""
-    short = np.arange(1000) < 100
-    digits = np.where(short, _DIGITS[2], _DIGITS[3]).astype(np.uint64)
-    end = np.uint64(ord("\n")) << np.where(short, 32, 40).astype(np.uint64)
-    return np.concatenate(
-        [ord("e") | np.uint64(ord(sign) << 8) | digits << np.uint64(16) | end for sign in "+-"]
-    ).astype("<u8")
-
-
-_EXPONENTS = _exponent_codes()
+#: The exponents e+00 to e-999, each with a newline after it; index
+#: 1000 * (exponent < 0) + |exponent|. An exponent has at least two digits,
+#: as "%e" writes it.
+_EXPONENTS = _codes(
+    [f"e{sign}{digits}\n" for sign in "+-" for digits in _groups(2)[:100] + _groups(3)[100:]], 8
+)
 
 
 def _scale(a: np.ndarray, exponent: np.ndarray, precision: int) -> tuple[np.ndarray, np.ndarray]:
@@ -330,46 +327,20 @@ _R_SLOTS = 6  # the byte of the first digit slot
 _R_WORDS = 6
 
 
-def _spread_codes(count: int) -> np.ndarray:
-    """_DIGITS[count] with a NUL after each digit, as the digit slots take
-    them, each the little-endian uint64 of its bytes."""
-    codes = _DIGITS[count].astype(np.uint64)
-    byte = np.uint64(0xFF)
-    return sum((codes >> np.uint64(8 * j) & byte) << np.uint64(16 * j) for j in range(count))
-
-
-_SPREAD = {count: _spread_codes(count) for count in (2, 3)}
-
-
-def _slot_rows(fill: Callable[[int], dict[int, int]], count: int) -> np.ndarray:
-    """Rows of ``fill(j)``'s bytes, {position: byte}, for j < count, each as
-    uint64 words."""
-    rows = bytearray(8 * _R_WORDS * count)
-    for j in range(count):
-        for at, byte in fill(j).items():
-            rows[8 * _R_WORDS * j + at] = byte
-    return np.frombuffer(rows, dtype="<u8").reshape(count, _R_WORDS)
-
-
+#: _DIGITS[count] with a NUL after each digit, as the digit slots take them.
+_SPREAD = {count: _codes(_groups(count, "\0"), 8) for count in (2, 3)}
 #: Per count of digits shown, 0 to 17: all bits set in those digit slots.
-_SHOWN = _slot_rows(lambda shown: {_R_SLOTS + 2 * i: 0xFF for i in range(shown)}, _R_DIGITS + 1)
+_SHOWN = _codes(["\0" * _R_SLOTS + "\xff\0" * shown for shown in range(_R_DIGITS + 1)],
+                8 * _R_WORDS).reshape(-1, _R_WORDS)
 
 
-def _form_bytes(form: int) -> dict[int, int]:
-    """The point after digit slot ``form`` (0-15); "0." and ``form - 16``
-    zeros before the digits (16-19); nothing (20)."""
-    if form < 16:
-        return {_R_SLOTS + 1 + 2 * form: ord(".")}
-    if form < 20:
-        return dict(enumerate(b"0." + b"0" * (form - 16), start=1))
-    return {}
-
-
+#: The bytes after the sign, per form: the point after digit slot 0-15;
+#: "0." and 0-3 zeros before the digits (16-19); nothing (20).
+_FORM_TEXTS = (["\0" * (_R_SLOTS + 2 * slot) + "." for slot in range(16)]
+               + ["0." + "0" * zeros for zeros in range(4)] + [""])
 #: Per sign and form, 21 * negative + form: the sign, lead and point bytes.
-_FORMS = np.concatenate([
-    _slot_rows(lambda form, sign=sign: {**_form_bytes(form), **sign}, 21)
-    for sign in ({}, {0: ord("-")})
-])
+_FORMS = _codes([sign + text for sign in "\0-" for text in _FORM_TEXTS],
+                8 * _R_WORDS).reshape(-1, _R_WORDS)
 
 
 def _repr_texts(
@@ -400,7 +371,7 @@ def _repr_texts(
         np.ndarray(n, "<u8", text, _R_SLOTS + 2 * slot, (8 * _R_WORDS,))[...] = codes
     words = text.view("<u8")
     shown = np.where(units, np.maximum(count, exponent + 2), count)
-    # The form (see _form_bytes): the point after the units digit, the
+    # The form (see _FORM_TEXTS): the point after the units digit, the
     # leading zeros of a text below 1, or an exponent text's point if any.
     form = np.where(positional, np.where(units, exponent, 15 - exponent),
                     np.where(count > 1, 0, 20))

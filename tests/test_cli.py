@@ -183,6 +183,15 @@ class TestTauStarMode:
         assert outputs[0] == outputs[1]
         assert outputs[0].out == "5.88374933250e+10\n"
 
+    @pytest.mark.parametrize("precision", range(1, 18))
+    def test_precision_writes_percent_e(self, tmp_path, capsys, precision):
+        # 16 and 17 go through the formatter's "%" fallback.
+        doc = REPORT_DOC.replace("mode = report", f"mode = tau-star\nprecision = {precision}")
+        assert main(["--config", write_config(tmp_path, doc)]) == 0
+        body = MassiveBody(mass=1e-14, radius=0.0, omega=1e5)
+        tau_star = gravent.time_to_max_entanglement(PairSystem(body, body, 1e-6))
+        assert capsys.readouterr().out == f"%.{precision - 1}e\n" % tau_star
+
     def test_no_entanglement_is_domain_failure(self, tmp_path, capsys):
         doc = REPORT_DOC.replace("mode = report", "mode = tau-star")
         doc += "\n[constants]\nhbar = 0.0\n"
