@@ -158,8 +158,11 @@ def accumulated_phase(sys: PairSystem, tau: float) -> PhaseSet:
     ulp exceeds 1e-6 rad, raises ``PrecisionError``; the other checks, and
     the ``RegimeWarning``, are ``report``'s.
     """
-    values = kernel.report_system(sys, tau, stacklevel=2)
-    return PhaseSet(phi=values["phi"], phi_prime=values["phi_prime"], delta_phi=values["delta_phi"])
+    outputs, error = kernel.evaluate_system(sys, tau, stacklevel=2)
+    if error is not None:
+        raise error
+    _, _, _, phi, phi_prime, delta_phi, *_ = outputs
+    return PhaseSet(phi=phi, phi_prime=phi_prime, delta_phi=delta_phi)
 
 
 def evolve_closed_form(psi0: TwoQubitState, phases: PhaseSet) -> TwoQubitState:

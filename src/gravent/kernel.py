@@ -6,15 +6,15 @@ validity ratio, the correction, the phases, the matrix-derived measures and
 both forces, and for each point the first check it fails; every row, of a
 sweep or of one point, comes from it, the CLI's tau-star row included.
 ``evaluate_system`` evaluates one system on plain floats, without the
-forces, for tau* and, through ``report_system``, for ``report`` and
-``accumulated_phase``; ``evaluate_correction`` runs only the
-correction and the forces, for ``quantum_correction`` and
-``entanglement_force``. The input checks are ``gravent.model``'s, made in
-the order a scalar evaluation meets them, plus ``FloatRangeError`` where the
-arithmetic would divide by an underflowed zero or overflow a power, and
-``PrecisionError`` where the phase is past float resolution. ``evaluate``
-makes them all; the float entries take a ``PairSystem``, whose value objects
-have checked its fields, and check only tau, hbar and the intermediates.
+forces, for ``report``, ``accumulated_phase``, tau* and the phase rate;
+``evaluate_correction`` runs only the correction and the forces, for
+``quantum_correction`` and ``entanglement_force``. The input checks are
+``gravent.model``'s, made in the order a scalar evaluation meets them, plus
+``FloatRangeError`` where the arithmetic would divide by an underflowed zero
+or overflow a power, and ``PrecisionError`` where the phase is past float
+resolution. ``evaluate`` makes them all; the float entries take a
+``PairSystem``, whose value objects have checked its fields, and check only
+tau, hbar and the intermediates.
 
 The measures come from the evolved state's 2x2 amplitude matrix A and its
 determinant: for a pure two-qubit state, the linear entropy is 2|det A|^2
@@ -35,17 +35,22 @@ through rho and its eigenvalues, so its measures match the kernel's only
 where that route does not cancel.
 
 Every entry runs the same stages (the m*omega divisors, the correction, the
-phases and measures, the forces). ``evaluate`` runs them on numpy columns
-and records every check as a mask (``Batch.add``); the float entries run
-them on Python floats with ``model._raise``, which stops at the first failed
-check, the one ``evaluate`` reports first. Each check calls its adder under
-``if fails is not False:`` (``gravent.model``'s idiom), so on floats a check
-that passes makes no call, and a passing ``report()`` none at all; an array
-condition always reaches ``Batch.add``. Every divisor is checked non-zero
-before the division, so float arithmetic raises nothing else. The functions the
-expressions call come from a table per path: on floats, ``math.sqrt``,
-``math.fmod`` and the builtins ``max`` and ``min``, which are correctly
-rounded or exact and so round as numpy's ufuncs do. ``log`` and ``log1p``
+phases and measures, the forces) in one body, ``_physics``. It takes its
+inputs as positional columns or floats (m1, m2, omega1, omega2, d, tau, G,
+hbar) and returns its outputs as one tuple, in ``_OUTPUTS``' order.
+``evaluate`` runs it on numpy columns, records every check as a mask
+(``Batch.add``) and names the tuple into ``Batch.values``; the float entries
+run it on Python floats with ``model._raise``, which stops at the first
+failed check, the one ``evaluate`` reports first, and unpack the tuple.
+``report`` and ``accumulated_phase`` warn from inside the body, once the
+ratio exists and before a later check raises. Each check calls its adder
+under ``if fails is not False:`` (``gravent.model``'s idiom), so on floats a
+check that passes makes no call, and a passing ``report()`` none at all; an
+array condition always reaches ``Batch.add``. Every divisor is checked
+non-zero before the division, so float arithmetic raises nothing else. The
+functions the expressions call come from a table per path: on floats,
+``math.sqrt``, ``math.fmod`` and the builtins ``max`` and ``min``, which are
+correctly rounded or exact and so round as numpy's ufuncs do. ``log`` and ``log1p``
 stay numpy's ufuncs on both paths, because numpy's and the C library's
 differ in the last bit on some arguments (``log1p`` on about 7% of [-0.5, 0]
 on an AVX-512 host); ``cos`` and ``sin`` stay numpy's too, so that no result
@@ -94,6 +99,13 @@ _parameters = itemgetter(*PARAMETERS)
 #: ``inputs`` maps each of PARAMETERS to a float64 column, one entry per point.
 Inputs = Mapping[str, np.ndarray]
 
+#: The measures ``_measures`` returns, in order: ``EntanglementReport``'s
+#: fields after delta_phi.
+_MEASURES = ("purity_full", "purity_reduced", "epsilon", "entropy_nats", "entropy_bits",
+             "separable_by_measures", "separable_by_two_pi_criterion")
+#: The outputs ``_physics`` returns, in order.
+_OUTPUTS = ("ratio_x", "delta_v_g", "phase_rate", "phi", "phi_prime", "delta_phi", *_MEASURES)
+
 
 def _on_float(ufunc):
     return lambda x: float(ufunc(x))
@@ -127,7 +139,6 @@ class Batch:
     def __init__(self, n: int) -> None:
         self.n = n
         self.masks: list[np.ndarray] = []
-        self.values: dict[str, np.ndarray] = {}
         self.errors: list[tuple[type[GraventError], str, tuple]] = []
 
     def add(self, fails, exc: type[GraventError], message: str, *args) -> None:
@@ -170,70 +181,67 @@ def evaluate(
 ) -> Batch:
     """Evaluate every point of ``inputs``; ``force=False`` leaves out the forces
     and their checks, as ``evaluate_system`` does on floats."""
-    batch = Batch(len(inputs["tau"]))
+    m1, m2, w1, w2, d, tau = _parameters(inputs)
+    batch = Batch(len(tau))
     with np.errstate(all="ignore"):
-        _check_inputs(batch.add, inputs, r1, r2, threshold)
-        _physics(batch, inputs, constants, threshold, symmetrize, force, batch.values)
+        _check_inputs(batch.add, m1, m2, w1, w2, d, r1, r2, threshold)
+        *outputs, correction, scale = _physics(
+            batch, m1, m2, w1, w2, d, tau, float(constants.G), float(constants.hbar)
+        )
+        values = batch.values = dict(zip(_OUTPUTS, outputs))
+        values["in_regime"] = values["ratio_x"] < float(threshold)
+        if force:
+            values["force_closed_form"], values["force_gradient"] = _forces(
+                batch, correction, scale, m1, m2, w1, w2, d, symmetrize
+            )
     masks = np.array(batch.masks)
     del batch.masks  # a chunk keeps failed and first, not a mask per check
     batch.failed, batch.first = masks.any(axis=0), masks.argmax(axis=0)
     return batch
 
 
-def _system_values(sys: PairSystem) -> dict[str, float]:
-    """The system's values as floats, which its value objects have checked
-    finite and positive, so the float path does not check them again."""
-    _require_type("sys", sys, PairSystem)
-    body1, body2 = sys.body1, sys.body2
-    return dict(m1=float(body1.mass), m2=float(body2.mass), omega1=float(body1.omega),
-                omega2=float(body2.omega), d=float(sys.separation_d))
-
-
 def evaluate_system(
-    sys: PairSystem, tau: float
-) -> tuple[dict[str, float | bool], GraventError | None]:
+    sys: PairSystem, tau: float, stacklevel: int = 0
+) -> tuple[tuple | None, GraventError | None]:
     """``sys`` at interaction time ``tau``: ``evaluate`` at one point, without
     the forces and at the default regime threshold, the same outputs and,
-    for a failed point, the same error. Returns the input and output values
-    as floats and bools, up to the first failed check, and that check's
-    exception, or None. A ``tau`` that is not a real number raises
-    ``InputDomainError``."""
-    values = _system_values(sys)
-    values["tau"] = _real("tau", tau)
+    for a failed point, the same error. Returns ``_physics``' tuple of
+    floats and bools and None, or None and the first failed check's
+    exception. A ``stacklevel`` above 0 emits ``RegimeWarning`` where the
+    ratio is reached and not below the default threshold, before any later
+    check fails; it counts from the caller, as in ``warnings.warn``. A
+    ``tau`` that is not a real number raises ``InputDomainError``."""
+    # The system's values as floats, which its value objects have checked
+    # finite and positive, so the float path does not check them again.
+    _require_type("sys", sys, PairSystem)
+    body1, body2, constants = sys.body1, sys.body2, sys.constants
+    m1, m2, w1, w2 = float(body1.mass), float(body2.mass), float(body1.omega), float(body2.omega)
+    d, tau = float(sys.separation_d), _real("tau", tau)
     try:
-        _physics(_Floats, values, sys.constants, REGIME_THRESHOLD_DEFAULT, False, False, values)
+        outputs = _physics(_Floats, m1, m2, w1, w2, d, tau, float(constants.G),
+                           float(constants.hbar), stacklevel and stacklevel + 1)
     except GraventError as error:
-        return values, error
-    return values, None
+        return None, error
+    return outputs, None
 
 
-def report_system(sys: PairSystem, tau: float, stacklevel: int) -> dict[str, float | bool]:
-    """``evaluate_system``'s values, after the ``RegimeWarning`` if the ratio
-    was reached and is not below the default regime threshold; then the first
-    failed check raises. ``stacklevel`` counts from the caller."""
-    values, error = evaluate_system(sys, tau)
-    ratio = values.get("ratio_x")
-    if ratio is not None and not ratio < REGIME_THRESHOLD_DEFAULT:
-        warn_out_of_regime(ratio, REGIME_THRESHOLD_DEFAULT, stacklevel + 1)
-    if error is not None:
-        raise error
-    return values
-
-
-def evaluate_correction(sys: PairSystem, force: bool = False, symmetrize: bool = False) -> dict:
-    """``sys``'s ``delta_v_g`` and phase rate and, with ``force``, both forces,
-    on floats, making only the checks of the divisors, the correction and the
-    forces (so hbar = 0 and |x| >= 1 give values); the first that fails raises.
-    A ``symmetrize`` that is not a bool raises ``InputDomainError``."""
+def evaluate_correction(sys: PairSystem, force: bool = False, symmetrize: bool = False) -> tuple:
+    """``sys``'s ``delta_v_g`` and, with ``force``, both forces, on floats,
+    making only the checks of the divisors, the correction and the forces (so
+    hbar = 0 and |x| >= 1 give values); the first that fails raises. Returns
+    (delta_v_g,) or (delta_v_g, force_closed_form, force_gradient). A
+    ``symmetrize`` that is not a bool raises ``InputDomainError``."""
     symmetrize = _bool("symmetrize", symmetrize)
-    values = _system_values(sys)
-    m1, m2, w1, w2, d = values.values()
+    _require_type("sys", sys, PairSystem)
+    body1, body2 = sys.body1, sys.body2
+    m1, m2, w1, w2 = float(body1.mass), float(body2.mass), float(body1.omega), float(body2.omega)
+    d = float(sys.separation_d)
     G, hbar = float(sys.constants.G), float(sys.constants.hbar)
     mw1, mw2 = _mass_omega(_raise, m1, w1), _mass_omega(_raise, m2, w2)
-    correction, scale = _correction(_Floats, G, hbar, m1, m2, w1, w2, mw1, mw2, d, values)
+    correction, scale, _ = _correction(_Floats, G, hbar, m1, m2, w1, w2, mw1, mw2, d)
     if force:
-        _forces(_Floats, correction, scale, m1, m2, w1, w2, d, symmetrize, values)
-    return values
+        return (-correction, *_forces(_Floats, correction, scale, m1, m2, w1, w2, d, symmetrize))
+    return (-correction,)
 
 
 def phase_rate(sys: PairSystem) -> float:
@@ -246,33 +254,33 @@ def phase_rate(sys: PairSystem) -> float:
         # potential or the rate is not finite, and then at every tau. The
         # error raised is report mode's at tau = 1 s, where each check failed
         # at tau = 0 fails too, or an earlier one does.
-        values, error = evaluate_system(sys, 0.0)
+        outputs, error = evaluate_system(sys, 0.0)
         if error is not None:
             raise evaluate_system(sys, 1.0)[1] or error
-        if values["phase_rate"] != 0.0:
-            return values["phase_rate"]
+        _, _, rate, *_ = outputs
+        if rate != 0.0:
+            return rate
     raise NoEntanglementError("quantum correction is zero; entanglement never accumulates")
 
 
-def _check_inputs(add, inputs, r1, r2, threshold) -> None:
+def _check_inputs(add, m1, m2, w1, w2, d, r1, r2, threshold) -> None:
     """The checks of MassiveBody, PairSystem and assess_validity, which only
     ``evaluate`` makes: a ``PairSystem`` has passed them."""
-    m1, m2, w1, w2, d, _ = _parameters(inputs)
     _check_body(add, m1, r1, w1)
     _check_body(add, m2, r2, w2)
     _finite(add, "separation_d", d, "positive")
     _finite(add, "threshold", threshold, "positive")
 
 
-def _physics(path, inputs, constants, threshold, symmetrize, force, out) -> None:
-    """Evaluate ``inputs`` on ``path``, making its checks from tau's on, into
-    ``out``: the ratio, the correction, the phase rate, the branch phases and
-    phase, the measures and, with ``force``, both forces."""
-    m1, m2, w1, w2, d, tau = _parameters(inputs)
+def _physics(path, m1, m2, w1, w2, d, tau, G, hbar, stacklevel=0) -> tuple:
+    """Evaluate the columns or floats m1 to hbar on ``path``, making its
+    checks from tau's on. Returns ``_OUTPUTS``' values in their order (the
+    ratio, the correction, the phase rate, the branch phases and phase, the
+    measures), then |delta_v_g| and hbar*G*m1*m2/d**3, which ``_forces``
+    takes. On floats, a ``stacklevel`` above 0 emits ``RegimeWarning`` once
+    the ratio is not below the default threshold, counted from the caller;
+    0 warns nothing."""
     fn, add = path.fn, path.add
-    # Plain floats: a numpy scalar would turn a point's outputs into numpy
-    # scalars (the threshold, too, where it is compared below).
-    G, hbar = float(constants.G), float(constants.hbar)
     # The checks of tau, the m*omega divisors and the phases are written
     # out, not through gravent.model's functions: report()'s path runs them.
     # accumulated_phase
@@ -296,22 +304,22 @@ def _physics(path, inputs, constants, threshold, symmetrize, force, out) -> None
         add(fails, FloatRangeError, "mass*omega underflows to 0 at {} and {}", m2, w2)
     dr_sum = fn.sqrt(hbar / mw1) + fn.sqrt(hbar / mw2)
     ratio = dr_sum / d
-    # Set before the expansion's checks: a point that has a ratio has been
+    # Before the expansion's checks: a point that has a ratio has been
     # compared against the regime threshold.
-    out["ratio_x"] = ratio
-    out["in_regime"] = ratio < float(threshold)
+    if stacklevel and not ratio < REGIME_THRESHOLD_DEFAULT:
+        warn_out_of_regime(ratio, REGIME_THRESHOLD_DEFAULT, stacklevel + 1)
 
     # expand_potential
     _check_dr_sum(add, dr_sum)
     _check_converges(add, ratio)
     v0 = -G * m1 * m2 / d
-    correction, scale = _correction(path, G, hbar, m1, m2, w1, w2, mw1, mw2, d, out)
+    correction, scale, rate = _correction(path, G, hbar, m1, m2, w1, w2, mw1, mw2, d)
 
     # PhaseSet
-    delta = out["delta_v_g"]
+    delta = -correction
     v_total = v0 + delta
     phi, phi_prime = (v_total - delta) * tau / hbar, v_total * tau / hbar
-    delta_phi = out["phase_rate"] * tau
+    delta_phi = rate * tau
     fails = phi - phi != 0
     if fails is not False:
         add(fails, InputDomainError, "phi must be finite, got {}", phi)
@@ -325,16 +333,13 @@ def _physics(path, inputs, constants, threshold, symmetrize, force, out) -> None
     if fails is not False:
         add(fails, PrecisionError,
             "delta_phi = {} rad >= 2**33: its ulp exceeds 1e-6 rad", delta_phi)
-    out["phi"], out["phi_prime"], out["delta_phi"] = phi, phi_prime, delta_phi
-    _measures(delta_phi, out, fn)
-
-    if force:
-        _forces(path, correction, scale, m1, m2, w1, w2, d, symmetrize, out)
+    return (ratio, delta, rate, phi, phi_prime, delta_phi, *_measures(delta_phi, fn),
+            correction, scale)
 
 
-def _correction(path, G, hbar, m1, m2, w1, w2, mw1, mw2, d, out):
-    """quantum_correction: ``out`` gets delta_v_g and the phase rate. Returns
-    |delta_v_g| and hbar*G*m1*m2/d**3, the scale the closed-form force shares."""
+def _correction(path, G, hbar, m1, m2, w1, w2, mw1, mw2, d) -> tuple:
+    """quantum_correction: |delta_v_g|, hbar*G*m1*m2/d**3, the scale the
+    closed-form force shares, and the phase rate."""
     product = m1 * m2 * w1 * w2
     d3 = d * d * d
     # Written out, not through _range_checks: report()'s path runs them.
@@ -350,16 +355,14 @@ def _correction(path, G, hbar, m1, m2, w1, w2, mw1, mw2, d, out):
         add(fails, FloatRangeError, "d**3 underflows to 0")
     bracket = 1.0 / mw1 + 1.0 / mw2 + 2.0 / path.fn.sqrt(product)
     scale = hbar * G * m1 * m2 / d3
-    correction = scale * bracket
-    out["delta_v_g"] = -correction
     # delta_phi per unit tau: |delta_v_g|/hbar, with hbar cancelled
-    out["phase_rate"] = G * m1 * m2 / d3 * bracket
-    return correction, scale
+    return scale * bracket, scale, G * m1 * m2 / d3 * bracket
 
 
-def _forces(path, correction, scale, m1, m2, w1, w2, d, symmetrize, out) -> None:
+def _forces(path, correction, scale, m1, m2, w1, w2, d, symmetrize) -> tuple:
     """entanglement_force, its float64 range checks in the order its
-    expression meets them; m1*m2 is not 0 where m1*m2*omega1*omega2 is not."""
+    expression meets them; m1*m2 is not 0 where m1*m2*omega1*omega2 is not.
+    Returns the closed-form and the gradient force."""
     w1_2, w2_2 = w1 * w1, w2 * w2
     w1_3, w2_3 = w1_2 * w1, w2_2 * w2
     second, second_name = (m2, "m2") if symmetrize else (m1, "m1")
@@ -381,8 +384,7 @@ def _forces(path, correction, scale, m1, m2, w1, w2, d, symmetrize, out) -> None
         + 1.0 / second_term
         + (1.0 / sqrt(masses)) * (1.0 / sqrt(cross1) + 1.0 / sqrt(cross2))
     )
-    out["force_closed_form"] = scale * force_bracket
-    out["force_gradient"] = 3.0 * correction / d
+    return scale * force_bracket, 3.0 * correction / d
 
 
 def _range_checks(add, checks) -> None:
@@ -393,7 +395,7 @@ def _range_checks(add, checks) -> None:
             add(fails, FloatRangeError, message)
 
 
-def _measures(delta_phi, out, fn=_ARRAY_MATH) -> None:
+def _measures(delta_phi, fn=_ARRAY_MATH) -> tuple:
     """Measure the canonical product state evolved by the entangling phase,
     in the same-direction gauge, from its 2x2 amplitude matrix
     A = [[1/2, b], [b, 1/2]], b = exp(i*delta_phi)/2.
@@ -402,8 +404,8 @@ def _measures(delta_phi, out, fn=_ARRAY_MATH) -> None:
     reduced spectrum is {lam, 1 - lam} with lam(1 - lam) = |det A|^2 (2|det A|
     is the concurrence; Wootters, PRL 80, 2245, 1998). ``delta_phi`` is a
     column, or a float with ``fn`` the float functions; a non-finite phase,
-    which has failed a check, gives nan measures in a column. The measures
-    go into ``out``.
+    which has failed a check, gives nan measures in a column. Returns the
+    values of ``_MEASURES``, in its order.
     """
     b_re, b_im = 0.5 * fn.cos(delta_phi), 0.5 * fn.sin(delta_phi)
     # det A = 1/4 - b^2, in real arithmetic. Im(det A) carries
@@ -420,10 +422,5 @@ def _measures(delta_phi, out, fn=_ARRAY_MATH) -> None:
 
     two_pi = 2.0 * math.pi
     remainder = abs(fn.fmod(delta_phi, two_pi))
-    out["purity_full"] = norm * norm
-    out["purity_reduced"] = 1.0 - epsilon
-    out["epsilon"] = epsilon
-    out["entropy_nats"] = nats
-    out["entropy_bits"] = nats / LN2
-    out["separable_by_measures"] = epsilon < SEPARABLE_EPSILON_TOL
-    out["separable_by_two_pi_criterion"] = fn.minimum(remainder, two_pi - remainder) < PHASE_TOL
+    return (norm * norm, 1.0 - epsilon, epsilon, nats, nats / LN2, epsilon < SEPARABLE_EPSILON_TOL,
+            fn.minimum(remainder, two_pi - remainder) < PHASE_TOL)

@@ -200,27 +200,32 @@ def report(sys: PairSystem, tau: float) -> EntanglementReport:
     form and takes every measure from its 2x2 amplitude matrix A: the
     linear entropy 2|det A|^2, the reduced spectrum from it, and the full
     purity from the norm. Rows come from the kernel's array path; report()
-    runs the same expressions on plain floats (``kernel.report_system``)
-    and gives the values of a sweep row at the same point, bit for bit. The
+    runs the same body on plain floats (``kernel.evaluate_system``): it
+    takes the system's values and tau as positional floats and returns its
+    outputs as one tuple, which report() unpacks into the fields. So it
+    gives the values of a sweep row at the same point, bit for bit. The
     first failed check raises what the scalar pipeline raises, after
     ``RegimeWarning`` if the ratio, reached before it, is past the default
-    regime threshold. A ``tau`` that is not a real number raises
-    ``InputDomainError``.
+    regime threshold; the body warns as soon as it has the ratio. A ``tau``
+    that is not a real number raises ``InputDomainError``.
 
     The evolution runs in the same-direction gauge (common branch phase
     subtracted): every measure is invariant under a global phase, and the
     signed relative phase -delta_phi is well conditioned where the raw
     branch phases can exceed float64 angular resolution by many orders.
     """
-    values = kernel.report_system(sys, tau, stacklevel=2)
+    outputs, error = kernel.evaluate_system(sys, tau, stacklevel=2)
+    if error is not None:
+        raise error
+    (_, _, _, _, _, delta_phi, purity_full, purity_reduced, epsilon, entropy_nats, entropy_bits,
+     separable_by_measures, separable_by_two_pi_criterion, _, _) = outputs
     rep = object.__new__(EntanglementReport)
-    _set_delta_phi(rep, values["delta_phi"])
-    _set_purity_full(rep, values["purity_full"])
-    _set_purity_reduced(rep, values["purity_reduced"])
-    _set_epsilon(rep, values["epsilon"])
-    _set_entropy_nats(rep, values["entropy_nats"])
-    _set_entropy_bits(rep, values["entropy_bits"])
-    _set_separable_by_measures(rep, values["separable_by_measures"])
-    _set_separable_by_two_pi_criterion(rep, values["separable_by_two_pi_criterion"])
+    _set_delta_phi(rep, delta_phi)
+    _set_purity_full(rep, purity_full)
+    _set_purity_reduced(rep, purity_reduced)
+    _set_epsilon(rep, epsilon)
+    _set_entropy_nats(rep, entropy_nats)
+    _set_entropy_bits(rep, entropy_bits)
+    _set_separable_by_measures(rep, separable_by_measures)
+    _set_separable_by_two_pi_criterion(rep, separable_by_two_pi_criterion)
     return rep
-

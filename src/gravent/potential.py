@@ -124,7 +124,8 @@ def quantum_correction(sys: PairSystem) -> float:
     ``FloatRangeError`` when a product in it underflows to 0 or d^3
     leaves the float64 range.
     """
-    return kernel.evaluate_correction(sys)["delta_v_g"]
+    (delta_v_g,) = kernel.evaluate_correction(sys)
+    return delta_v_g
 
 
 def corrected_potential(
@@ -174,5 +175,5 @@ def entanglement_force(sys: PairSystem, symmetrize: bool = False) -> ForceEstima
     Raises ``FloatRangeError`` where ``quantum_correction`` does, and when
     a power of omega overflows or a denominator underflows to 0.
     """
-    values = kernel.evaluate_correction(sys, force=True, symmetrize=symmetrize)
-    return ForceEstimate(values["force_closed_form"], FORCE_CLOSED_FORM_UNIT, values["force_gradient"])
+    _, closed_form, gradient = kernel.evaluate_correction(sys, force=True, symmetrize=symmetrize)
+    return ForceEstimate(closed_form, FORCE_CLOSED_FORM_UNIT, gradient)

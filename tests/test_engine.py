@@ -584,6 +584,97 @@ def test_report_warns_out_of_regime_before_it_raises(d, tau, error):
     assert [type(w.message) for w in caught] == expected
 
 
+def test_regime_warning_names_the_callers_line():
+    """report() and accumulated_phase() warn at their caller's file and line,
+    where a later check raises (d = 1e-13 m diverges) and where the point
+    passes out of the regime (d = 2e-12 m, x = 0.3247);
+    time_to_max_entanglement and evaluate_point warn nothing."""
+    body = MassiveBody(1e-14, 0.0, 1e5)
+    for d, error in ((1e-13, ConvergenceDomainError), (2e-12, None)):
+        system = PairSystem(body, body, d)
+        for entry in (report, accumulated_phase):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                line = sys._getframe().f_lineno + 2
+                try:
+                    entry(system, 1.0)
+                except GraventError as exc:
+                    assert type(exc) is error
+                else:
+                    assert error is None
+            assert [(w.category, w.filename, w.lineno) for w in caught] == \
+                [(RegimeWarning, __file__, line)], (entry.__name__, d)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            row = evaluate_point(0, dict(m1=1e-14, m2=1e-14, omega1=1e5, omega2=1e5, d=d, tau=1.0),
+                                 0.0, 0.0, PhysicalConstants())
+            if error is None:
+                time_to_max_entanglement(system)
+        assert (row.status == "ok") is (error is None)
+        assert caught == []
+
+
+#: One system per float-path check of report(), failing at that check first:
+#: (m1, m2, omega1, omega2, d, tau, hbar), the error class and message.
+_HBAR = PhysicalConstants().hbar
+FIRST_FAILURES = {
+    "tau-not-finite": ((1e-14, 1e-14, 1e5, 1e5, 1e-6, math.inf, _HBAR),
+                       InputDomainError, "tau must be finite, got inf"),
+    "tau-negative": ((1e-14, 1e-14, 1e5, 1e5, 1e-6, -1.0, _HBAR),
+                     InputDomainError, "tau must be non-negative, got -1.0"),
+    "hbar-zero": ((1e-14, 1e-14, 1e5, 1e5, 1e-6, 1.0, 0.0),
+                  InputDomainError, "hbar must be positive to accumulate phases"),
+    "mass-omega-1": ((1e-200, 1e-14, 1e-200, 1e5, 1e-6, 1.0, _HBAR),
+                     FloatRangeError, "mass*omega underflows to 0 at 1e-200 and 1e-200"),
+    "mass-omega-2": ((1e-14, 1e-190, 1e5, 1e-190, 1e-6, 1.0, _HBAR),
+                     FloatRangeError, "mass*omega underflows to 0 at 1e-190 and 1e-190"),
+    # hbar/(m*omega) overflows, and the widths with it.
+    "dr-sum": ((1e-5, 1e-14, 1e-6, 1e5, 1e-6, 1.0, 1e300),
+               InputDomainError, "dr_sum must be finite"),
+    "diverges": ((1e-14, 1e-14, 1e5, 1e5, 1e-13, 1.0, _HBAR), ConvergenceDomainError,
+                 "|dr_sum/d| = 6.494834307355346 >= 1: geometric expansion diverges"),
+    "product": ((1e-170, 1e-170, 1.0, 1.0, 1e70, 1.0, _HBAR),
+                FloatRangeError, "m1*m2*omega1*omega2 underflows to 0"),
+    "d3-overflows": ((1e-14, 1e-14, 1e5, 1e5, 1e110, 1.0, _HBAR),
+                     FloatRangeError, "d**3 overflows"),
+    "d3-underflows": ((1.0, 1.0, 1e10, 1e10, 1e-110, 1.0, 1e-300),
+                      FloatRangeError, "d**3 underflows to 0"),
+    "phi": ((1e-14, 1e-14, 1e5, 1e5, 1e-6, 1e307, _HBAR),
+            InputDomainError, "phi must be finite, got -inf"),
+    # x = 0.9, so |v_total| = (1 + x**2)|v0|: phi is finite at 1.3e308 and
+    # phi' = 1.81 phi is not. The correction is not checked finite, so
+    # nothing before phi' fails.
+    "phi-prime": ((1e-14, 1e-14, 1e5, 1e5, 7.2e-13, 1.5e300, _HBAR),
+                  InputDomainError, "phi_prime must be finite, got -inf"),
+    # G*m1*m2/d**3 overflows in the rate, not in hbar*G*m1*m2/d**3.
+    "delta-phi": ((1e100, 1e100, 1.0, 1.0, 1e-50, 1e-300, _HBAR),
+                  InputDomainError, "delta_phi must be finite, got inf"),
+    "resolution": ((1e-14, 1e-14, 1e5, 1e5, 1e-6, 1e25, _HBAR), PrecisionError,
+                   "delta_phi = 266972000000000.03 rad >= 2**33: its ulp exceeds 1e-6 rad"),
+}
+
+
+@pytest.mark.parametrize("case", FIRST_FAILURES.values(), ids=FIRST_FAILURES)
+def test_each_float_check_fails_as_the_array_path_does(case):
+    """report(), accumulated_phase() and the array path without the forces
+    raise the same class and message at each check the float path makes."""
+    (m1, m2, w1, w2, d, tau, hbar), error, message = case
+    constants = PhysicalConstants(hbar=hbar)
+    system = PairSystem(MassiveBody(m1, 0.0, w1), MassiveBody(m2, 0.0, w2), d, constants)
+    inputs = {name: np.array([value]) for name, value in zip(kernel.PARAMETERS,
+                                                               (m1, m2, w1, w2, d, tau))}
+    batch = kernel.evaluate(inputs, 0.0, 0.0, constants, force=False)
+    assert batch.failed[0]
+    raised = [batch.error(0)]
+    for entry in (report, accumulated_phase):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RegimeWarning)
+            with pytest.raises(GraventError) as info:
+                entry(system, tau)
+        raised.append(info.value)
+    assert [(type(exc), str(exc)) for exc in raised] == [(error, message)] * 3
+
+
 @pytest.mark.parametrize("tau", ["1", None, 1 + 0j, b"1", 10**400],
                          ids=["str", "none", "complex", "bytes", "int-past-float64"])
 def test_non_real_tau_is_an_input_domain_error(tau):
@@ -723,8 +814,7 @@ def test_kernel_states_pass_every_value_object_check(x):
     (its 1 - Tr(rho1^2) cancels), and its phase verdict the scalar one bit
     for bit."""
     expected = report_from_phases(PhaseSet(phi=0.0, phi_prime=-x, delta_phi=x))
-    measured = {}
-    kernel._measures(np.array([x]), measured)
+    measured = dict(zip(kernel._MEASURES, kernel._measures(np.array([x]))))
     got = {name: column.tolist()[0] for name, column in measured.items()}
     assert measure_misses(got, x) == [], got
     for name in MEASURE_VALUES:
