@@ -68,6 +68,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from .errors import (
+    ConvergenceDomainError,
     FloatRangeError,
     GraventError,
     InputDomainError,
@@ -76,8 +77,8 @@ from .errors import (
     RegimeWarning,
 )
 from .model import (
-    REGIME_THRESHOLD_DEFAULT, PairSystem, PhysicalConstants, _bool, _check_body, _check_converges,
-    _check_dr_sum, _finite, _mass_omega, _raise, _real, _require_type,
+    REGIME_THRESHOLD_DEFAULT, PairSystem, PhysicalConstants, _bool, _check_body, _finite,
+    _mass_omega, _raise, _real, _require_type,
 )
 
 LN2 = math.log(2.0)
@@ -184,7 +185,12 @@ def evaluate(
     m1, m2, w1, w2, d, tau = _parameters(inputs)
     batch = Batch(len(tau))
     with np.errstate(all="ignore"):
-        _check_inputs(batch.add, m1, m2, w1, w2, d, r1, r2, threshold)
+        # The checks of MassiveBody, PairSystem and assess_validity, which
+        # only evaluate makes: a PairSystem has passed them.
+        _check_body(batch.add, m1, r1, w1)
+        _check_body(batch.add, m2, r2, w2)
+        _finite(batch.add, "separation_d", d, "positive")
+        _finite(batch.add, "threshold", threshold, "positive")
         *outputs, correction, scale = _physics(
             batch, m1, m2, w1, w2, d, tau, float(constants.G), float(constants.hbar)
         )
@@ -235,8 +241,7 @@ def evaluate_correction(sys: PairSystem, force: bool = False, symmetrize: bool =
     _require_type("sys", sys, PairSystem)
     body1, body2 = sys.body1, sys.body2
     m1, m2, w1, w2 = float(body1.mass), float(body2.mass), float(body1.omega), float(body2.omega)
-    d = float(sys.separation_d)
-    G, hbar = float(sys.constants.G), float(sys.constants.hbar)
+    d, G, hbar = float(sys.separation_d), float(sys.constants.G), float(sys.constants.hbar)
     mw1, mw2 = _mass_omega(_raise, m1, w1), _mass_omega(_raise, m2, w2)
     correction, scale, _ = _correction(_Floats, G, hbar, m1, m2, w1, w2, mw1, mw2, d)
     if force:
@@ -263,15 +268,6 @@ def phase_rate(sys: PairSystem) -> float:
     raise NoEntanglementError("quantum correction is zero; entanglement never accumulates")
 
 
-def _check_inputs(add, m1, m2, w1, w2, d, r1, r2, threshold) -> None:
-    """The checks of MassiveBody, PairSystem and assess_validity, which only
-    ``evaluate`` makes: a ``PairSystem`` has passed them."""
-    _check_body(add, m1, r1, w1)
-    _check_body(add, m2, r2, w2)
-    _finite(add, "separation_d", d, "positive")
-    _finite(add, "threshold", threshold, "positive")
-
-
 def _physics(path, m1, m2, w1, w2, d, tau, G, hbar, stacklevel=0) -> tuple:
     """Evaluate the columns or floats m1 to hbar on ``path``, making its
     checks from tau's on. Returns ``_OUTPUTS``' values in their order (the
@@ -281,8 +277,9 @@ def _physics(path, m1, m2, w1, w2, d, tau, G, hbar, stacklevel=0) -> tuple:
     the ratio is not below the default threshold, counted from the caller;
     0 warns nothing."""
     fn, add = path.fn, path.add
-    # The checks of tau, the m*omega divisors and the phases are written
-    # out, not through gravent.model's functions: report()'s path runs them.
+    # The checks of tau, the m*omega divisors, the expansion and the phases
+    # are written out, not through gravent.model's functions: report()'s
+    # path runs them.
     # accumulated_phase
     fails = tau - tau != 0
     if fails is not False:
@@ -310,8 +307,13 @@ def _physics(path, m1, m2, w1, w2, d, tau, G, hbar, stacklevel=0) -> tuple:
         warn_out_of_regime(ratio, REGIME_THRESHOLD_DEFAULT, stacklevel + 1)
 
     # expand_potential
-    _check_dr_sum(add, dr_sum)
-    _check_converges(add, ratio)
+    fails = dr_sum - dr_sum != 0
+    if fails is not False:
+        add(fails, InputDomainError, "dr_sum must be finite")
+    x = abs(ratio)
+    fails = x >= 1
+    if fails is not False:
+        add(fails, ConvergenceDomainError, "|dr_sum/d| = {} >= 1: geometric expansion diverges", x)
     v0 = -G * m1 * m2 / d
     correction, scale, rate = _correction(path, G, hbar, m1, m2, w1, w2, mw1, mw2, d)
 
@@ -342,7 +344,7 @@ def _correction(path, G, hbar, m1, m2, w1, w2, mw1, mw2, d) -> tuple:
     closed-form force shares, and the phase rate."""
     product = m1 * m2 * w1 * w2
     d3 = d * d * d
-    # Written out, not through _range_checks: report()'s path runs them.
+    # Written out, not as a loop like _forces': report()'s path runs them.
     add = path.add
     fails = product == 0
     if fails is not False:
@@ -361,14 +363,15 @@ def _correction(path, G, hbar, m1, m2, w1, w2, mw1, mw2, d) -> tuple:
 
 def _forces(path, correction, scale, m1, m2, w1, w2, d, symmetrize) -> tuple:
     """entanglement_force, its float64 range checks in the order its
-    expression meets them; m1*m2 is not 0 where m1*m2*omega1*omega2 is not.
-    Returns the closed-form and the gradient force."""
+    expression meets them, the adder called only where one may fail; m1*m2
+    is not 0 where m1*m2*omega1*omega2 is not. Returns the closed-form and
+    the gradient force."""
     w1_2, w2_2 = w1 * w1, w2 * w2
     w1_3, w2_3 = w1_2 * w1, w2_2 * w2
     second, second_name = (m2, "m2") if symmetrize else (m1, "m1")
     first_term, second_term = m1 * w1_2, second * w2_2
     masses, cross1, cross2 = m1 * m2, w1_3 * w2, w1 * w2_3
-    _range_checks(path.add, (
+    for fails, message in (
         (w1_2 == math.inf, "omega1**2 overflows"),
         (first_term == 0, "m1*omega1**2 underflows to 0"),
         (w2_2 == math.inf, "omega2**2 overflows"),
@@ -377,7 +380,9 @@ def _forces(path, correction, scale, m1, m2, w1, w2, d, symmetrize) -> tuple:
         (cross1 == 0, "omega1**3*omega2 underflows to 0"),
         (w2_3 == math.inf, "omega2**3 overflows"),
         (cross2 == 0, "omega1*omega2**3 underflows to 0"),
-    ))
+    ):
+        if fails is not False:
+            path.add(fails, FloatRangeError, message)
     sqrt = path.fn.sqrt
     force_bracket = (
         1.0 / first_term
@@ -385,14 +390,6 @@ def _forces(path, correction, scale, m1, m2, w1, w2, d, symmetrize) -> tuple:
         + (1.0 / sqrt(masses)) * (1.0 / sqrt(cross1) + 1.0 / sqrt(cross2))
     )
     return scale * force_bracket, 3.0 * correction / d
-
-
-def _range_checks(add, checks) -> None:
-    """``FloatRangeError`` checks, each a (fails, message) pair, in order,
-    the adder called only where one may fail."""
-    for fails, message in checks:
-        if fails is not False:
-            add(fails, FloatRangeError, message)
 
 
 def _measures(delta_phi, fn=_ARRAY_MATH) -> tuple:
