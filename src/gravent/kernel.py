@@ -50,11 +50,11 @@ array condition always reaches ``Batch.add``. Every divisor is checked
 non-zero before the division, so float arithmetic raises nothing else. The
 functions the expressions call come from a table per path: on floats,
 ``math.sqrt``, ``math.fmod`` and the builtins ``max`` and ``min``, which are
-correctly rounded or exact and so round as numpy's ufuncs do. ``log`` and ``log1p``
-stay numpy's ufuncs on both paths, because numpy's and the C library's
-differ in the last bit on some arguments (``log1p`` on about 7% of [-0.5, 0]
-on an AVX-512 host); ``cos`` and ``sin`` stay numpy's too, so that no result
-rests on the two libraries agreeing.
+correctly rounded or exact and so round as numpy's ufuncs do. ``log`` and
+``log1p`` stay numpy's ufuncs on both paths, because numpy's and the C
+library's differ in the last bit on some arguments (``log1p`` on about 7% of
+[-0.5, 0] on an AVX-512 host); ``cos`` and ``sin`` stay numpy's too, so that
+no result rests on the two libraries agreeing.
 """
 
 from __future__ import annotations
