@@ -158,10 +158,7 @@ def accumulated_phase(sys: PairSystem, tau: float) -> PhaseSet:
     ulp exceeds 1e-6 rad, raises ``PrecisionError``; the other checks, and
     the ``RegimeWarning``, are ``report``'s.
     """
-    outputs, error = kernel.evaluate_system(sys, tau, stacklevel=2)
-    if error is not None:
-        raise error
-    _, _, _, phi, phi_prime, delta_phi, *_ = outputs
+    _, _, _, phi, phi_prime, delta_phi, *_ = kernel.evaluate_system(sys, tau, stacklevel=2)
     return PhaseSet(phi=phi, phi_prime=phi_prime, delta_phi=delta_phi)
 
 

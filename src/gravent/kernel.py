@@ -9,12 +9,13 @@ sweep or of one point, comes from it, the CLI's tau-star row included.
 forces, for ``report``, ``accumulated_phase``, tau* and the phase rate;
 ``evaluate_correction`` runs only the correction and the forces, for
 ``quantum_correction`` and ``entanglement_force``. The input checks are
-``gravent.model``'s, made in the order a scalar evaluation meets them, plus
-``FloatRangeError`` where the arithmetic would divide by an underflowed zero
-or overflow a power, and ``PrecisionError`` where the phase is past float
-resolution. ``evaluate`` makes them all; the float entries take a
-``PairSystem``, whose value objects have checked its fields, and check only
-tau, hbar and the intermediates.
+``gravent.model``'s, or written out with its messages, made in the order a
+scalar evaluation meets them, plus ``FloatRangeError`` where the arithmetic
+would divide by an underflowed zero or overflow a power, and
+``PrecisionError`` where the phase is past float resolution. ``evaluate``
+makes them all; the float entries take a ``PairSystem``, whose value
+objects have checked its fields, and check only tau, hbar and the
+intermediates.
 
 The measures come from the evolved state's 2x2 amplitude matrix A and its
 determinant: for a pure two-qubit state, the linear entropy is 2|det A|^2
@@ -206,29 +207,23 @@ def evaluate(
     return batch
 
 
-def evaluate_system(
-    sys: PairSystem, tau: float, stacklevel: int = 0
-) -> tuple[tuple | None, GraventError | None]:
+def evaluate_system(sys: PairSystem, tau: float, stacklevel: int = 0) -> tuple:
     """``sys`` at interaction time ``tau``: ``evaluate`` at one point, without
     the forces and at the default regime threshold, the same outputs and,
     for a failed point, the same error. Returns ``_physics``' tuple of
-    floats and bools and None, or None and the first failed check's
-    exception. A ``stacklevel`` above 0 emits ``RegimeWarning`` where the
-    ratio is reached and not below the default threshold, before any later
-    check fails; it counts from the caller, as in ``warnings.warn``. A
-    ``tau`` that is not a real number raises ``InputDomainError``."""
+    floats and bools; the first failed check raises its exception. A
+    ``stacklevel`` above 0 emits ``RegimeWarning`` where the ratio is
+    reached and not below the default threshold, before any later check
+    fails; it counts from the caller, as in ``warnings.warn``. A ``tau``
+    that is not a real number raises ``InputDomainError``."""
     # The system's values as floats, which its value objects have checked
     # finite and positive, so the float path does not check them again.
     _require_type("sys", sys, PairSystem)
     body1, body2, constants = sys.body1, sys.body2, sys.constants
     m1, m2, w1, w2 = float(body1.mass), float(body2.mass), float(body1.omega), float(body2.omega)
     d, tau = float(sys.separation_d), _real("tau", tau)
-    try:
-        outputs = _physics(_Floats, m1, m2, w1, w2, d, tau, float(constants.G),
-                           float(constants.hbar), stacklevel and stacklevel + 1)
-    except GraventError as error:
-        return None, error
-    return outputs, None
+    return _physics(_Floats, m1, m2, w1, w2, d, tau, float(constants.G), float(constants.hbar),
+                    stacklevel and stacklevel + 1)
 
 
 def evaluate_correction(sys: PairSystem, force: bool = False, symmetrize: bool = False) -> tuple:
@@ -258,11 +253,16 @@ def phase_rate(sys: PairSystem) -> float:
         # A check that depends on tau fails at tau = 0 only where the
         # potential or the rate is not finite, and then at every tau. The
         # error raised is report mode's at tau = 1 s, where each check failed
-        # at tau = 0 fails too, or an earlier one does.
-        outputs, error = evaluate_system(sys, 0.0)
-        if error is not None:
-            raise evaluate_system(sys, 1.0)[1] or error
-        _, _, rate, *_ = outputs
+        # at tau = 0 fails too, or an earlier one does. It is evaluated
+        # outside the except block, so that it raises with no context.
+        failed = None
+        try:
+            _, _, rate, *_ = evaluate_system(sys, 0.0)
+        except GraventError as error:
+            failed = error
+        if failed is not None:
+            evaluate_system(sys, 1.0)
+            raise failed
         if rate != 0.0:
             return rate
     raise NoEntanglementError("quantum correction is zero; entanglement never accumulates")

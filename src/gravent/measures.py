@@ -214,11 +214,9 @@ def report(sys: PairSystem, tau: float) -> EntanglementReport:
     signed relative phase -delta_phi is well conditioned where the raw
     branch phases can exceed float64 angular resolution by many orders.
     """
-    outputs, error = kernel.evaluate_system(sys, tau, stacklevel=2)
-    if error is not None:
-        raise error
     (_, _, _, _, _, delta_phi, purity_full, purity_reduced, epsilon, entropy_nats, entropy_bits,
-     separable_by_measures, separable_by_two_pi_criterion, _, _) = outputs
+     separable_by_measures, separable_by_two_pi_criterion, _, _) = kernel.evaluate_system(
+        sys, tau, stacklevel=2)
     rep = object.__new__(EntanglementReport)
     _set_delta_phi(rep, delta_phi)
     _set_purity_full(rep, purity_full)

@@ -1,5 +1,5 @@
 """Physical constants, body/system descriptions, expansion-regime checks, and
-the input checks of every module.
+the input checks of the value objects and of the kernel's array path.
 
 The value objects are immutable, in SI units; the numeric engines consume
 these and nothing else. ``MassiveBody`` and ``PairSystem`` set their slots
@@ -8,11 +8,15 @@ too) and then run ``__post_init__``: it accepts valid floats in one chained
 test and makes the ordered checks only where that test fails, so a rejected
 input raises what they raise.
 
-Each input check is written once, here, and reports a failed condition to an
-adder, ``add(fails, exc, message, *args)``: the value objects, the scalar
-functions and the kernel's float path pass ``_raise``, which raises at the
-first failure, and the kernel's array path ``kernel.Batch.add``, which
-records ``fails`` as a mask over a column. Each check calls its adder under
+The checks here report a failed condition to an adder, ``add(fails, exc,
+message, *args)``: the value objects and the scalar functions pass
+``_raise``, which raises at the first failure, and the kernel's array path
+``kernel.Batch.add``, which records ``fails`` as a mask over a column. The
+kernel body writes out its per-point checks (tau, hbar, m*omega, the
+expansion, the correction's range, the phases) with this module's messages;
+``test_each_float_check_fails_as_the_array_path_does`` and
+``test_views_match_the_oracles`` hold the float path, the array path and the
+oracles to the same classes and messages. Each check calls its adder under
 ``if fails is not False:``: on floats a passing check makes no call, while an
 array condition always reaches the adder, so the array path records every
 mask. ``_real``, ``_require_type``, ``_bool`` and ``_count`` decide which
@@ -27,7 +31,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .errors import ConvergenceDomainError, FloatRangeError, GraventError, InputDomainError
+from .errors import FloatRangeError, GraventError, InputDomainError
 
 #: CODATA-2018 Newtonian constant of gravitation, m^3 kg^-1 s^-2.
 G_DEFAULT = 6.67430e-11
@@ -109,21 +113,6 @@ def _check_body(add, mass, radius, omega, real=lambda name, x: x) -> None:
     _bound(add, "mass", mass, "positive")
     _bound(add, "radius", radius, "non-negative")
     _bound(add, "omega", omega, "positive")
-
-
-def _check_dr_sum(add, dr_sum) -> None:
-    """The summed displacement of the size expansion must be finite."""
-    fails = dr_sum - dr_sum != 0
-    if fails is not False:
-        add(fails, InputDomainError, "dr_sum must be finite")
-
-
-def _check_converges(add, ratio) -> None:
-    """The size expansion in x = dr_sum/d converges for |x| < 1."""
-    x = abs(ratio)
-    fails = x >= 1
-    if fails is not False:
-        add(fails, ConvergenceDomainError, "|dr_sum/d| = {} >= 1: geometric expansion diverges", x)
 
 
 def _mass_omega(add, m, omega):

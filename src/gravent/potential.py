@@ -17,11 +17,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import kernel
-from .errors import InputDomainError
+from .errors import ConvergenceDomainError, InputDomainError
 from .kernel import warn_out_of_regime
 from .model import (
-    REGIME_THRESHOLD_DEFAULT, PairSystem, _check_converges, _check_dr_sum, _count, _raise,
-    _real, _require_type, assess_validity, zero_point_width,
+    REGIME_THRESHOLD_DEFAULT, PairSystem, _count, _real, _require_type, assess_validity,
+    zero_point_width,
 )
 
 __all__ = [
@@ -101,11 +101,13 @@ def expand_potential(
     reference separation.
     """
     _real("dr_sum", dr_sum)
-    _check_dr_sum(_raise, dr_sum)
+    if dr_sum - dr_sum != 0:
+        raise InputDomainError("dr_sum must be finite")
     _count("max_order", max_order, least=0)
     _require_type("sys", sys, PairSystem)
     x = dr_sum / sys.separation_d
-    _check_converges(_raise, x)
+    if abs(x) >= 1:
+        raise ConvergenceDomainError(f"|dr_sum/d| = {abs(x)!r} >= 1: geometric expansion diverges")
     v0 = -sys.constants.G * sys.body1.mass * sys.body2.mass / sys.separation_d
     return tuple(
         SeriesTerm(order=n, value=v0 * (-x) ** n, absorbable=(n == 1))

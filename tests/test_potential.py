@@ -148,7 +148,8 @@ class TestExpansion:
 
     def test_convergence_domain(self):
         sys = make_system(d=1e-6)
-        with pytest.raises(ConvergenceDomainError):
+        message = "|dr_sum/d| = 1.0 >= 1: geometric expansion diverges"
+        with pytest.raises(ConvergenceDomainError, match=f"^{re.escape(message)}$"):
             expand_potential(sys, 1e-6, 2)
 
     def test_residual_order_three_scaling(self):
@@ -313,6 +314,7 @@ SYSTEM = make_system()
     (lambda: expand_potential(SYSTEM, 0.0, "2"), "max_order must be an integer, got '2'"),
     (lambda: expand_potential(SYSTEM, 0.0, 2.5), "max_order must be an integer, got 2.5"),
     (lambda: expand_potential(SYSTEM, 0.0, -1), "max_order must be >= 0, got -1"),
+    (lambda: expand_potential(SYSTEM, math.nan, 2), "dr_sum must be finite"),
     (lambda: corrected_potential(SYSTEM, series_order="2"), "series_order must be an integer"),
     (lambda: corrected_potential(SYSTEM, series_order=2.5), "series_order must be an integer"),
     (lambda: exact_size_corrected_potential(SYSTEM, "1", 0.0), "dr1 must be a real number"),

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from gravent.cli import rows_to_csv
+from gravent.dynamics import delta_phi_to_tau
 from gravent.errors import InputDomainError, NoEntanglementError
 from gravent.model import MassiveBody, PairSystem, PhysicalConstants, assess_validity
 from gravent.measures import report
@@ -287,6 +288,16 @@ class TestTimeToMaxEntanglement:
         assert report(sys, 1.0).delta_phi == pytest.approx(1.3349e-130, rel=1e-4)
         with pytest.raises(InputDomainError, match=r"^phi must be finite, got -inf$"):
             time_to_max_entanglement(sys)
+
+    def test_rate_overflow_raises_report_modes_error_at_one_second(self):
+        # The potential overflows to -inf: phi is nan at tau = 0 and -inf at
+        # tau = 1 s, and the error raised is report mode's at 1 s.
+        body = MassiveBody(1e160, 0.0, 1.0)
+        sys = PairSystem(body, body, 1.0)
+        for call in (time_to_max_entanglement, lambda s: delta_phi_to_tau(s, math.pi / 2)):
+            with pytest.raises(InputDomainError, match=r"^phi must be finite, got -inf$") as info:
+                call(sys)
+            assert info.value.__context__ is None and info.value.__cause__ is None
 
     def test_no_entanglement_error(self):
         sys = reference_system(constants=PhysicalConstants(hbar=0.0))
