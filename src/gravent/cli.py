@@ -319,11 +319,6 @@ def build_parser() -> _Parser:
 def main(argv: list[str] | None = None) -> int:
     try:
         args = build_parser().parse_args(argv)
-    except ConfigError as exc:
-        print(f"gravent: error: {exc}", file=sys.stderr)
-        return 1
-
-    try:
         with warnings.catch_warnings():
             if args.quiet:
                 warnings.simplefilter("ignore")

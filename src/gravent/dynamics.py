@@ -16,13 +16,12 @@ fixed-step RK4 integrator and the product-state test.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import kernel
-from .errors import FloatRangeError, InputDomainError
+from .errors import InputDomainError
 from .model import PairSystem, _bound, _finite, _raise, _real
 from .potential import corrected_potential
 
@@ -178,15 +177,11 @@ def evolve_closed_form(psi0: TwoQubitState, phases: PhaseSet) -> TwoQubitState:
 def delta_phi_to_tau(sys: PairSystem, delta_phi: float) -> float:
     """Interaction time at which the entangling phase reaches ``delta_phi``.
 
-    Inverts the linear relation delta_phi(tau) through the kernel's phase
-    rate, as ``time_to_max_entanglement`` does; requires a non-zero quantum
-    correction (``NoEntanglementError``). A ``delta_phi`` that is not a
-    finite real number is an ``InputDomainError``, and a tau past the
-    float64 range a ``FloatRangeError``.
+    Inverts the linear relation delta_phi(tau) through
+    ``kernel.time_at_phase``, as ``time_to_max_entanglement`` does; requires
+    a non-zero quantum correction (``NoEntanglementError``). A ``delta_phi``
+    that is not a finite real number is an ``InputDomainError``, and a tau
+    past the float64 range a ``FloatRangeError``.
     """
     delta_phi = _finite(_raise, "delta_phi", _real("delta_phi", delta_phi), "non-negative")
-    rate = kernel.phase_rate(sys)
-    tau = delta_phi / rate
-    if tau == math.inf:
-        raise FloatRangeError(f"tau = {delta_phi!r}/{rate!r} overflows")
-    return tau
+    return kernel.time_at_phase(sys, delta_phi, f"tau = {delta_phi!r}")

@@ -6,7 +6,7 @@ validity ratio, the correction, the phases, the matrix-derived measures and
 both forces, and for each point the first check it fails; every row, of a
 sweep or of one point, comes from it, the CLI's tau-star row included.
 ``evaluate_system`` evaluates one system on plain floats, without the
-forces, for ``report``, ``accumulated_phase``, tau* and the phase rate;
+forces, for ``report``, ``accumulated_phase`` and ``time_at_phase``;
 ``evaluate_correction`` runs only the correction and the forces, for
 ``quantum_correction`` and ``entanglement_force``. The input checks are
 ``gravent.model``'s, or written out with its messages, made in the order a
@@ -244,10 +244,13 @@ def evaluate_correction(sys: PairSystem, force: bool = False, symmetrize: bool =
     return (-correction,)
 
 
-def phase_rate(sys: PairSystem) -> float:
-    """``sys``'s delta_phi per second, which tau-star and ``delta_phi_to_tau``
-    invert. A system that fails a check at tau = 0 raises the error report
-    mode gives at tau = 1 s; a zero rate, or hbar = 0, ``NoEntanglementError``."""
+def time_at_phase(sys: PairSystem, delta_phi: float, label: str) -> float:
+    """The time at which ``sys``'s entangling phase reaches ``delta_phi``, a
+    finite float >= 0: delta_phi over the phase rate (delta_phi per second),
+    read at tau = 0. Tau-star and ``delta_phi_to_tau`` are views of it. A
+    system that fails a check at tau = 0 raises the error report mode gives
+    at tau = 1 s; a zero rate, or hbar = 0, ``NoEntanglementError``; a time
+    past the float64 range ``FloatRangeError``, "{label}/{rate!r} overflows"."""
     _require_type("sys", sys, PairSystem)
     if sys.constants.hbar != 0.0:
         # A check that depends on tau fails at tau = 0 only where the
@@ -264,7 +267,10 @@ def phase_rate(sys: PairSystem) -> float:
             evaluate_system(sys, 1.0)
             raise failed
         if rate != 0.0:
-            return rate
+            tau = delta_phi / rate
+            if tau == math.inf:
+                raise FloatRangeError(f"{label}/{rate!r} overflows")
+            return tau
     raise NoEntanglementError("quantum correction is zero; entanglement never accumulates")
 
 

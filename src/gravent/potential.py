@@ -100,7 +100,7 @@ def expand_potential(
     for |x| < 1. The n = 1 term is flagged absorbable: it only shifts the
     reference separation.
     """
-    _real("dr_sum", dr_sum)
+    dr_sum = _real("dr_sum", dr_sum)
     if dr_sum - dr_sum != 0:
         raise InputDomainError("dr_sum must be finite")
     _count("max_order", max_order, least=0)

@@ -12,7 +12,7 @@ from dataclasses import MISSING, dataclass, field, fields
 import numpy as np
 
 from . import kernel
-from .errors import FloatRangeError, InputDomainError
+from .errors import InputDomainError
 from .model import (
     REGIME_THRESHOLD_DEFAULT, PairSystem, PhysicalConstants, _bool, _count, _real, _require_type,
 )
@@ -348,13 +348,10 @@ def time_to_max_entanglement(sys: PairSystem) -> float:
     as hbar cancels, that is (pi/2)*hbar/|delta_v_g|. The system at tau*
     meets the checks report mode makes and raises what they raise. With
     hbar = 0, or a rate that underflows to 0, the correction vanishes and
-    ``NoEntanglementError`` is raised (``kernel.phase_rate``, which
+    ``NoEntanglementError`` is raised (``kernel.time_at_phase``, which
     ``delta_phi_to_tau`` shares); a tau* past the float64 range is a
     ``FloatRangeError``.
     """
-    rate = kernel.phase_rate(sys)
-    tau_star = (math.pi / 2.0) / rate
-    if tau_star == math.inf:
-        raise FloatRangeError(f"tau* = (pi/2)/{rate!r} overflows")
+    tau_star = kernel.time_at_phase(sys, math.pi / 2.0, "tau* = (pi/2)")
     kernel.evaluate_system(sys, tau_star)
     return tau_star

@@ -3,9 +3,11 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from oracles import evolve_numeric, is_product_state, operator_from_phases
+from test_views import HBAR, POSITIVE, outcome
+from gravent import kernel
 from gravent.dynamics import (
     PhaseSet,
     PotentialOperator,
@@ -227,11 +229,28 @@ class TestAccumulatedPhase:
         with pytest.raises(error, match="^" + re.escape(message)):
             delta_phi_to_tau(make_system(), delta_phi)
 
-    def test_delta_phi_to_tau_shares_tau_stars_rate(self):
-        # The phase passes 2**33 rad (PrecisionError) within 1 s; the
-        # inversion takes the kernel's rate without evaluating the phase there.
-        sys = make_system(m1=1e3, m2=1e3, w1=1.0, w2=1.0)
-        assert delta_phi_to_tau(sys, math.pi / 2) == time_to_max_entanglement(sys)
+    @settings(max_examples=300, deadline=None)
+    @given(m1=POSITIVE, m2=POSITIVE, w1=POSITIVE, w2=POSITIVE, d=POSITIVE, hbar=HBAR)
+    # The phase passes 2**33 rad (PrecisionError) within 1 s; the inversion
+    # takes the kernel's rate without evaluating the phase there.
+    @example(m1=1e3, m2=1e3, w1=1.0, w2=1.0, d=1e-6, hbar=C.hbar)
+    @example(m1=1e100, m2=1e100, w1=1e100, w2=1e100, d=1e40, hbar=C.hbar)  # fails at tau*
+    @example(m1=1e-100, m2=1e-100, w1=1e150, w2=1e150, d=1e21, hbar=C.hbar)  # tau overflows
+    def test_delta_phi_to_tau_shares_tau_stars_rate(self, m1, m2, w1, w2, d, hbar):
+        # Both invert the rate through kernel.time_at_phase: they differ only
+        # in tau*'s check at tau* and in the overflow's label.
+        sys = make_system(m1, m2, w1, w2, d, PhysicalConstants(hbar=hbar))
+        inverted, _ = outcome(delta_phi_to_tau, sys, math.pi / 2)
+        tau_star, _ = outcome(time_to_max_entanglement, sys)
+        if isinstance(inverted, str):  # a float, by its bits
+            at_tau, _ = outcome(kernel.evaluate_system, sys, float.fromhex(inverted))
+            assert tau_star in (inverted, at_tau)
+        else:
+            overflow = re.fullmatch(r"tau = 1\.5707963267948966/(.+) overflows", inverted[1])
+            if overflow:
+                assert inverted[0] is FloatRangeError
+                inverted = (FloatRangeError, f"tau* = (pi/2)/{overflow[1]} overflows")
+            assert tau_star == inverted
 
     def test_delta_phi_to_tau_no_entanglement(self):
         # separation so large the phase rate underflows to zero

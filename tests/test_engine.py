@@ -758,6 +758,10 @@ def test_real_tau_of_any_type_is_taken_as_its_float(tau):
     system = PairSystem(body, body, 1e-6)
     assert report(system, tau) == report(system, float(tau))
     assert type(evaluate_point(0, {**PAPER_BODIES, "tau": tau}, 0.0, 0.0, PhysicalConstants()).tau) is float
+    dr = tau * 1e-8
+    terms = expand_potential(system, dr, 2)
+    assert all(type(term.value) is float for term in terms)
+    assert terms == expand_potential(system, float(dr), 2)
 
 
 BOOL_CALLS = {

@@ -3,10 +3,13 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
+from test_views import HBAR, POSITIVE
+from gravent import kernel
 from gravent.cli import rows_to_csv
 from gravent.dynamics import delta_phi_to_tau
-from gravent.errors import InputDomainError, NoEntanglementError
+from gravent.errors import GraventError, InputDomainError, NoEntanglementError
 from gravent.model import MassiveBody, PairSystem, PhysicalConstants, assess_validity
 from gravent.measures import report
 from gravent.sweep import (
@@ -303,6 +306,19 @@ class TestTimeToMaxEntanglement:
         sys = reference_system(constants=PhysicalConstants(hbar=0.0))
         with pytest.raises(NoEntanglementError):
             time_to_max_entanglement(sys)
+
+    @settings(max_examples=300, deadline=None)
+    @given(m1=POSITIVE, m2=POSITIVE, w1=POSITIVE, w2=POSITIVE, d=POSITIVE, hbar=HBAR)
+    def test_a_system_failing_at_tau_zero_fails_at_one_second(self, m1, m2, w1, w2, d, hbar):
+        # kernel.time_at_phase's retry rests on this: where the rate's
+        # evaluation at tau = 0 fails, report mode's at 1 s raises too.
+        sys = PairSystem(MassiveBody(m1, 0.0, w1), MassiveBody(m2, 0.0, w2), d,
+                         PhysicalConstants(hbar=hbar))
+        try:
+            kernel.evaluate_system(sys, 0.0)
+        except GraventError:
+            with pytest.raises(GraventError):
+                kernel.evaluate_system(sys, 1.0)
 
 
 def _bits(row):
