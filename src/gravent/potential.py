@@ -19,10 +19,7 @@ from dataclasses import dataclass
 from . import kernel
 from .errors import ConvergenceDomainError, InputDomainError
 from .kernel import warn_out_of_regime
-from .model import (
-    REGIME_THRESHOLD_DEFAULT, PairSystem, _count, _real, _require_type, assess_validity,
-    zero_point_width,
-)
+from .model import PairSystem, _count, _real, _require_type, assess_validity, zero_point_width
 
 __all__ = [
     "SeriesTerm",
@@ -42,10 +39,6 @@ __all__ = [
 #: reported unaltered under this tag next to the gradient-based force
 #: in newtons.
 FORCE_CLOSED_FORM_UNIT = "J*s"
-
-#: Highest supported truncation order for the expansion bookkeeping.
-MAX_SERIES_ORDER = 12
-
 
 @dataclass(frozen=True, slots=True)
 class SeriesTerm:
@@ -130,29 +123,23 @@ def quantum_correction(sys: PairSystem) -> float:
     return delta_v_g
 
 
-def corrected_potential(
-    sys: PairSystem,
-    series_order: int = 2,
-    regime_threshold: float = REGIME_THRESHOLD_DEFAULT,
-) -> PotentialBreakdown:
-    """Full bookkeeping of the corrected pair potential at zero-point widths.
+def corrected_potential(sys: PairSystem) -> PotentialBreakdown:
+    """Full bookkeeping of the corrected pair potential at zero-point widths,
+    with the series to order 2, the paper's truncation.
 
     Emits ``RegimeWarning`` (never an error) when the displacement ratio
-    exceeds ``regime_threshold``; out-of-regime numbers are still computed.
+    reaches the default regime threshold; out-of-regime numbers are still
+    computed. More terms are ``expand_potential``'s, another threshold is
+    ``assess_validity``'s.
     """
-    _count("series_order", series_order, least=0)
-    if series_order > MAX_SERIES_ORDER:
-        raise InputDomainError(
-            f"series_order must be in [0, {MAX_SERIES_ORDER}], got {series_order!r}"
-        )
-    check = assess_validity(sys, regime_threshold)
+    check = assess_validity(sys)
     if not check.in_regime:
-        warn_out_of_regime(check.ratio_x, regime_threshold, stacklevel=2)
+        warn_out_of_regime(check.ratio_x, check.threshold, stacklevel=2)
     dr1 = zero_point_width(sys.body1.mass, sys.body1.omega, sys.constants)
     dr2 = zero_point_width(sys.body2.mass, sys.body2.omega, sys.constants)
-    terms = expand_potential(sys, dr1 + dr2, series_order)
+    terms = expand_potential(sys, dr1 + dr2, 2)
     v0 = terms[0].value
-    x = (dr1 + dr2) / sys.separation_d
+    x = check.ratio_x
     delta = quantum_correction(sys)
     return PotentialBreakdown(
         v0=v0,

@@ -6,6 +6,7 @@ maximal entanglement.
 from __future__ import annotations
 
 import math
+import operator
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import MISSING, dataclass, field, fields
 
@@ -48,9 +49,9 @@ CHUNK_POINTS = 1024
 
 @dataclass(frozen=True, slots=True)
 class AxisSpec:
-    """One swept parameter: count float64 values from start to stop, linear
-    or log, whatever real number types the endpoints are. A linear axis
-    whose span ``stop - start`` overflows float64 raises ``InputDomainError``."""
+    """One swept parameter: count float64 values from start to stop, linear or
+    log, whatever real number types the endpoints are; count is kept as its int.
+    A linear axis whose span ``stop - start`` overflows float64 raises ``InputDomainError``."""
 
     start: float
     stop: float
@@ -59,6 +60,7 @@ class AxisSpec:
 
     def __post_init__(self) -> None:
         _count("count", self.count)
+        object.__setattr__(self, "count", operator.index(self.count))
         if self.spacing not in ("linear", "log"):
             raise InputDomainError(f"spacing must be 'linear' or 'log', got {self.spacing!r}")
         start, stop = _real("start", self.start), _real("stop", self.stop)
@@ -241,13 +243,14 @@ def evaluate_point(
 class SweepResult(Sequence):
     """The rows of a sweep, ordered by grid index.
 
-    Rows are evaluated CHUNK_POINTS at a time when read, so no more than one
-    chunk of them is held at once; reading the result twice evaluates it
-    twice. ``chunks`` gives each chunk as the writers take it, one column
-    per row field: the index array, a float64 array per float field and a
-    bool array per bool field, holding the row defaults nan and False where
-    a point failed, and a list per str field, the status naming each
-    failure. Iterating and indexing give Python-typed ``SweepRow`` objects.
+    Rows are evaluated CHUNK_POINTS at a time when iterated, so no more than
+    one chunk of them is held at once; a slice ``result[a:b]`` is evaluated
+    in one kernel call and held whole. Reading the result twice evaluates it
+    twice. ``chunks`` gives each chunk as the writers take it, one column per
+    row field: the index array, a float64 array per float field and a bool
+    array per bool field, holding the row defaults nan and False where a
+    point failed, and a list per str field, the status naming each failure.
+    Iterating and indexing give Python-typed ``SweepRow`` objects.
     """
 
     def __init__(self, spec: SweepSpec) -> None:

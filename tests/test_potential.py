@@ -1,9 +1,10 @@
 import math
 import re
 
+import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from gravent.errors import (
     ConvergenceDomainError,
@@ -165,6 +166,59 @@ class TestExpansion:
         slope = np.polyfit(np.log(xs), np.log(residuals), 1)[0]
         assert slope == pytest.approx(3.0, abs=0.1)
 
+    @given(x=st.floats(min_value=2.0**-20, max_value=1.0 - 2.0**-20))
+    @example(x=0.1)
+    @settings(max_examples=200)
+    def test_truncation_error_is_exactly_x(self, x):
+        """Past order 2, the terms of V0/(1 + x) sum to -x/(1 + x) of the
+        quadratic term V0*x**2, so that term is off by exactly x relative to
+        the all-orders sum V0*x**2/(1 + x). At 50 digits (2**-168 relative),
+        taking the tail out of the un-expanded potential cancels |V0|/|tail|
+        = 1/x**3 <= 2**60, which leaves about 2**-106 of the tail: 1e-30
+        bounds it."""
+        with mpmath.workdps(50):
+            v0, x = mpmath.mpf(-1), mpmath.mpf(x)  # V0 scales out
+            exact = v0 / (1 + x)
+            quadratic = v0 * x**2
+            tail = exact - (v0 - v0 * x + quadratic)
+            assert abs(tail / quadratic + x / (1 + x)) <= 1e-30 * x
+            all_orders = exact - (v0 - v0 * x)
+            assert abs((quadratic - all_orders) / all_orders - x) <= 1e-30 * x
+
+    @given(
+        x=st.floats(min_value=1e-80, max_value=1.0 - 2.0**-20),
+        d=st.floats(min_value=1e-10, max_value=1e10),
+    )
+    @settings(max_examples=300)
+    def test_terms_plus_closed_form_tail_give_the_exact_potential(self, x, d):
+        """With x = dr/d, V0 = -K/d and K = G*m1*m2 (both sides form K with
+        the same roundings), sum(terms to order 2) - t2*x/(1 + x) equals
+        -K/(d + dr) within 16u*T, where u = 2**-53 and T = |V0|/(1 + x) is
+        the potential's magnitude.
+
+        Each rounding is at most u of its result (pow at most one ulp, 2u),
+        and with the rounded v0 and x the sum is exactly v0/(1 + x). In units
+        of u*T, |V0| being (1 + x)*T:
+        - v0 = K/d and x = dr/d: 1 + x/(1 + x) <= 1.5;
+        - t1 = v0*(-x): x*(1 + x) <= 2;
+        - t2 = v0*(-x)**2, 3u (pow, product), which enters the tail too:
+          net 3*x**2 <= 3;
+        - sum's two additions, t0 + t1 and then + t2: (1 - x**2) + (1 + x**3)
+          <= 1 + 2 (compensated summation, Python 3.12+, is no worse);
+        - the tail's own 3 roundings (t2*x, 1 + x, the division): 3*x**3 <= 3;
+        - adding the tail: 1; the oracle's d + dr and its division: 2.
+        The first-order sum is 15.5; second-order terms are O(u).
+        d in [1e-10, 1e10] and x >= 1e-80 keep every value normal.
+        """
+        sys = make_system(d=d)
+        dr = x * d
+        terms = expand_potential(sys, dr, 2)
+        x = dr / sys.separation_d  # the ratio expand_potential forms
+        tail = -terms[2].value * x / (1.0 + x)
+        total = sum(t.value for t in terms) + tail
+        exact = exact_size_corrected_potential(sys, dr, 0.0)
+        assert abs(total - exact) <= 16 * 2.0**-53 * abs(exact)
+
 
 class TestQuantumCorrection:
     def test_reference_oracle(self):
@@ -212,13 +266,16 @@ class TestCorrectedPotential:
 
     def test_recomposition(self):
         sys = make_system()
-        breakdown = corrected_potential(sys, series_order=3)
+        breakdown = corrected_potential(sys)
         v0 = newtonian_potential(1e-14, 1e-14, 1e-6, C)
         assert breakdown.v0 == v0
         assert breakdown.series_terms[0].value == v0
         assert breakdown.delta_v_g == quantum_correction(sys)
         assert breakdown.v_g_total == v0 + quantum_correction(sys)
-        assert len(breakdown.series_terms) == 4
+        assert [t.order for t in breakdown.series_terms] == [0, 1, 2]
+        third_order = expand_potential(sys, 2 * zero_point_width(1e-14, 1e5, C), 3)
+        assert third_order[:3] == breakdown.series_terms
+        assert len(third_order) == 4
 
     def test_truncated_form_matches_total(self):
         breakdown = corrected_potential(make_system())
@@ -237,12 +294,6 @@ class TestCorrectedPotential:
         with pytest.warns(RegimeWarning):
             breakdown = corrected_potential(sys)
         assert math.isfinite(breakdown.v_g_total)
-
-    def test_series_order_bounds(self):
-        with pytest.raises(InputDomainError):
-            corrected_potential(make_system(), series_order=13)
-        with pytest.raises(InputDomainError):
-            corrected_potential(make_system(), series_order=-1)
 
 
 class TestEntanglementForce:
@@ -315,8 +366,6 @@ SYSTEM = make_system()
     (lambda: expand_potential(SYSTEM, 0.0, 2.5), "max_order must be an integer, got 2.5"),
     (lambda: expand_potential(SYSTEM, 0.0, -1), "max_order must be >= 0, got -1"),
     (lambda: expand_potential(SYSTEM, math.nan, 2), "dr_sum must be finite"),
-    (lambda: corrected_potential(SYSTEM, series_order="2"), "series_order must be an integer"),
-    (lambda: corrected_potential(SYSTEM, series_order=2.5), "series_order must be an integer"),
     (lambda: exact_size_corrected_potential(SYSTEM, "1", 0.0), "dr1 must be a real number"),
     (lambda: exact_size_corrected_potential(SYSTEM, 10**400, 0.0),
      "dr1 is outside the float64 range"),
@@ -331,8 +380,6 @@ def test_bad_order_or_displacement_is_an_input_domain_error(call, message):
 @pytest.mark.parametrize("call, message", [
     (lambda: expand_potential(SYSTEM, 0.0, True), "max_order must be an integer, got True"),
     (lambda: expand_potential(SYSTEM, 0.0, False), "max_order must be an integer, got False"),
-    (lambda: corrected_potential(SYSTEM, series_order=True),
-     "series_order must be an integer, got True"),
 ])
 def test_a_bool_is_not_an_order(call, message):
     with pytest.raises(InputDomainError, match=f"^{re.escape(message)}"):

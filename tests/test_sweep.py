@@ -48,6 +48,9 @@ class TestAxisSpec:
     def test_single_point(self):
         assert AxisSpec(5.0, 9.0, 1).values().tolist() == [5.0]
 
+    def test_count_is_kept_as_its_int(self):
+        assert type(AxisSpec(0.0, 1.0, np.int64(3)).count) is int
+
     @pytest.mark.parametrize(
         "kwargs",
         [
@@ -80,10 +83,17 @@ class TestSweepSpec:
         with pytest.raises(InputDomainError):
             SweepSpec(axes={}, fixed=incomplete)
 
-    def test_grid_cap(self):
-        with pytest.raises(InputDomainError):
+    # numpy integer counts must not wrap in the product: at 2**32 each, an
+    # int64 product is 0, which would pass the cap and build both axes
+    @pytest.mark.parametrize("counts, total", [
+        ((1001, 1000), 1001000),
+        ((np.int64(2**32), np.int64(2**32)), 2**64),
+    ])
+    def test_grid_cap(self, counts, total):
+        message = f"grid has {total} points, above the cap of 1000000"
+        with pytest.raises(InputDomainError, match=f"^{message}$"):
             SweepSpec(
-                axes={"tau": AxisSpec(1.0, 2.0, 1001), "d": AxisSpec(1e-6, 1e-5, 1000)},
+                axes={"tau": AxisSpec(1.0, 2.0, counts[0]), "d": AxisSpec(1e-6, 1e-5, counts[1])},
                 fixed={k: v for k, v in FIXED.items() if k not in ("tau", "d")},
             )
 
