@@ -5,9 +5,15 @@
 significant digits in double-double arithmetic (``_scaled``), finds the
 digits with integer and float array arithmetic, and assembles the texts from
 lookup tables as one byte buffer. Each table is written as the texts it
-holds, NUL-padded and read as little-endian codes (``_codes``). What a
-formatter cannot certify it passes to the Python formatting it stands in
-for (``_percent_e``, ``_reprs``).
+holds, NUL-padded and read as little-endian codes (``_codes``).
+
+A formatter certifies a value only where float arithmetic settles its
+digits with a margin; every other value it passes to the Python formatting
+it stands in for (``_percent_e``, ``_reprs``), which writes the reference
+bytes: zero, inf, nan, |v| outside [1e-280, 1e280], an exponent the
+logarithm puts a decade off, a scaled value within a millionth of a
+rounding decision, and also each ``%e`` at a precision above 15 and each
+``repr`` of a power of two.
 """
 
 from __future__ import annotations
@@ -97,7 +103,9 @@ def _scale(a: np.ndarray, exponent: np.ndarray, precision: int) -> tuple[np.ndar
 
     The product is in double-double arithmetic: Dekker's exact two-product
     against hi, the float nearest the power of ten, plus a times lo, its
-    rest, leaves ``whole + fraction`` within ~1e-16 relative of exact.
+    rest, leaves ``whole + fraction`` within about 2**-104 relative of
+    exact, plus the rounding of ``fraction``: under 1e-14 at 17 digits, far
+    inside the callers' margins (5e-7 or more).
     ``fraction`` is in [0, 1) to that error while the scaled value is below
     2**53, and within 8 of 0 above it.
     """
@@ -113,16 +121,13 @@ def _scale(a: np.ndarray, exponent: np.ndarray, precision: int) -> tuple[np.ndar
 
 
 def _scaled(values: np.ndarray, precision: int) -> tuple[np.ndarray, ...]:
-    """Each |v| scaled to ``precision`` significant digits, by 10**(precision
-    - 1 - e), e = floor(log10|v|): |v|, e, the scaled value as its float floor
-    ``whole`` plus ``fraction``, and whether |v| is in [1e-280, 1e280]
-    (false for zero, inf and nan, whose |v| is taken as 1).
+    """Each |v| scaled by 10**(precision - 1 - e): |v|, e, the scaled value
+    as its float floor ``whole`` plus ``fraction``, and whether |v| is in
+    [1e-280, 1e280] (false for zero, inf and nan, whose |v| is taken as 1).
 
-    e is first estimated from the logarithm, which may put a |v| next to a
-    power of ten one decade off; a value whose ``whole`` then has a digit
-    too few or too many is scaled once more, at the e next to it. This
-    leaves off only a few values whose scaled value is within its error of
-    a power of ten.
+    e is floor(log10|v|) as the logarithm estimates it, which for a |v|
+    next to a power of ten may be a decade off. Such a value's ``whole``
+    has a digit too few or too many, and the callers do not certify it.
     """
     with np.errstate(all="ignore"):
         a = np.abs(values)
@@ -130,11 +135,6 @@ def _scaled(values: np.ndarray, precision: int) -> tuple[np.ndarray, ...]:
         a[~in_range] = 1.0
         exponent = np.floor(np.log(a) * _LOG10_E).astype(np.int64)
         whole, fraction = _scale(a, exponent, precision)
-        low, high = 10.0 ** (precision - 1), 10.0**precision
-        off = np.flatnonzero((whole < low) | (whole >= high))
-        if len(off):
-            exponent[off] += np.where(whole[off] < low, -1, 1)
-            whole[off], fraction[off] = _scale(a[off], exponent[off], precision)
     return a, exponent, whole, fraction, in_range
 
 
@@ -144,9 +144,10 @@ def _rounded_digits(
     """Each |v| rounded to ``precision`` significant digits: the digits as
     an integer, the decimal exponent, and whether the rounding is certain.
 
-    It is not certain where ``_scaled`` is not, nor for a scaled value whose
-    fraction is within 1e-6 of 1/2 (a possible tie, which "%" rounds to
-    even), or one that still has a digit too few or too many.
+    It is certain where |v| is in range, the scaled value has ``precision``
+    digits (its exponent is right) and its fraction is at least 1e-6 from
+    1/2, so rounding half up to the nearest integer is what "%" does. A
+    fraction that close to 1/2 may be a tie, which "%" rounds to even.
     """
     low, high = 10.0 ** (precision - 1), 10.0**precision
     _, exponent, whole, fraction, certified = _scaled(values, precision)
@@ -224,20 +225,11 @@ def _format_e(values: np.ndarray, precision: int) -> list[str]:
     return _fall_back(texts, values, certified, lambda uncertain: _percent_e(uncertain, precision))
 
 
-#: 10**j for j in 0..17 and 5**j for j in 0..26, exact in int64.
+#: 10**j for j in 0..17, exact in int64.
 _POWERS = np.array([10**j for j in range(_R_DIGITS + 1)], dtype=np.int64)
-_FIVES = np.array([5**j for j in range(27)], dtype=np.int64)
 #: 10**k for k = 0, 1, 2, one row each: the k _shortest_digits tries first.
 _LEVELS = _POWERS[:3, None]
 _SIGNIFICAND = np.uint64(2**52 - 1)  # the stored bits of a float64's significand
-
-
-def _divisible(n: np.ndarray, twos: np.ndarray, level: np.ndarray) -> np.ndarray:
-    """Whether n * 2**twos is a multiple of 10**level, exactly, for
-    0 < n < 2**54: 2**(level - twos) and 5**level divide n. A level past 26
-    is taken as 26, which no such n passes either (5**26 > 2**54)."""
-    shift = np.minimum(np.maximum(level - twos, 0), 62)
-    return (n % _FIVES[np.minimum(np.maximum(level, 0), 26)] == 0) & (n & ((1 << shift) - 1) == 0)
 
 
 def _shortest_digits(
@@ -249,34 +241,31 @@ def _shortest_digits(
 
     |v| is scaled to 17 digits (``_scaled``), and so is its half-gap h,
     half the distance to the next float: a number within h of |v| reads
-    back as v, and one at h does if v's significand is even (reading
-    rounds half to even). The digits are those of the multiple of 10**k
-    nearest the scaled value, for the largest k that puts that multiple
-    inside h; of two multiples at the same distance, the one whose last
-    digit is even. This is Gay's shortest round-trip rule, which ``repr``
-    follows. k = 0 is always inside, as h > 0.55 at 17 digits, and a value
-    inside at k + 1 is inside at k, so k rises from 0 while the multiple
-    stays inside. From k = 2 on, 10**k > 2h, so at most one multiple of
-    10**k is inside: the one found at k = 2 is also the one at each higher
-    k, and its trailing zeros give the largest k. A distance within 1e-6 h
-    of h, or of the other multiple's, is decided exactly from v's
-    significand and binary exponent.
+    back as v. The digits are those of the multiple of 10**k nearest the
+    scaled value, for the largest k that puts that multiple inside h. This
+    is Gay's shortest round-trip rule, which ``repr`` follows. k = 0 is
+    always inside, as h > 0.55 at 17 digits, and a value inside at k + 1 is
+    inside at k, so k rises from 0 while the multiple stays inside. From
+    k = 2 on, 10**k > 2h, so at most one multiple of 10**k is inside: the
+    one found at k = 2 is also the one at each higher k, and its trailing
+    zeros give the largest k.
 
-    They are not certain where ``_scaled`` is not; for a power of two,
-    whose gap below is half its gap above; where such a near distance is
-    not exactly h, or not exactly a tie, at any k tried; or for a scaled
-    value that still has a digit too few or too many.
+    They are certain where |v| is in range, the scaled value has 17 digits
+    (its exponent is right), |v| is not a power of two (whose gap below is
+    half its gap above), and at each k = 0, 1, 2 the nearer multiple's
+    distance is at least 1e-6 h from h and from the other multiple's. A
+    distance at h reads back as v only if v's significand is even, and of
+    two equally near multiples ``repr`` takes the one whose last digit is
+    even; float arithmetic cannot tell those cases from their neighbours.
     """
     a, exponent, whole, fraction, certified = _scaled(values, _R_DIGITS)
     bits = a.view(np.uint64)
-    significand = ((bits & _SIGNIFICAND) | np.uint64(2**52)).astype(np.int64)
-    twos = (bits >> np.uint64(52)).astype(np.int32) - 1075  # |v| = significand * 2**twos
+    twos = (bits >> np.uint64(52)).astype(np.int32) - 1075  # the binary exponent of |v|'s ulp
     half_gap = np.ldexp(_TEN_HI[_R_DIGITS - 1 - _K_MIN - exponent], twos - 1)
-    margin = 1e-6 * half_gap
     floor = np.floor(fraction)
     whole = whole.astype(np.int64) + floor.astype(np.int64)
     fraction -= floor
-    certified &= (whole >= _POWERS[-2]) & (whole < _POWERS[-1]) & (significand != 2**52)
+    certified &= (whole >= _POWERS[-2]) & (whole < _POWERS[-1]) & ((bits & _SIGNIFICAND) != 0)
     # Per k = 0, 1, 2 (rows) and value (columns): the multiples of 10**k
     # either side of the scaled value, and the distances to them.
     quotient = whole // _LEVELS
@@ -285,22 +274,8 @@ def _shortest_digits(
     up = above < below
     distance = np.minimum(above, below) - half_gap
     inside = distance < 0.0
-    tie_gap = np.abs(above - below)
-    near = np.flatnonzero((np.abs(distance) < margin) | (tie_gap < margin))
-    if len(near):
-        k, i = np.divmod(near, len(a))
-        level = k + exponent[i] - (_R_DIGITS - 1)  # 10**k scaled back is 10**level
-        n, twos_i = significand[i], twos[i]
-        # |v| -+ h a multiple of 10**level: inside if the significand is even.
-        close = np.abs(distance.flat[near]) < margin[i]
-        exact = _divisible(2 * n + np.where(up.flat[near], 1, -1), twos_i - 1, level)
-        inside.flat[near[close]] = (exact & (n % 2 == 0))[close]
-        certified[i[close & ~exact]] = False
-        # |v| an odd multiple of 10**level / 2: the multiple whose last digit is even.
-        tied = tie_gap.flat[near] < margin[i]
-        exact = _divisible(n, twos_i + 1, level) & ~_divisible(n, twos_i, level)
-        up.flat[near[tied]] = (quotient.flat[near] % 2 == 1)[tied]
-        certified[i[tied & ~exact]] = False
+    margin = 1e-6 * half_gap
+    certified &= ~((np.abs(distance) < margin) | (np.abs(above - below) < margin)).any(axis=0)
     places = inside[1].astype(np.int64) + (inside[1] & inside[2])
     digits = (quotient + up)[places, np.arange(len(a))]
     rows = np.flatnonzero(places == 2)

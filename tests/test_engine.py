@@ -943,35 +943,6 @@ def test_format_e_formats_log_uniform_values_without_the_fallback(monkeypatch):
     assert len(passed) == 2
 
 
-def test_formatters_rescale_the_neighbours_of_powers_of_ten(monkeypatch):
-    """The logarithm puts many floats next to a power of ten a decade off;
-    _scaled scales those once more, so the fallbacks format only the few
-    whose scaled value is within its error of a power of ten. Counted on the
-    float on either side of each power of ten strictly inside [1e-280,
-    1e280], where the formatters certify values, and at the CSV's default
-    precision."""
-    passed = {"e": 0, "repr": 0}
-    percent_e, reprs_ = float_text._percent_e, float_text._reprs
-
-    def counting_e(values, precision):
-        passed["e"] += len(values)
-        return percent_e(values, precision)
-
-    def counting_repr(values):
-        passed["repr"] += len(values)
-        return reprs_(values)
-
-    monkeypatch.setattr(float_text, "_percent_e", counting_e)
-    monkeypatch.setattr(float_text, "_reprs", counting_repr)
-    powers = np.array([float(f"1e{k}") for k in range(-280, 281)])
-    for values, most in ((np.nextafter(powers[1:], 0.0), {"e": 20, "repr": 70}),
-                         (np.nextafter(powers[:-1], np.inf), {"e": 0, "repr": 0})):
-        passed.update(e=0, repr=0)
-        assert float_text._format_e(values, 12) == percent(values, 12)
-        assert float_text._format_repr(values) == [repr(v) for v in values.tolist()]
-        assert passed["e"] <= most["e"] and passed["repr"] <= most["repr"], passed
-
-
 def reprs(values):
     return [repr(v) if math.isfinite(v) else "null" for v in np.asarray(values, dtype=np.float64).tolist()]
 
@@ -1023,7 +994,7 @@ def test_json_floats_match_repr_on_any_floats(values):
     assert cli._json_floats(values) == reprs(values)
 
 
-def test_json_floats_format_log_uniform_values_without_the_fallback(monkeypatch):
+def test_json_floats_match_repr_on_log_uniform_values_and_exact_ties(monkeypatch):
     passed = []
     fallback = float_text._reprs
 
@@ -1034,13 +1005,42 @@ def test_json_floats_format_log_uniform_values_without_the_fallback(monkeypatch)
     monkeypatch.setattr(float_text, "_reprs", counting)
     values = 10.0 ** np.random.default_rng(2401).uniform(-30.0, 30.0, 1024)
     assert cli._json_floats(values) == reprs(values)
-    # Exact ties and half-gap boundaries are decided exactly, not passed on.
+    # Exact ties and half-gap boundaries: repr formats those float
+    # arithmetic cannot decide.
     values = exact_ties_and_boundaries()
     assert cli._json_floats(values) == reprs(values)
-    assert passed == []
     # The counter sees what the fallback formats: zero and nan.
+    passed.clear()
     assert cli._json_floats(np.array([1.5, 0.0, np.nan])) == ["1.5", "0.0", "null"]
     assert len(passed) == 2
+
+
+def test_formatters_match_percent_and_repr_on_numpys_other_simd_path(tmp_path):
+    """_scaled takes its exponent from np.log, whose last bit depends on the
+    SIMD code numpy dispatches to, and so does the set of values the
+    formatters certify; the bytes must not. A child process formats the
+    fixed sets (REPR_FIXED holds FIXED) with AVX-512 dispatch off
+    (NPY_DISABLE_CPU_FEATURES acts on that process only, and changes nothing
+    on a CPU without AVX-512)."""
+    values = np.concatenate(list(REPR_FIXED.values()))
+    np.save(tmp_path / "values.npy", values)
+    code = ("import json, sys\n"
+            "import numpy as np\n"
+            "from gravent import cli, float_text\n"
+            "values = np.load(sys.argv[1])\n"
+            "texts = {p: float_text._format_e(values, p) for p in (1, 12, 15, 17)}\n"
+            "texts['json'] = cli._json_floats(values)\n"
+            "json.dump(texts, sys.stdout)\n")
+    root = Path(__file__).resolve().parent.parent
+    env = {**os.environ, "PYTHONPATH": str(root / "src"),
+           "NPY_DISABLE_CPU_FEATURES": "X86_V4 AVX512_ICL AVX512_SPR"}
+    proc = subprocess.run([sys.executable, "-c", code, str(tmp_path / "values.npy")], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    texts = json.loads(proc.stdout)
+    for precision in (1, 12, 15, 17):
+        assert texts[str(precision)] == percent(values, precision)
+    assert texts["json"] == reprs(values)
 
 
 def percent_csv(rows, precision):
