@@ -5,7 +5,15 @@ correction -> accumulated branch phases -> evolved two-qubit state ->
 matrix-derived entanglement measures, with a sweep engine and batch CLI
 on top. The reference helpers behind the scalar pipeline stay in their
 modules (``gravent.dynamics``, ``gravent.measures``, ...).
+
+Importing the package loads ``errors`` and ``model`` alone. Each other name
+in ``__all__`` loads its module on first access (``__getattr__``, PEP 562),
+so ``import gravent.cli`` leaves the scalar modules ``potential``,
+``dynamics`` and ``measures`` unloaded, and ``import gravent.measures``
+leaves out ``sweep`` and ``config``.
 """
+
+import importlib
 
 from .errors import (
     ConfigError,
@@ -19,11 +27,6 @@ from .errors import (
     WidthWarning,
 )
 from .model import MassiveBody, PairSystem, PhysicalConstants
-from .potential import entanglement_force, quantum_correction
-from .dynamics import accumulated_phase
-from .measures import report
-from .sweep import AxisSpec, SweepSpec, run_sweep, time_to_max_entanglement
-from .config import parse_config
 
 __version__ = "0.1.0"
 
@@ -50,3 +53,30 @@ __all__ = [
     "run_sweep",
     "time_to_max_entanglement",
 ]
+
+#: The names of ``__all__`` that load on first access, each with its module.
+_ON_FIRST_USE = {
+    "report": "measures",
+    "accumulated_phase": "dynamics",
+    "entanglement_force": "potential",
+    "quantum_correction": "potential",
+    "AxisSpec": "sweep",
+    "SweepSpec": "sweep",
+    "run_sweep": "sweep",
+    "time_to_max_entanglement": "sweep",
+    "parse_config": "config",
+}
+
+
+def __getattr__(name: str):
+    try:
+        module = _ON_FIRST_USE[name]
+    except KeyError:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_ON_FIRST_USE})

@@ -17,6 +17,7 @@ import io
 import itertools
 import json
 import numbers
+import operator
 import os
 import sys
 import warnings
@@ -176,6 +177,7 @@ def rows_to_csv(
             f"precision must be an integer in [{PRECISIONS[0]}, {PRECISIONS[-1]}], "
             f"got {precision!r}"
         )
+    precision = operator.index(precision)
     buffer = io.StringIO() if out is None else out
     buffer.write(",".join(ROW_FIELD_NAMES) + "\n")
     encoders = {"float": lambda values: _format_e(values, precision), "str": _csv_texts}

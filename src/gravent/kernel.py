@@ -94,6 +94,13 @@ PHASE_TOL = 1e-9
 #: phase mod 2*pi, and every measure with it, is noise: a PrecisionError.
 PHASE_RESOLUTION_LIMIT = 2.0**33
 
+#: Dimensional content of the fixed closed-form force expression (``_forces``).
+#: Its bracket carries 1/(mass * omega^2), one power of omega short of a
+#: force, so the product evaluates to an energy*time. The value is
+#: reported unaltered under this tag next to the gradient-based force
+#: in newtons.
+FORCE_CLOSED_FORM_UNIT = "J*s"
+
 #: Input columns, in canonical grid order.
 PARAMETERS = ("m1", "m2", "omega1", "omega2", "d", "tau")
 _parameters = itemgetter(*PARAMETERS)

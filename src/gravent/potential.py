@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 from . import kernel
 from .errors import ConvergenceDomainError, InputDomainError
-from .kernel import warn_out_of_regime
+from .kernel import FORCE_CLOSED_FORM_UNIT, warn_out_of_regime
 from .model import PairSystem, _count, _real, _require_type, assess_validity, zero_point_width
 
 __all__ = [
@@ -32,13 +32,6 @@ __all__ = [
     "entanglement_force",
     "FORCE_CLOSED_FORM_UNIT",
 ]
-
-#: Dimensional content of the fixed closed-form force expression. Its
-#: bracket carries 1/(mass * omega^2), one power of omega short of a
-#: force, so the product evaluates to an energy*time. The value is
-#: reported unaltered under this tag next to the gradient-based force
-#: in newtons.
-FORCE_CLOSED_FORM_UNIT = "J*s"
 
 @dataclass(frozen=True, slots=True)
 class SeriesTerm:

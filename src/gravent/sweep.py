@@ -5,6 +5,7 @@ maximal entanglement.
 
 from __future__ import annotations
 
+import importlib
 import math
 import operator
 from collections.abc import Iterable, Iterator, Mapping, Sequence
@@ -17,14 +18,25 @@ from .errors import InputDomainError
 from .model import (
     REGIME_THRESHOLD_DEFAULT, PairSystem, PhysicalConstants, _bool, _count, _real, _require_type,
 )
-from .potential import FORCE_CLOSED_FORM_UNIT
 
-# The scalar pipeline stays importable from this module for callers that wrap
-# it by name (benchmarks/tracer.py does); the engine evaluates through
-# kernel.evaluate.
-from .measures import report  # noqa: F401
+# The scalar pipeline stays reachable from this module for callers that wrap
+# it by name (benchmarks/tracer.py does) until ROADMAP item 6 removes it; the
+# engine evaluates through kernel.evaluate. report and entanglement_force load
+# on first access (__getattr__ below), so a sweep loads no scalar module.
 from .model import MassiveBody, assess_validity  # noqa: F401
-from .potential import entanglement_force  # noqa: F401
+
+_SCALAR = {"report": "measures", "entanglement_force": "potential"}
+
+
+def __getattr__(name: str):
+    try:
+        module = _SCALAR[name]
+    except KeyError:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+    value = getattr(importlib.import_module(f".{module}", __package__), name)
+    globals()[name] = value
+    return value
+
 
 __all__ = [
     "SWEEP_PARAMETERS",
@@ -185,7 +197,7 @@ class SweepRow:
     separable_by_measures: bool = False
     separable_by_two_pi_criterion: bool = False
     force_closed_form: float = math.nan
-    force_closed_form_unit: str = FORCE_CLOSED_FORM_UNIT
+    force_closed_form_unit: str = kernel.FORCE_CLOSED_FORM_UNIT
     force_gradient: float = math.nan
     status: str = "ok"
 
@@ -283,7 +295,7 @@ class SweepResult(Sequence):
             r1=np.full(n, spec.r1, dtype=np.float64),
             r2=np.full(n, spec.r2, dtype=np.float64),
             regime_threshold=np.where(failed, math.nan, spec.regime_threshold),
-            force_closed_form_unit=[FORCE_CLOSED_FORM_UNIT] * n,
+            force_closed_form_unit=[kernel.FORCE_CLOSED_FORM_UNIT] * n,
             status=status,
         )
         return [columns[name] for name in ROW_FIELD_NAMES]

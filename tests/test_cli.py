@@ -546,3 +546,16 @@ def test_a_bool_is_not_a_precision():
                    omega1=1e5, omega2=1e5, d=1e-6, tau=1.0)
     with pytest.raises(InputDomainError, match="^precision .*got True$"):
         rows_to_csv([row], precision=True)
+
+
+@pytest.mark.parametrize("dtype", ["int8", "uint8", "int64"])
+def test_a_numpy_integer_precision_writes_the_int_s_bytes(dtype):
+    import numpy as np
+
+    from gravent.sweep import SweepRow
+
+    row = SweepRow(index=0, m1=1e-14, m2=-2.5e-14, r1=0.0, r2=1 / 3,
+                   omega1=1e5, omega2=123456.789, d=1e-6, tau=1.0)
+    for precision in range(1, 18):
+        assert rows_to_csv([row], precision=np.dtype(dtype).type(precision)) == rows_to_csv(
+            [row], precision=precision), precision
