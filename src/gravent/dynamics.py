@@ -177,11 +177,14 @@ def evolve_closed_form(psi0: TwoQubitState, phases: PhaseSet) -> TwoQubitState:
 def delta_phi_to_tau(sys: PairSystem, delta_phi: float) -> float:
     """Interaction time at which the entangling phase reaches ``delta_phi``.
 
-    Inverts the linear relation delta_phi(tau) through
-    ``kernel.time_at_phase``, as ``time_to_max_entanglement`` does; requires
-    a non-zero quantum correction (``NoEntanglementError``). A ``delta_phi``
-    that is not a finite real number is an ``InputDomainError``, and a tau
-    past the float64 range a ``FloatRangeError``.
+    Inverts the linear relation delta_phi(tau) in one evaluation of the
+    kernel (``kernel.evaluate_system``), as ``time_to_max_entanglement``
+    does, so it fails as report mode fails at the solved time; requires a
+    non-zero quantum correction (``NoEntanglementError``). A ``delta_phi``
+    that is not a finite, non-negative real number is an
+    ``InputDomainError``, and a tau past the float64 range a
+    ``FloatRangeError``.
     """
     delta_phi = _finite(_raise, "delta_phi", _real("delta_phi", delta_phi), "non-negative")
-    return kernel.time_at_phase(sys, delta_phi, f"tau = {delta_phi!r}")
+    *_, tau, _, _ = kernel.evaluate_system(sys, delta_phi, label=f"tau = {delta_phi!r}")
+    return tau

@@ -6,7 +6,9 @@ validity ratio, the correction, the phases, the matrix-derived measures and
 both forces, and for each point the first check it fails; every row, of a
 sweep or of one point, comes from it, the CLI's tau-star row included.
 ``evaluate_system`` evaluates one system on plain floats, without the
-forces, for ``report``, ``accumulated_phase`` and ``time_at_phase``;
+forces, for ``report`` and ``accumulated_phase``; given a phase instead, it
+solves for the time at which the phase is reached and evaluates the system
+there, for ``time_to_max_entanglement`` and ``delta_phi_to_tau``.
 ``evaluate_correction`` runs only the correction and the forces, for
 ``quantum_correction`` and ``entanglement_force``. The input checks are
 ``gravent.model``'s, or written out with its messages, made in the order a
@@ -50,8 +52,8 @@ check that passes makes no call, and a passing ``report()`` none at all; an
 array condition always reaches ``Batch.add``. Every divisor is checked
 non-zero before the division, so float arithmetic raises nothing else. The
 functions the expressions call come from a table per path: on floats,
-``math.sqrt``, ``math.fmod`` and the builtins ``max`` and ``min``, which are
-correctly rounded or exact and so round as numpy's ufuncs do. ``log`` and
+``math.sqrt``, ``math.fmod`` and the builtin ``max``, which are correctly
+rounded or exact and so round as numpy's ufuncs do. ``log`` and
 ``log1p`` stay numpy's ufuncs on both paths, because numpy's and the C
 library's differ in the last bit on some arguments (``log1p`` on about 7% of
 [-0.5, 0] on an AVX-512 host); ``cos`` and ``sin`` stay numpy's too, so that
@@ -113,7 +115,10 @@ Inputs = Mapping[str, np.ndarray]
 _MEASURES = ("purity_full", "purity_reduced", "epsilon", "entropy_nats", "entropy_bits",
              "separable_by_measures", "separable_by_two_pi_criterion")
 #: The outputs ``_physics`` returns, in order.
-_OUTPUTS = ("ratio_x", "delta_v_g", "phase_rate", "phi", "phi_prime", "delta_phi", *_MEASURES)
+_OUTPUTS = ("ratio_x", "delta_v_g", "phase_rate", "phi", "phi_prime", "delta_phi", *_MEASURES,
+            "tau")
+#: Why a system with no phase rate has no time at which a phase is reached.
+_NO_ENTANGLEMENT = "quantum correction is zero; entanglement never accumulates"
 
 
 def _on_float(ufunc):
@@ -122,11 +127,11 @@ def _on_float(ufunc):
 
 #: The functions the physics calls, on columns and on floats.
 _ARRAY_MATH = SimpleNamespace(
-    sqrt=np.sqrt, fmod=np.fmod, maximum=np.maximum, minimum=np.minimum,
+    sqrt=np.sqrt, fmod=np.fmod, maximum=np.maximum,
     cos=np.cos, sin=np.sin, log=np.log, log1p=np.log1p,
 )
 _FLOAT_MATH = SimpleNamespace(
-    sqrt=math.sqrt, fmod=math.fmod, maximum=max, minimum=min,
+    sqrt=math.sqrt, fmod=math.fmod, maximum=max,
     cos=_on_float(np.cos), sin=_on_float(np.sin), log=_on_float(np.log),
     log1p=_on_float(np.log1p),
 )
@@ -214,7 +219,7 @@ def evaluate(
     return batch
 
 
-def evaluate_system(sys: PairSystem, tau: float, stacklevel: int = 0) -> tuple:
+def evaluate_system(sys: PairSystem, tau: float, stacklevel: int = 0, label: str = "") -> tuple:
     """``sys`` at interaction time ``tau``: ``evaluate`` at one point, without
     the forces and at the default regime threshold, the same outputs and,
     for a failed point, the same error. Returns ``_physics``' tuple of
@@ -222,7 +227,15 @@ def evaluate_system(sys: PairSystem, tau: float, stacklevel: int = 0) -> tuple:
     ``stacklevel`` above 0 emits ``RegimeWarning`` where the ratio is
     reached and not below the default threshold, before any later check
     fails; it counts from the caller, as in ``warnings.warn``. A ``tau``
-    that is not a real number raises ``InputDomainError``."""
+    that is not a real number raises ``InputDomainError``.
+
+    With a ``label``, ``tau`` is instead a phase delta_phi, a finite float
+    >= 0 that the caller has checked, and the body solves for the time at
+    which the phase reaches it, delta_phi over the phase rate: the tuple
+    holds ``sys`` at that time, its ``tau`` output, and fails as report mode
+    fails there. hbar = 0 or a zero rate raises ``NoEntanglementError``, and
+    a time past the float64 range ``FloatRangeError``,
+    "{label}/{rate!r} overflows"."""
     # The system's values as floats, which its value objects have checked
     # finite and positive, so the float path does not check them again.
     _require_type("sys", sys, PairSystem)
@@ -230,7 +243,7 @@ def evaluate_system(sys: PairSystem, tau: float, stacklevel: int = 0) -> tuple:
     m1, m2, w1, w2 = float(body1.mass), float(body2.mass), float(body1.omega), float(body2.omega)
     d, tau = float(sys.separation_d), _real("tau", tau)
     return _physics(_Floats, m1, m2, w1, w2, d, tau, float(constants.G), float(constants.hbar),
-                    stacklevel and stacklevel + 1)
+                    stacklevel and stacklevel + 1, label)
 
 
 def evaluate_correction(sys: PairSystem, force: bool = False, symmetrize: bool = False) -> tuple:
@@ -251,44 +264,16 @@ def evaluate_correction(sys: PairSystem, force: bool = False, symmetrize: bool =
     return (-correction,)
 
 
-def time_at_phase(sys: PairSystem, delta_phi: float, label: str) -> float:
-    """The time at which ``sys``'s entangling phase reaches ``delta_phi``, a
-    finite float >= 0: delta_phi over the phase rate (delta_phi per second),
-    read at tau = 0. Tau-star and ``delta_phi_to_tau`` are views of it. A
-    system that fails a check at tau = 0 raises the error report mode gives
-    at tau = 1 s; a zero rate, or hbar = 0, ``NoEntanglementError``; a time
-    past the float64 range ``FloatRangeError``, "{label}/{rate!r} overflows"."""
-    _require_type("sys", sys, PairSystem)
-    if sys.constants.hbar != 0.0:
-        # A check that depends on tau fails at tau = 0 only where the
-        # potential or the rate is not finite, and then at every tau. The
-        # error raised is report mode's at tau = 1 s, where each check failed
-        # at tau = 0 fails too, or an earlier one does. It is evaluated
-        # outside the except block, so that it raises with no context.
-        failed = None
-        try:
-            _, _, rate, *_ = evaluate_system(sys, 0.0)
-        except GraventError as error:
-            failed = error
-        if failed is not None:
-            evaluate_system(sys, 1.0)
-            raise failed
-        if rate != 0.0:
-            tau = delta_phi / rate
-            if tau == math.inf:
-                raise FloatRangeError(f"{label}/{rate!r} overflows")
-            return tau
-    raise NoEntanglementError("quantum correction is zero; entanglement never accumulates")
-
-
-def _physics(path, m1, m2, w1, w2, d, tau, G, hbar, stacklevel=0) -> tuple:
+def _physics(path, m1, m2, w1, w2, d, tau, G, hbar, stacklevel=0, label="") -> tuple:
     """Evaluate the columns or floats m1 to hbar on ``path``, making its
     checks from tau's on. Returns ``_OUTPUTS``' values in their order (the
     ratio, the correction, the phase rate, the branch phases and phase, the
-    measures), then |delta_v_g| and hbar*G*m1*m2/d**3, which ``_forces``
-    takes. On floats, a ``stacklevel`` above 0 emits ``RegimeWarning`` once
-    the ratio is not below the default threshold, counted from the caller;
-    0 warns nothing."""
+    measures, tau), then |delta_v_g| and hbar*G*m1*m2/d**3, which
+    ``_forces`` takes. On floats, a ``stacklevel`` above 0 emits
+    ``RegimeWarning`` once the ratio is not below the default threshold,
+    counted from the caller; 0 warns nothing. On floats, a ``label`` makes
+    ``tau`` the phase delta_phi to reach, and tau = delta_phi/rate is solved
+    for once the rate exists (``evaluate_system``)."""
     fn, add = path.fn, path.add
     # The checks of tau, the m*omega divisors, the expansion and the phases
     # are written out, not through gravent.model's functions: report()'s
@@ -302,6 +287,8 @@ def _physics(path, m1, m2, w1, w2, d, tau, G, hbar, stacklevel=0) -> tuple:
         add(fails, InputDomainError, "tau must be non-negative, got {}", tau)
     fails = hbar <= 0
     if fails is not False:
+        if label:
+            raise NoEntanglementError(_NO_ENTANGLEMENT)
         add(fails, InputDomainError, "hbar must be positive to accumulate phases")
 
     # zero-point widths and the validity ratio
@@ -329,6 +316,14 @@ def _physics(path, m1, m2, w1, w2, d, tau, G, hbar, stacklevel=0) -> tuple:
         add(fails, ConvergenceDomainError, "|dr_sum/d| = {} >= 1: geometric expansion diverges", x)
     v0 = -G * m1 * m2 / d
     correction, scale, rate = _correction(path, G, hbar, m1, m2, w1, w2, mw1, mw2, d)
+    if label:
+        if rate == 0.0:
+            raise NoEntanglementError(_NO_ENTANGLEMENT)
+        tau = tau / rate
+        if tau == math.inf:
+            raise FloatRangeError(f"{label}/{rate!r} overflows")
+        if tau != tau:  # a nan rate: report mode's first check at tau = nan
+            raise InputDomainError(f"tau must be finite, got {tau!r}")
 
     # PhaseSet
     delta = -correction
@@ -348,7 +343,7 @@ def _physics(path, m1, m2, w1, w2, d, tau, G, hbar, stacklevel=0) -> tuple:
     if fails is not False:
         add(fails, PrecisionError,
             "delta_phi = {} rad >= 2**33: its ulp exceeds 1e-6 rad", delta_phi)
-    return (ratio, delta, rate, phi, phi_prime, delta_phi, *_measures(delta_phi, fn),
+    return (ratio, delta, rate, phi, phi_prime, delta_phi, *_measures(delta_phi, fn), tau,
             correction, scale)
 
 
@@ -433,4 +428,4 @@ def _measures(delta_phi, fn=_ARRAY_MATH) -> tuple:
     two_pi = 2.0 * math.pi
     remainder = abs(fn.fmod(delta_phi, two_pi))
     return (norm * norm, 1.0 - epsilon, epsilon, nats, nats / LN2, epsilon < SEPARABLE_EPSILON_TOL,
-            fn.minimum(remainder, two_pi - remainder) < PHASE_TOL)
+            (remainder < PHASE_TOL) | (two_pi - remainder < PHASE_TOL))

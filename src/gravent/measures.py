@@ -215,7 +215,7 @@ def report(sys: PairSystem, tau: float) -> EntanglementReport:
     branch phases can exceed float64 angular resolution by many orders.
     """
     (_, _, _, _, _, delta_phi, purity_full, purity_reduced, epsilon, entropy_nats, entropy_bits,
-     separable_by_measures, separable_by_two_pi_criterion, _, _) = kernel.evaluate_system(
+     separable_by_measures, separable_by_two_pi_criterion, _, _, _) = kernel.evaluate_system(
         sys, tau, stacklevel=2)
     rep = object.__new__(EntanglementReport)
     _set_delta_phi(rep, delta_phi)

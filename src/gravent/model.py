@@ -251,6 +251,7 @@ def zero_point_width(m: float, omega: float, c: PhysicalConstants) -> float:
     m, omega = _finite(_raise, "m", _real("m", m)), _finite(_raise, "omega", _real("omega", omega))
     _bound(_raise, "mass", m, "positive")
     _bound(_raise, "omega", omega, "positive")
+    _require_type("c", c, PhysicalConstants)
     return math.sqrt(c.hbar / _mass_omega(_raise, m, omega))
 
 

@@ -360,13 +360,12 @@ def time_to_max_entanglement(sys: PairSystem) -> float:
 
     The entangling phase grows linearly in time, so the first maximum sits
     at tau* = (pi/2)/rate, where rate is the kernel's delta_phi per second;
-    as hbar cancels, that is (pi/2)*hbar/|delta_v_g|. The system at tau*
-    meets the checks report mode makes and raises what they raise. With
-    hbar = 0, or a rate that underflows to 0, the correction vanishes and
-    ``NoEntanglementError`` is raised (``kernel.time_at_phase``, which
-    ``delta_phi_to_tau`` shares); a tau* past the float64 range is a
-    ``FloatRangeError``.
+    as hbar cancels, that is (pi/2)*hbar/|delta_v_g|. The kernel solves for
+    it in one evaluation (``kernel.evaluate_system``, which
+    ``delta_phi_to_tau`` shares), so tau-star fails as report mode fails at
+    tau*. With hbar = 0, or a rate that underflows to 0, the correction
+    vanishes and ``NoEntanglementError`` is raised; a tau* past the float64
+    range is a ``FloatRangeError``.
     """
-    tau_star = kernel.time_at_phase(sys, math.pi / 2.0, "tau* = (pi/2)")
-    kernel.evaluate_system(sys, tau_star)
+    *_, tau_star, _, _ = kernel.evaluate_system(sys, math.pi / 2.0, label="tau* = (pi/2)")
     return tau_star

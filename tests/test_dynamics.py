@@ -18,12 +18,21 @@ from gravent.dynamics import (
     evolve_closed_form,
     initial_product_state,
 )
-from gravent.errors import FloatRangeError, InputDomainError, NoEntanglementError
+from gravent.errors import FloatRangeError, GraventError, InputDomainError, NoEntanglementError
+from gravent.measures import report
 from gravent.model import MassiveBody, PairSystem, PhysicalConstants
 from gravent.potential import corrected_potential, quantum_correction
 from gravent.sweep import time_to_max_entanglement
 
 C = PhysicalConstants()
+
+
+def log_uniform(low, high):
+    """Floats 10**e with e uniform in [low, high]."""
+    return st.floats(min_value=low, max_value=high).map(lambda e: 10.0**e)
+
+
+BODY = log_uniform(-40, 40)
 
 # delta_phi for m1 = m2 = 1e-14 kg, omega = 1e5 rad/s, d = 1e-6 m, tau = 1 s,
 # evaluated as 4*G*m*tau/(d^3*omega) in 50-digit arithmetic
@@ -237,8 +246,8 @@ class TestAccumulatedPhase:
     @example(m1=1e100, m2=1e100, w1=1e100, w2=1e100, d=1e40, hbar=C.hbar)  # fails at tau*
     @example(m1=1e-100, m2=1e-100, w1=1e150, w2=1e150, d=1e21, hbar=C.hbar)  # tau overflows
     def test_delta_phi_to_tau_shares_tau_stars_rate(self, m1, m2, w1, w2, d, hbar):
-        # Both invert the rate through kernel.time_at_phase: they differ only
-        # in tau*'s check at tau* and in the overflow's label.
+        # Both solve for the time in one kernel evaluation: they differ only
+        # in the overflow's label.
         sys = make_system(m1, m2, w1, w2, d, PhysicalConstants(hbar=hbar))
         inverted, _ = outcome(delta_phi_to_tau, sys, math.pi / 2)
         tau_star, _ = outcome(time_to_max_entanglement, sys)
@@ -257,6 +266,36 @@ class TestAccumulatedPhase:
         sys = make_system(d=1e100)
         with pytest.raises(NoEntanglementError):
             delta_phi_to_tau(sys, 1.0)
+
+    @pytest.mark.filterwarnings("ignore::gravent.errors.RegimeWarning")
+    @settings(max_examples=300, deadline=None)
+    @given(m1=BODY, m2=BODY, w1=BODY, w2=BODY, d=log_uniform(-20, 30),
+           delta_phi=log_uniform(-300, 12))
+    @example(m1=1e-14, m2=1e-14, w1=1e5, w2=1e5, d=1e-6, delta_phi=2.0**33)  # PrecisionError
+    def test_a_returned_time_is_one_report_accepts(self, m1, m2, w1, w2, d, delta_phi):
+        sys = make_system(m1, m2, w1, w2, d)
+        for view, args in ((delta_phi_to_tau, (sys, delta_phi)), (time_to_max_entanglement, (sys,))):
+            try:
+                tau = view(*args)
+            except GraventError:
+                continue
+            report(sys, tau)
+
+    @pytest.mark.parametrize("system", [make_system(), make_system(1e160, 1e160, 1.0, 1.0, 1.0)],
+                             ids=["paper", "rate-overflow"])
+    def test_each_view_evaluates_the_kernel_once(self, monkeypatch, system):
+        calls = []
+        physics = kernel._physics
+
+        def counting(*args):
+            calls.append(args)
+            return physics(*args)
+
+        monkeypatch.setattr(kernel, "_physics", counting)
+        for view, args in ((delta_phi_to_tau, (system, 1.0)), (time_to_max_entanglement, (system,))):
+            calls.clear()
+            outcome(view, *args)
+            assert len(calls) == 1
 
 
 class TestClosedForm:

@@ -225,7 +225,7 @@ TAU_STAR_RANGE_CASES = [
      "FloatRangeError: mass*omega underflows to 0 at 1e-200 and 1e-200"),
     (OVERFLOW, "FloatRangeError: omega1**3 overflows"),
 ]
-# (system, tau-star's error, whether report mode at tau = 1 fails with it)
+# (system, tau-star's error, whether report mode at tau = 0 fails with it)
 TAU_STAR_FAILURES = [
     (dict(d=1e-120),
      "ConvergenceDomainError: |dr_sum/d| = 6.494834307355346e+107 >= 1: "
@@ -234,10 +234,10 @@ TAU_STAR_FAILURES = [
     (dict(m1=1e-160, omega1=1e-150, m2=1e100, omega2=1e100, d=1e100),
      "ConvergenceDomainError: |dr_sum/d| = 1.0269234718322505e+38 >= 1: "
      "geometric expansion diverges", True),
-    # The rate overflows: tau-star read the phase at tau = 0, inf*0, and
-    # printed "got nan".
+    # The rate overflows, so tau* = (pi/2)/inf = 0, where the potential's
+    # -inf times tau* is a nan branch phase: report mode's error at tau = 0.
     (dict(m1=1e160, m2=1e160, omega1=1.0, omega2=1.0, d=1.0),
-     "InputDomainError: phi must be finite, got -inf", True),
+     "InputDomainError: phi must be finite, got nan", True),
     # The rate after 1 s is subnormal; tau* is past the float64 range.
     (dict(m1=1e-100, m2=1e-100, omega1=1e150, omega2=1e150, d=1e21),
      "FloatRangeError: tau* = (pi/2)/2.5e-323 overflows", False),
@@ -268,7 +268,7 @@ def test_tau_star_fails_where_the_kernel_does(tmp_path, capsys, values, error, i
     assert main(["--config", write_config(tmp_path, doc)]) == 2
     assert capsys.readouterr().err == f"gravent: error: {error}\n"
     if in_report:
-        report_doc = system_doc("report", {**PAPER_BODIES, **values, "tau": 1.0})
+        report_doc = system_doc("report", {**PAPER_BODIES, **values, "tau": 0.0})
         assert main(["--config", write_config(tmp_path, report_doc)]) == 2
         assert capsys.readouterr().err.endswith(f"{error}\n")
 

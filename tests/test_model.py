@@ -294,6 +294,12 @@ class TestZeroPointWidth:
         with pytest.raises(InputDomainError):
             zero_point_width(m, omega, PhysicalConstants())
 
+    @pytest.mark.parametrize("c", [None, "x", 0.0])
+    def test_constants_of_another_type(self, c):
+        message = f"c must be of type PhysicalConstants, got {c!r}"
+        with pytest.raises(InputDomainError, match=f"^{re.escape(message)}$"):
+            zero_point_width(1e-14, 1e5, c)
+
 
 class TestAssessValidity:
     def test_reference_ratio(self):

@@ -302,15 +302,30 @@ class TestTimeToMaxEntanglement:
         with pytest.raises(InputDomainError, match=r"^phi must be finite, got -inf$"):
             time_to_max_entanglement(sys)
 
-    def test_rate_overflow_raises_report_modes_error_at_one_second(self):
-        # The potential overflows to -inf: phi is nan at tau = 0 and -inf at
-        # tau = 1 s, and the error raised is report mode's at 1 s.
+    def test_rate_overflow_raises_report_modes_error_at_tau_star_zero(self):
+        # The potential and the rate overflow to inf: tau* = (pi/2)/inf = 0,
+        # where phi is -inf*0 = nan, and the error raised is report mode's
+        # at tau = 0.
         body = MassiveBody(1e160, 0.0, 1.0)
         sys = PairSystem(body, body, 1.0)
+        with pytest.raises(InputDomainError, match=r"^phi must be finite, got nan$"):
+            report(sys, 0.0)
         for call in (time_to_max_entanglement, lambda s: delta_phi_to_tau(s, math.pi / 2)):
-            with pytest.raises(InputDomainError, match=r"^phi must be finite, got -inf$") as info:
+            with pytest.raises(InputDomainError, match=r"^phi must be finite, got nan$") as info:
                 call(sys)
             assert info.value.__context__ is None and info.value.__cause__ is None
+
+    def test_nan_rate_raises_report_modes_error_at_tau_nan(self):
+        # m*omega and m1*m2 overflow to inf: the bracket is 0 and the rate
+        # inf*0 = nan, so the solved time is nan, and the error raised is
+        # report mode's at tau = nan.
+        body = MassiveBody(1e200, 0.0, 1e200)
+        sys = PairSystem(body, body, 1e100)
+        with pytest.raises(InputDomainError, match=r"^tau must be finite, got nan$"):
+            report(sys, math.nan)
+        for call in (time_to_max_entanglement, lambda s: delta_phi_to_tau(s, 1.0)):
+            with pytest.raises(InputDomainError, match=r"^tau must be finite, got nan$"):
+                call(sys)
 
     def test_no_entanglement_error(self):
         sys = reference_system(constants=PhysicalConstants(hbar=0.0))
@@ -320,8 +335,9 @@ class TestTimeToMaxEntanglement:
     @settings(max_examples=300, deadline=None)
     @given(m1=POSITIVE, m2=POSITIVE, w1=POSITIVE, w2=POSITIVE, d=POSITIVE, hbar=HBAR)
     def test_a_system_failing_at_tau_zero_fails_at_one_second(self, m1, m2, w1, w2, d, hbar):
-        # kernel.time_at_phase's retry rests on this: where the rate's
-        # evaluation at tau = 0 fails, report mode's at 1 s raises too.
+        # Where a system fails report mode's checks at tau = 0, it fails
+        # them at 1 s too: a check that depends on tau fails at 0 only where
+        # the potential or the rate is not finite, and then at every tau.
         sys = PairSystem(MassiveBody(m1, 0.0, w1), MassiveBody(m2, 0.0, w2), d,
                          PhysicalConstants(hbar=hbar))
         try:

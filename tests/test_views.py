@@ -86,7 +86,7 @@ def test_no_oracle_calls_the_kernel(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("an oracle called the kernel")
 
-    for name in ("evaluate", "evaluate_system", "evaluate_correction", "time_at_phase"):
+    for name in ("evaluate", "evaluate_system", "evaluate_correction"):
         monkeypatch.setattr(kernel, name, forbidden)
     body = MassiveBody(1e-14, 0.0, 1e5)
     system = PairSystem(body, body, 1e-6)
