@@ -4,16 +4,16 @@ Pipeline: size-corrected Newtonian potential -> Planck-linear quantum
 correction -> accumulated branch phases -> evolved two-qubit state ->
 matrix-derived entanglement measures, with a sweep engine and batch CLI
 on top. The reference helpers behind the scalar pipeline stay in their
-modules (``gravent.dynamics``, ``gravent.measures``, ...).
+modules: the density-matrix route in ``gravent.dynamics``, the regime check
+and the series in ``gravent.potential``.
 
 Importing the package loads ``errors`` and ``model`` alone. Each other name
 in ``__all__`` loads its module on first access (``__getattr__``, PEP 562),
 so ``import gravent.cli`` leaves the scalar modules ``potential``,
-``dynamics`` and ``measures`` unloaded, and ``import gravent.measures``
-leaves out ``sweep`` and ``config``.
+``dynamics`` and ``measures`` unloaded, and ``import gravent.measures``, or
+``gravent.report``, loads ``kernel`` and ``measures`` besides and nothing
+else.
 """
-
-import importlib
 
 from .errors import (
     ConfigError,
@@ -26,7 +26,7 @@ from .errors import (
     RegimeWarning,
     WidthWarning,
 )
-from .model import MassiveBody, PairSystem, PhysicalConstants
+from .model import MassiveBody, PairSystem, PhysicalConstants, _on_first_use
 
 __version__ = "0.1.0"
 
@@ -68,14 +68,7 @@ _ON_FIRST_USE = {
 }
 
 
-def __getattr__(name: str):
-    try:
-        module = _ON_FIRST_USE[name]
-    except KeyError:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
-    value = getattr(importlib.import_module(f".{module}", __name__), name)
-    globals()[name] = value
-    return value
+__getattr__ = _on_first_use(globals(), _ON_FIRST_USE)
 
 
 def __dir__() -> list[str]:

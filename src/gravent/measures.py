@@ -1,82 +1,42 @@
-"""Density matrices, partial traces, purity, linear entropy, and von Neumann
-entropy, assembled into a per-scenario entanglement report.
+"""The per-scenario entanglement report: ``report(system, tau)`` and the
+``EntanglementReport`` it returns.
 
-The measures are always computed from the state's matrices; the
-cos(delta_phi) closed forms of the canonical family live in the test suite
-as independent oracles, not here. ``report`` takes them from the 2x2
-amplitude matrix's determinant through the kernel, exact to a few ulp
-wherever epsilon is a normal float, and its phase from the kernel, whose
-scalar reference is ``tests/oracles.py``. The density-matrix route below
-(``report_from_phases``: rho, its partial trace, Tr(rho1^2) and the
-eigenvalues) is kept as the scalar reference for the measures; its
-``1 - Tr(rho1^2)`` cancels to 0 for delta_phi below ~1e-8 rad.
+``report`` takes every measure from the 2x2 amplitude matrix's determinant
+through the kernel, exact to a few ulp wherever epsilon is a normal float,
+and its phase from the kernel, whose scalar reference is
+``tests/oracles.py``; the cos(delta_phi) closed forms of the canonical
+family live in the test suite as independent oracles.
+
+The density-matrix route (``report_from_phases``: rho, its partial trace,
+Tr(rho1^2) and the eigenvalues), kept as the scalar reference for the
+measures, lives in ``gravent.dynamics`` next to the state it measures. Its
+names, and the state and phase names of ``dynamics``, still resolve here on
+first access (PEP 562). So ``import gravent.measures`` loads ``gravent``,
+``errors``, ``model``, ``kernel`` and this module alone, and builds four
+dataclasses.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import kernel
-from .dynamics import (
-    PhaseSet,
-    TwoQubitState,
-    accumulated_phase,  # noqa: F401 - looked up here by callers that wrap it by name
-    evolve_closed_form,
-    initial_product_state,
-)
-from .errors import InputDomainError, PositivityError
-from .kernel import LN2, PHASE_TOL, SEPARABLE_EPSILON_TOL
-from .model import PairSystem, _slot_setters
+from .model import PairSystem, _on_first_use, _slot_setters
 
-#: Hermiticity / trace tolerance for density-matrix construction.
-MATRIX_TOL = 1e-12
-#: Eigenvalues below this are a genuine positivity violation, not noise.
-EIGENVALUE_FLOOR = -1e-9
+__all__ = ["EntanglementReport", "report"]
 
-__all__ = [
-    "DensityMatrix",
-    "EntanglementReport",
-    "density_from_state",
-    "partial_trace",
-    "purity",
-    "linear_entropy",
-    "von_neumann_entropy",
-    "report",
-    "report_from_phases",
-    "nearest_multiple_distance",
-]
-
-
-@dataclass(frozen=True, slots=True)
-class DensityMatrix:
-    """Hermitian, unit-trace matrix over 2 or 4 basis states."""
-
-    entries: np.ndarray
-
-    def __post_init__(self) -> None:
-        rho = np.array(self.entries, dtype=np.complex128, copy=True)
-        if rho.ndim != 2 or rho.shape[0] != rho.shape[1] or rho.shape[0] not in (2, 4):
-            raise InputDomainError(f"density matrix must be 2x2 or 4x4, got {rho.shape}")
-        if not np.all(np.isfinite(rho.real) & np.isfinite(rho.imag)):
-            raise InputDomainError("density matrix entries must be finite")
-        if np.max(np.abs(rho - rho.conj().T)) > MATRIX_TOL:
-            raise InputDomainError("density matrix is not Hermitian within tolerance")
-        trace = complex(np.trace(rho))
-        if abs(trace - 1.0) > MATRIX_TOL:
-            raise InputDomainError(f"density matrix trace {trace!r} is not 1")
-        rho.setflags(write=False)
-        object.__setattr__(self, "entries", rho)
-
-    @property
-    def dim(self) -> int:
-        return self.entries.shape[0]
-
-    def eigenvalues(self) -> np.ndarray:
-        """Real spectrum in ascending order (Hermitian eigensolver)."""
-        return np.linalg.eigvalsh(self.entries)
+#: Names that callers look up here, each with the module that defines it.
+#: They load on first access, so ``report()`` runs without ``dynamics``.
+__getattr__ = _on_first_use(globals(), {
+    **dict.fromkeys((
+        "MATRIX_TOL", "EIGENVALUE_FLOOR", "DensityMatrix", "density_from_state", "partial_trace",
+        "purity", "linear_entropy", "von_neumann_entropy", "nearest_multiple_distance",
+        "report_from_phases", "PhaseSet", "TwoQubitState", "accumulated_phase",
+        "evolve_closed_form", "initial_product_state",
+    ), "dynamics"),
+    **dict.fromkeys(("LN2", "PHASE_TOL", "SEPARABLE_EPSILON_TOL"), "kernel"),
+    **dict.fromkeys(("InputDomainError", "PositivityError"), "errors"),
+})
 
 
 @dataclass(frozen=True, slots=True)
@@ -105,84 +65,6 @@ class EntanglementReport:
     @property
     def verdicts_disagree(self) -> bool:
         return self.separable_by_measures and not self.separable_by_two_pi_criterion
-
-
-def density_from_state(psi: TwoQubitState) -> DensityMatrix:
-    """Pure-state projector |psi><psi| as a 4x4 density matrix."""
-    amp = psi.amplitudes
-    if abs(float(np.linalg.norm(amp)) - 1.0) > 1e-9:
-        raise InputDomainError("state must be normalized")
-    return DensityMatrix(np.outer(amp, amp.conj()))
-
-
-def partial_trace(rho: DensityMatrix, subsystem: int) -> DensityMatrix:
-    """Reduced state of qubit ``subsystem`` (1 or 2), tracing out the other."""
-    if rho.dim != 4:
-        raise InputDomainError("partial trace needs the full 4x4 density matrix")
-    blocks = rho.entries.reshape(2, 2, 2, 2)
-    if subsystem == 1:
-        reduced = np.trace(blocks, axis1=1, axis2=3)
-    elif subsystem == 2:
-        reduced = np.trace(blocks, axis1=0, axis2=2)
-    else:
-        raise InputDomainError(f"subsystem must be 1 or 2, got {subsystem!r}")
-    return DensityMatrix(reduced)
-
-
-def purity(rho: DensityMatrix) -> float:
-    """Tr(rho^2); 1 for pure states, 1/dim for maximally mixed ones."""
-    return float(np.vdot(rho.entries, rho.entries).real)
-
-
-def linear_entropy(rho_reduced: DensityMatrix) -> float:
-    """1 - Tr(rho^2) of a reduced state; positive exactly when it is mixed."""
-    return 1.0 - purity(rho_reduced)
-
-
-def von_neumann_entropy(rho_reduced: DensityMatrix) -> tuple[float, float]:
-    """Spectral entropy -sum(lam * ln(lam)) of a reduced state.
-
-    Returns (nats, bits). Eigenvalues in [EIGENVALUE_FLOOR, 0) are clipped
-    to zero with the 0*ln(0) = 0 convention; anything below the floor
-    raises ``PositivityError``.
-    """
-    eigenvalues = rho_reduced.eigenvalues()
-    if eigenvalues[0] < EIGENVALUE_FLOOR:
-        raise PositivityError(
-            f"eigenvalue {eigenvalues[0]!r} below {EIGENVALUE_FLOOR}: not a state"
-        )
-    clipped = np.clip(eigenvalues, 0.0, None)
-    nonzero = clipped[clipped > 0.0]
-    nats = float(-np.sum(nonzero * np.log(nonzero))) + 0.0  # avoid -0.0
-    return nats, nats / LN2
-
-
-def nearest_multiple_distance(value: float, period: float) -> float:
-    """Distance from ``value`` to the nearest integer multiple of ``period``."""
-    remainder = math.fmod(value, period)
-    return min(abs(remainder), period - abs(remainder))
-
-
-def report_from_phases(phases: PhaseSet) -> EntanglementReport:
-    """Evolve the canonical product state and measure the outcome."""
-    psi = evolve_closed_form(initial_product_state(), phases)
-    rho = density_from_state(psi)
-    rho1 = partial_trace(rho, 1)
-    purity_reduced = purity(rho1)
-    epsilon = linear_entropy(rho1)
-    nats, bits = von_neumann_entropy(rho1)
-    separable = epsilon < SEPARABLE_EPSILON_TOL
-    violated = nearest_multiple_distance(phases.delta_phi, 2.0 * math.pi) < PHASE_TOL
-    return EntanglementReport(
-        delta_phi=phases.delta_phi,
-        purity_full=purity(rho),
-        purity_reduced=purity_reduced,
-        epsilon=epsilon,
-        entropy_nats=nats,
-        entropy_bits=bits,
-        separable_by_measures=separable,
-        separable_by_two_pi_criterion=violated,
-    )
 
 
 #: Each field's slot setter, in field order: ``report`` builds its return

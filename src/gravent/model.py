@@ -1,4 +1,4 @@
-"""Physical constants, body/system descriptions, expansion-regime checks, and
+"""Physical constants, body/system descriptions, the zero-point width, and
 the input checks of the value objects and of the kernel's array path.
 
 The value objects are immutable, in SI units; the numeric engines consume
@@ -21,10 +21,16 @@ oracles to the same classes and messages. Each check calls its adder under
 array condition always reaches the adder, so the array path records every
 mask. ``_real``, ``_require_type``, ``_bool`` and ``_count`` decide which
 Python values are inputs at all.
+
+``_on_first_use`` builds each lazy module ``__getattr__`` of the package
+(PEP 562). Here it serves ``assess_validity`` and ``ValidityAssessment``,
+which live in ``potential``, so importing this module builds three
+dataclasses and loads no scalar module.
 """
 
 from __future__ import annotations
 
+import importlib
 import math
 import numbers
 from dataclasses import dataclass, fields
@@ -150,6 +156,25 @@ def _slot_setters(cls: type) -> tuple:
     return tuple(cls.__dict__[f.name].__set__ for f in fields(cls))
 
 
+def _on_first_use(namespace: dict, table: dict[str, str]):
+    """A module's ``__getattr__`` (PEP 562) over ``table``, which maps each
+    name to the sibling module that defines it. The first access to a name
+    loads that module and binds the name in ``namespace``, the module's
+    globals, so later accesses find it there."""
+    module_name, package = namespace["__name__"], namespace["__package__"]
+
+    def __getattr__(name: str):
+        try:
+            module = table[name]
+        except KeyError:
+            raise AttributeError(f"module {module_name!r} has no attribute {name!r}") from None
+        value = getattr(importlib.import_module(f".{module}", package), name)
+        namespace[name] = value
+        return value
+
+    return __getattr__
+
+
 @dataclass(frozen=True, slots=True, init=False)
 class MassiveBody:
     """One particle: mass (kg), geometric radius (m), oscillator frequency (rad/s).
@@ -223,19 +248,6 @@ class PairSystem:
 _set_body1, _set_body2, _set_separation_d, _set_constants = _slot_setters(PairSystem)
 
 
-@dataclass(frozen=True, slots=True)
-class ValidityAssessment:
-    """Quantified check of the small-displacement assumption.
-
-    ``ratio_x`` is (dr1 + dr2)/d with dr_i the zero-point widths;
-    ``in_regime`` holds exactly when ratio_x < threshold.
-    """
-
-    ratio_x: float
-    threshold: float
-    in_regime: bool
-
-
 def zero_point_width(m: float, omega: float, c: PhysicalConstants) -> float:
     """Ground-state displacement scale sqrt(hbar/(m*omega)) of an oscillator, in m.
 
@@ -255,19 +267,7 @@ def zero_point_width(m: float, omega: float, c: PhysicalConstants) -> float:
     return math.sqrt(c.hbar / _mass_omega(_raise, m, omega))
 
 
-def assess_validity(
-    sys: PairSystem, threshold: float = REGIME_THRESHOLD_DEFAULT
-) -> ValidityAssessment:
-    """Compare the summed zero-point widths against the separation.
-
-    Returns the dimensionless ratio x = (dr1 + dr2)/d and whether it sits
-    below ``threshold``; the truncated potential expansion is only reliable
-    when it does.
-    """
-    threshold = _finite(_raise, "threshold", _real("threshold", threshold))
-    _bound(_raise, "threshold", threshold, "positive")
-    _require_type("sys", sys, PairSystem)
-    dr1 = zero_point_width(sys.body1.mass, sys.body1.omega, sys.constants)
-    dr2 = zero_point_width(sys.body2.mass, sys.body2.omega, sys.constants)
-    ratio = (dr1 + dr2) / sys.separation_d
-    return ValidityAssessment(ratio_x=ratio, threshold=threshold, in_regime=ratio < threshold)
+#: The regime check lives in ``potential``, next to ``corrected_potential``,
+#: its one caller; its names load from there on first access.
+__getattr__ = _on_first_use(
+    globals(), {"ValidityAssessment": "potential", "assess_validity": "potential"})

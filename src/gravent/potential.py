@@ -1,9 +1,13 @@
-"""Potential engine: the expanded and the quantum-corrected gravitational
-potential energies, plus the entanglement energy and force.
+"""Potential engine: the expansion-regime check, the expanded and the
+quantum-corrected gravitational potential energies, plus the entanglement
+energy and force.
 
 ``quantum_correction`` and ``entanglement_force`` evaluate the kernel's
 expressions; ``tests/oracles.py`` keeps their scalar forms, and the
 point-mass and un-expanded size-corrected potentials, as the reference.
+``assess_validity`` and its ``ValidityAssessment`` live here with their one
+caller, ``corrected_potential``. ``gravent.model`` resolves both from here on
+first access, and ``gravent.sweep`` resolves ``assess_validity``.
 
 Conventions
 -----------
@@ -19,12 +23,17 @@ from dataclasses import dataclass
 from . import kernel
 from .errors import ConvergenceDomainError, InputDomainError
 from .kernel import FORCE_CLOSED_FORM_UNIT, warn_out_of_regime
-from .model import PairSystem, _count, _real, _require_type, assess_validity, zero_point_width
+from .model import (
+    REGIME_THRESHOLD_DEFAULT, PairSystem, _count, _finite, _raise, _real, _require_type,
+    zero_point_width,
+)
 
 __all__ = [
     "SeriesTerm",
     "PotentialBreakdown",
     "ForceEstimate",
+    "ValidityAssessment",
+    "assess_validity",
     "expand_potential",
     "zero_point_width",
     "quantum_correction",
@@ -32,6 +41,20 @@ __all__ = [
     "entanglement_force",
     "FORCE_CLOSED_FORM_UNIT",
 ]
+
+
+@dataclass(frozen=True, slots=True)
+class ValidityAssessment:
+    """Quantified check of the small-displacement assumption.
+
+    ``ratio_x`` is (dr1 + dr2)/d with dr_i the zero-point widths;
+    ``in_regime`` holds exactly when ratio_x < threshold.
+    """
+
+    ratio_x: float
+    threshold: float
+    in_regime: bool
+
 
 @dataclass(frozen=True, slots=True)
 class SeriesTerm:
@@ -74,6 +97,23 @@ class ForceEstimate:
     closed_form: float
     closed_form_unit: str
     gradient_based: float
+
+
+def assess_validity(
+    sys: PairSystem, threshold: float = REGIME_THRESHOLD_DEFAULT
+) -> ValidityAssessment:
+    """Compare the summed zero-point widths against the separation.
+
+    Returns the dimensionless ratio x = (dr1 + dr2)/d and whether it sits
+    below ``threshold``; the truncated potential expansion is only reliable
+    when it does.
+    """
+    threshold = _finite(_raise, "threshold", _real("threshold", threshold), "positive")
+    _require_type("sys", sys, PairSystem)
+    dr1 = zero_point_width(sys.body1.mass, sys.body1.omega, sys.constants)
+    dr2 = zero_point_width(sys.body2.mass, sys.body2.omega, sys.constants)
+    ratio = (dr1 + dr2) / sys.separation_d
+    return ValidityAssessment(ratio_x=ratio, threshold=threshold, in_regime=ratio < threshold)
 
 
 def expand_potential(

@@ -5,7 +5,6 @@ maximal entanglement.
 
 from __future__ import annotations
 
-import importlib
 import math
 import operator
 from collections.abc import Iterable, Iterator, Mapping, Sequence
@@ -16,27 +15,19 @@ import numpy as np
 from . import kernel
 from .errors import InputDomainError
 from .model import (
-    REGIME_THRESHOLD_DEFAULT, PairSystem, PhysicalConstants, _bool, _count, _real, _require_type,
+    REGIME_THRESHOLD_DEFAULT, PairSystem, PhysicalConstants, _bool, _count, _on_first_use, _real,
+    _require_type,
 )
 
 # The scalar pipeline stays reachable from this module for callers that wrap
 # it by name (benchmarks/tracer.py does) until ROADMAP item 6 removes it; the
-# engine evaluates through kernel.evaluate. report and entanglement_force load
-# on first access (__getattr__ below), so a sweep loads no scalar module.
-from .model import MassiveBody, assess_validity  # noqa: F401
+# engine evaluates through kernel.evaluate. report, entanglement_force and
+# assess_validity load on first access, so a sweep loads no scalar module.
+from .model import MassiveBody  # noqa: F401
 
-_SCALAR = {"report": "measures", "entanglement_force": "potential"}
-
-
-def __getattr__(name: str):
-    try:
-        module = _SCALAR[name]
-    except KeyError:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
-    value = getattr(importlib.import_module(f".{module}", __package__), name)
-    globals()[name] = value
-    return value
-
+__getattr__ = _on_first_use(globals(), {
+    "report": "measures", "entanglement_force": "potential", "assess_validity": "potential",
+})
 
 __all__ = [
     "SWEEP_PARAMETERS",

@@ -9,9 +9,11 @@ in only what it imports itself. The later ones go through the real
 on first access."""
 
 import functools
+import importlib
 import json
 import os
 import pkgutil
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -94,6 +96,56 @@ def test_measures_loads_neither_sweep_nor_config():
     assert not loaded & {"gravent.sweep", "gravent.config", "configparser"}
 
 
+@pytest.mark.parametrize("statement", ["import gravent.measures", "import gravent; gravent.report"])
+def test_report_loads_only_its_own_path(statement):
+    """``report()`` runs the kernel alone: the density-matrix route in
+    ``dynamics`` and the scalar potential stay unloaded."""
+    loaded = {name for name in loaded_after(statement) if name.startswith("gravent")}
+    assert loaded == {"gravent", "gravent.errors", "gravent.model", "gravent.kernel",
+                      "gravent.measures"}
+
+
+DATACLASSES = """
+import dataclasses, json, sys
+exec(sys.argv[1])
+print(json.dumps(sorted({
+    value.__qualname__ for name, module in list(sys.modules.items()) if name.startswith("gravent")
+    for value in vars(module).values() if isinstance(value, type) and dataclasses.is_dataclass(value)
+})))
+"""
+
+
+def test_entry_points_build_no_validity_assessment():
+    """The regime check's dataclass lives in ``potential``, which neither
+    entry point loads."""
+    assert json.loads(run_fresh(DATACLASSES, "import gravent.measures")) == [
+        "EntanglementReport", "MassiveBody", "PairSystem", "PhysicalConstants"]
+    assert "ValidityAssessment" not in json.loads(run_fresh(DATACLASSES, "import gravent.cli"))
+
+
+FROM_DYNAMICS = (
+    "MATRIX_TOL", "EIGENVALUE_FLOOR", "DensityMatrix", "density_from_state", "partial_trace",
+    "purity", "linear_entropy", "von_neumann_entropy", "nearest_multiple_distance",
+    "report_from_phases", "PhaseSet", "TwoQubitState", "accumulated_phase", "evolve_closed_form",
+    "initial_product_state",
+)
+
+
+@pytest.mark.parametrize("module, name, home", [
+    *(("measures", name, "dynamics") for name in FROM_DYNAMICS),
+    *(("measures", name, "kernel") for name in ("LN2", "PHASE_TOL", "SEPARABLE_EPSILON_TOL")),
+    *(("measures", name, "errors") for name in ("InputDomainError", "PositivityError")),
+    ("model", "assess_validity", "potential"),
+    ("model", "ValidityAssessment", "potential"),
+    ("sweep", "assess_validity", "potential"),
+])
+def test_a_moved_name_resolves_to_its_home(module, name, home):
+    """Each name keeps resolving from the module that held it, to the very
+    object of the module that holds it now."""
+    value = getattr(importlib.import_module(f"gravent.{module}"), name)
+    assert value is getattr(importlib.import_module(f"gravent.{home}"), name)
+
+
 STAR_IMPORT = """
 import sys
 import gravent
@@ -113,10 +165,11 @@ def test_star_import_binds_every_name_to_its_module_object():
 
 
 def test_an_unknown_name_is_an_attribute_error():
-    from gravent import sweep
+    from gravent import measures, model, sweep
 
-    for module in (gravent, sweep):
-        with pytest.raises(AttributeError, match="has no attribute 'no_such_name'"):
+    for module in (gravent, sweep, measures, model):
+        message = f"module {module.__name__!r} has no attribute 'no_such_name'"
+        with pytest.raises(AttributeError, match=f"^{re.escape(message)}$"):
             module.no_such_name
 
 

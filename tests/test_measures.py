@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import pickle
+import re
 
 import numpy as np
 import pytest
@@ -221,6 +222,19 @@ class TestNearestMultipleDistance:
     )
     def test_examples(self, value, period, expected):
         assert nearest_multiple_distance(value, period) == pytest.approx(expected, abs=1e-9)
+
+    @pytest.mark.parametrize("value, period, message", [
+        (0.5, -2.0, "period must be positive, got -2.0"),
+        (1.0, 0.0, "period must be positive, got 0.0"),
+        (1.0, math.nan, "period must be finite, got nan"),
+        (math.inf, 1.0, "value must be finite, got inf"),
+        ("1", 1.0, "value must be a real number, got '1'"),
+    ])
+    def test_a_value_or_period_outside_its_domain_raises(self, value, period, message):
+        """A negative period gave a negative distance, a zero period or an
+        infinite value a bare ValueError from math.fmod."""
+        with pytest.raises(InputDomainError, match=f"^{re.escape(message)}$"):
+            nearest_multiple_distance(value, period)
 
 
 class TestReport:

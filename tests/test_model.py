@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gravent.dynamics import PhaseSet
+from gravent.dynamics import PhaseSet, report_from_phases
 from gravent.errors import GraventError, InputDomainError
 from gravent.model import (
     MassiveBody,
@@ -110,6 +110,17 @@ def test_first_error_of_an_input_with_several_faults(build, first):
     """Each value's finiteness is checked before any sign, and a field's type
     only once the fields before it have passed."""
     assert status(build) == f"error: InputDomainError: {first}"
+
+
+@pytest.mark.parametrize("value", [1, 10**20, Fraction(1, 3), Fraction(10**20), np.float32(0.5)],
+                         ids=["int", "big-int", "Fraction", "big-Fraction", "float32"])
+def test_phase_set_keeps_each_phase_as_a_float(value):
+    """A real phase is stored as the float it converts to, so the density-matrix
+    route measures it as it measures that float."""
+    phases = PhaseSet(value, value, value)
+    assert all(type(getattr(phases, name)) is float for name in ("phi", "phi_prime", "delta_phi"))
+    as_float = float(value)
+    assert report_from_phases(phases) == report_from_phases(PhaseSet(as_float, as_float, as_float))
 
 
 BODY = dict(mass=1e-14, radius=1e-7, omega=1e5)
