@@ -21,7 +21,7 @@ import operator
 import os
 import sys
 import warnings
-from collections.abc import Callable, Iterable
+from collections.abc import Callable, Iterable, Iterator
 from pathlib import Path
 from typing import TextIO
 
@@ -59,6 +59,9 @@ def _json_floats(values: np.ndarray) -> list[str]:
 _BOOL_TEXTS = np.array(["false", "true"], dtype=object)
 #: The positions of the float row fields.
 _FLOAT_FIELDS = [j for j, kind in enumerate(ROW_FIELD_TYPES) if kind == "float"]
+#: Rows joined into one text per write: a block's text, cells and lists stay
+#: small (about 100 KB of JSON), and a write per block costs little.
+_BLOCK_ROWS = 128
 
 
 def _distinct(column: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
@@ -69,14 +72,19 @@ def _distinct(column: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
     return np.unique(column, return_inverse=True)
 
 
+def _lookup(texts: np.ndarray, positions: np.ndarray) -> Callable[[slice], np.ndarray]:
+    """The texts of a slice of rows: ``texts`` at each row's position."""
+    return lambda rows: texts[positions[rows]]
+
+
 def _field_texts(columns: list, encoders: dict[str, Callable]) -> list:
     """Per row field of a chunk: its text, where the column has one value,
-    or else each row's text, in an object array.
+    or else a function that gives the texts of a slice of the chunk's rows.
 
     ``encoders`` turns the distinct float values and the distinct str
-    values into their texts, so each is formatted once; float columns are
-    taken apart by bit pattern, which keeps -0.0 and nan apart from 0.0, and
-    all their distinct values are encoded in one call.
+    values into their texts, so each is formatted once per chunk; float
+    columns are taken apart by bit pattern, which keeps -0.0 and nan apart
+    from 0.0, and all their distinct values are encoded in one call.
     """
     distinct = {j: _distinct(columns[j].view(np.uint64)) for j in _FLOAT_FIELDS}
     keys = np.concatenate([keys for keys, _ in distinct.values()]).view(np.float64)
@@ -85,7 +93,7 @@ def _field_texts(columns: list, encoders: dict[str, Callable]) -> list:
     end = 0
     for j, (keys, inverse) in distinct.items():
         start, end = end, end + len(keys)
-        floats[j] = texts[start] if inverse is None else texts[start:end][inverse]
+        floats[j] = texts[start] if inverse is None else _lookup(texts[start:end], inverse)
     fields = []
     for j, (kind, column) in enumerate(zip(ROW_FIELD_TYPES, columns)):
         if kind == "float":
@@ -94,24 +102,28 @@ def _field_texts(columns: list, encoders: dict[str, Callable]) -> list:
             if column.all() or not column.any():
                 fields.append("true" if column[0] else "false")
             else:
-                fields.append(_BOOL_TEXTS[column.view(np.uint8)])
+                fields.append(_lookup(_BOOL_TEXTS, column.view(np.uint8)))
         elif kind == "str":
             values = list(dict.fromkeys(column))
-            lookup = dict(zip(values, encoders["str"](values)))
-            if len(lookup) == 1:
-                fields.append(lookup[values[0]])
+            encoded = encoders["str"](values)
+            if len(values) == 1:
+                fields.append(encoded[0])
             else:
-                fields.append(list(map(lookup.__getitem__, column)))
+                positions = {value: i for i, value in enumerate(values)}
+                inverse = np.fromiter(map(positions.__getitem__, column), np.intp, len(column))
+                fields.append(_lookup(np.array(encoded, dtype=object), inverse))
         else:
-            fields.append(list(map(str, column.tolist())))
+            fields.append(lambda rows, column=column: list(map(str, column[rows].tolist())))
     return fields
 
 
-def _chunk_cells(columns: list, encoders: dict[str, Callable], layout: list[str]) -> np.ndarray:
-    """The cells of one chunk, a (rows, cells) object array whose rows
-    concatenate to the rows' texts: ``layout[0]``, the text of field 0,
-    ``layout[1]``, ..., the text of the last field, ``layout[-1]``, with
-    the texts of ``_field_texts``.
+def _chunk_cells(
+    columns: list, encoders: dict[str, Callable], layout: list[str]
+) -> Iterator[np.ndarray]:
+    """The cells of one chunk, ``_BLOCK_ROWS`` rows at a time: each block a
+    (rows, cells) object array whose rows concatenate to the rows' texts:
+    ``layout[0]``, the text of field 0, ``layout[1]``, ..., the text of the
+    last field, ``layout[-1]``, with the texts of ``_field_texts``.
 
     A field with one value in the chunk joins the layout texts around it
     into one cell that every row shares, so it costs nothing per row.
@@ -124,11 +136,14 @@ def _chunk_cells(columns: list, encoders: dict[str, Callable], layout: list[str]
         else:
             varying.append(texts)
             shared.append(after)
-    cells = np.empty((len(columns[0]), 2 * len(varying) + 1), dtype=object)
-    cells[:, 0::2] = shared
-    for j, texts in enumerate(varying):
-        cells[:, 2 * j + 1] = texts
-    return cells
+    size = len(columns[0])
+    for start in range(0, size, _BLOCK_ROWS):
+        rows = slice(start, min(start + _BLOCK_ROWS, size))
+        cells = np.empty((rows.stop - start, 2 * len(varying) + 1), dtype=object)
+        cells[:, 0::2] = shared
+        for j, texts in enumerate(varying):
+            cells[:, 2 * j + 1] = texts(rows)
+        yield cells
 
 
 def _write_rows(
@@ -139,14 +154,14 @@ def _write_rows(
     separator: str = "",
 ) -> None:
     """Write each row of ``chunks`` as ``_chunk_cells`` lays it out, rows
-    joined by ``separator``."""
+    joined by ``separator``, one write per block of rows."""
     layout = [separator + layout[0], *layout[1:]]
     lead = len(separator)
     for columns in chunks:
-        cells = _chunk_cells(columns, encoders, layout)
-        cells[0, 0] = cells[0, 0][lead:]  # the first row has no separator before it
-        lead = 0
-        out.write("".join(cells.ravel().tolist()))
+        for cells in _chunk_cells(columns, encoders, layout):
+            cells[0, 0] = cells[0, 0][lead:]  # the first row has no separator before it
+            lead = 0
+            out.write("".join(cells.ravel().tolist()))
 
 
 _CSV_SPECIAL = frozenset(',"\r\n')
@@ -167,9 +182,10 @@ def rows_to_csv(
     the ``%`` fallback for what it cannot certify); numeric cells are never
     quoted. A text cell that holds a comma, a double quote, CR or LF is
     quoted, each double quote doubled. Each distinct value of a column in a
-    chunk is formatted once. Writes to ``out`` when given, one chunk of rows
-    at a time, and otherwise returns the text. A ``precision`` that is not
-    an integer in [1, 17], or is a bool, raises ``InputDomainError``.
+    chunk of 1024 rows is formatted once. Writes to ``out`` when given, in
+    blocks of 128 rows, and otherwise returns the text; hand-built rows are
+    taken a chunk at a time. A ``precision`` that is not an integer in
+    [1, 17], or is a bool, raises ``InputDomainError``.
     """
     if (isinstance(precision, bool) or not isinstance(precision, numbers.Integral)
             or precision not in PRECISIONS):
@@ -192,9 +208,10 @@ def rows_to_json(rows: Iterable[SweepRow], out: TextIO | None = None) -> str | N
 
     Floats are written as ``repr`` writes them (``_format_repr``, with the
     ``repr`` fallback for what it cannot certify), and strings as
-    ``json.dumps`` does; each distinct value of a column in a chunk is
-    formatted once. Writes to ``out`` when given, one chunk of rows at a
-    time, and otherwise returns the text.
+    ``json.dumps`` does; each distinct value of a column in a chunk of 1024
+    rows is formatted once. Writes to ``out`` when given, in blocks of 128
+    rows, and otherwise returns the text; hand-built rows are taken a chunk
+    at a time.
     """
     buffer = io.StringIO() if out is None else out
     chunks = row_chunks(rows)

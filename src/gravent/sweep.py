@@ -5,6 +5,7 @@ maximal entanglement.
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 from collections.abc import Iterable, Iterator, Mapping, Sequence
@@ -319,15 +320,16 @@ _COLUMN_DTYPES = {"int": np.int64, "float": np.float64, "bool": np.bool_}
 
 
 def row_chunks(rows: Iterable[SweepRow]) -> Iterator[list]:
-    """Rows as consecutive chunks, each as one column per row field, typed as
-    ``SweepResult.chunks`` types them: a float field holds float64, whatever
-    number a hand-built row gives it."""
+    """Rows as consecutive chunks of CHUNK_POINTS rows (the last may hold
+    fewer), each as one column per row field, typed as ``SweepResult.chunks``
+    types them: a float field holds float64, whatever number a hand-built row
+    gives it. Hand-built rows are taken from ``rows`` one chunk at a time."""
     if isinstance(rows, SweepResult):
         yield from rows.chunks()
         return
-    rows = list(rows)
-    if rows:
-        columns = ([getattr(row, name) for row in rows] for name in ROW_FIELD_NAMES)
+    rows = iter(rows)
+    while chunk := list(itertools.islice(rows, CHUNK_POINTS)):
+        columns = ([getattr(row, name) for row in chunk] for name in ROW_FIELD_NAMES)
         yield [
             column if kind == "str" else np.array(column, dtype=_COLUMN_DTYPES[kind])
             for kind, column in zip(ROW_FIELD_TYPES, columns)

@@ -1103,3 +1103,78 @@ def test_a_float_field_is_written_as_a_float_whatever_number_a_row_holds():
     others = SweepRow(**inputs, tau=2, delta_phi=np.float64(0.0))
     assert cli.rows_to_csv([others]) == cli.rows_to_csv([floats])
     assert cli.rows_to_json([others]) == cli.rows_to_json([floats])
+
+
+def tau_sweep(n):
+    """A one-axis sweep of n points over tau in [-1, 2]: its negative taus
+    give error rows."""
+    fixed = dict(m1=1e-14, m2=2e-14, omega1=1e5, omega2=3e5, d=1e-6)
+    return run_sweep(SweepSpec(axes={"tau": AxisSpec(-1.0, 2.0, n)}, fixed=fixed))
+
+
+#: The writers' inputs: the result, its rows as a list, and as a generator.
+ROW_INPUTS = {
+    "result": lambda result: result,
+    "list": list,
+    "generator": lambda result: (row for row in list(result)),
+}
+
+
+#: Each writer, given an ``out`` or None, and the number of rows in a text it writes.
+WRITERS = [
+    (lambda rows, out: cli.rows_to_csv(rows, 12, out), lambda text: text.count("\n")),
+    (lambda rows, out: rows_to_json(rows, out), lambda text: text.count("  {\n")),
+]
+
+
+@pytest.mark.parametrize("kind", list(ROW_INPUTS))
+def test_writers_write_a_block_of_rows_at_a_time(kind):
+    result = tau_sweep(2500)
+    assert [len(chunk[0]) for chunk in sweep.row_chunks(ROW_INPUTS[kind](result))] == [1024, 1024, 452]
+    for write, count in WRITERS:
+        texts = []
+        assert write(ROW_INPUTS[kind](result), SimpleNamespace(write=texts.append)) is None
+        assert "".join(texts) == write(ROW_INPUTS[kind](result), None)
+        # The first text is CSV's header or JSON's "[\n".
+        rows = [count(text) for text in texts[1:]]
+        assert sum(rows) == 2500
+        assert max(rows) == cli._BLOCK_ROWS
+
+
+def test_writers_take_a_generator_a_chunk_at_a_time():
+    listed = list(tau_sweep(2500))
+    taken = 0
+
+    def rows():
+        nonlocal taken
+        for row in listed:
+            taken += 1
+            yield row
+
+    for write, _ in WRITERS:
+        taken, seen = 0, []
+        assert write(rows(), SimpleNamespace(write=lambda text: seen.append(taken))) is None
+        # The first text is CSV's header or JSON's "[\n"; the second holds the first rows.
+        assert seen[1] <= CHUNK_POINTS
+        assert seen[-1] == 2500
+
+
+@pytest.mark.parametrize("n", [1, 127, 128, 129, 1023, 1024, 1025, 2049])
+def test_writers_match_per_row_writers_at_every_block_and_chunk_edge(n):
+    result = tau_sweep(n)
+    listed = list(result)
+    for precision in (1, 12, 17):
+        expected = percent_csv(listed, precision)
+        for make in ROW_INPUTS.values():
+            assert cli.rows_to_csv(make(result), precision) == expected
+    expected = json_rows(listed)
+    for make in ROW_INPUTS.values():
+        assert rows_to_json(make(result)) == expected
+
+
+def test_writers_keep_a_nul_in_a_status():
+    inputs = dict(m1=1e-14, m2=2e-14, r1=0.0, r2=0.0, omega1=1e5, omega2=3e5, d=1e-6, tau=2.0)
+    rows = [SweepRow(index=i, **inputs, status=status)
+            for i, status in enumerate(["error: X: a\0b", "ok", "error: X: \0"] * 50)]
+    assert cli.rows_to_csv(rows) == percent_csv(rows, 12)
+    assert rows_to_json(rows) == json_rows(rows)
