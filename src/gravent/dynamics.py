@@ -18,9 +18,8 @@ fixed-step RK4 integrator and the product-state test.
 its partial trace, Tr(rho1^2) and the eigenvalues. It is the scalar
 reference for the measures of ``gravent.measures.report``, which takes them
 from the kernel; its ``1 - Tr(rho1^2)`` cancels to 0 for delta_phi below
-~1e-8 rad. ``gravent.measures`` still resolves its names, and the state
-and phase names above, on first access; ``report()`` itself loads neither
-this module nor ``potential``.
+~1e-8 rad. ``report()`` itself loads neither this module nor
+``potential``.
 """
 
 from __future__ import annotations

@@ -9,11 +9,9 @@ family live in the test suite as independent oracles.
 
 The density-matrix route (``report_from_phases``: rho, its partial trace,
 Tr(rho1^2) and the eigenvalues), kept as the scalar reference for the
-measures, lives in ``gravent.dynamics`` next to the state it measures. Its
-names, and the state and phase names of ``dynamics``, still resolve here on
-first access (PEP 562). So ``import gravent.measures`` loads ``gravent``,
-``errors``, ``model``, ``kernel`` and this module alone, and builds four
-dataclasses.
+measures, lives in ``gravent.dynamics`` next to the state it measures.
+``import gravent.measures`` loads ``gravent``, ``errors``, ``model``,
+``kernel`` and this module alone, and builds four dataclasses.
 """
 
 from __future__ import annotations
@@ -25,18 +23,13 @@ from .model import PairSystem, _on_first_use, _slot_setters
 
 __all__ = ["EntanglementReport", "report"]
 
-#: Names that callers look up here, each with the module that defines it.
-#: They load on first access, so ``report()`` runs without ``dynamics``.
-__getattr__ = _on_first_use(globals(), {
-    **dict.fromkeys((
-        "MATRIX_TOL", "EIGENVALUE_FLOOR", "DensityMatrix", "density_from_state", "partial_trace",
-        "purity", "linear_entropy", "von_neumann_entropy", "nearest_multiple_distance",
-        "report_from_phases", "PhaseSet", "TwoQubitState", "accumulated_phase",
-        "evolve_closed_form", "initial_product_state",
-    ), "dynamics"),
-    **dict.fromkeys(("LN2", "PHASE_TOL", "SEPARABLE_EPSILON_TOL"), "kernel"),
-    **dict.fromkeys(("InputDomainError", "PositivityError"), "errors"),
-})
+# Five names of ``dynamics`` that benchmarks/tracer.py wraps here by name,
+# until ROADMAP item 6 moves its targets; they load on first access, so
+# ``report()`` runs without ``dynamics``.
+__getattr__ = _on_first_use(globals(), dict.fromkeys((
+    "DensityMatrix", "accumulated_phase", "evolve_closed_form", "report_from_phases",
+    "von_neumann_entropy",
+), "dynamics"))
 
 
 @dataclass(frozen=True, slots=True)

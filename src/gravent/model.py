@@ -23,9 +23,8 @@ mask. ``_real``, ``_require_type``, ``_bool`` and ``_count`` decide which
 Python values are inputs at all.
 
 ``_on_first_use`` builds each lazy module ``__getattr__`` of the package
-(PEP 562). Here it serves ``assess_validity`` and ``ValidityAssessment``,
-which live in ``potential``, so importing this module builds three
-dataclasses and loads no scalar module.
+(PEP 562). Importing this module builds three dataclasses and loads no
+module but ``errors``.
 """
 
 from __future__ import annotations
@@ -265,9 +264,3 @@ def zero_point_width(m: float, omega: float, c: PhysicalConstants) -> float:
     _bound(_raise, "omega", omega, "positive")
     _require_type("c", c, PhysicalConstants)
     return math.sqrt(c.hbar / _mass_omega(_raise, m, omega))
-
-
-#: The regime check lives in ``potential``, next to ``corrected_potential``,
-#: its one caller; its names load from there on first access.
-__getattr__ = _on_first_use(
-    globals(), {"ValidityAssessment": "potential", "assess_validity": "potential"})

@@ -6,8 +6,8 @@ energy and force.
 expressions; ``tests/oracles.py`` keeps their scalar forms, and the
 point-mass and un-expanded size-corrected potentials, as the reference.
 ``assess_validity`` and its ``ValidityAssessment`` live here with their one
-caller, ``corrected_potential``. ``gravent.model`` resolves both from here on
-first access, and ``gravent.sweep`` resolves ``assess_validity``.
+caller, ``corrected_potential``; ``gravent.sweep`` resolves
+``assess_validity`` from here on first access.
 
 Conventions
 -----------
@@ -35,11 +35,9 @@ __all__ = [
     "ValidityAssessment",
     "assess_validity",
     "expand_potential",
-    "zero_point_width",
     "quantum_correction",
     "corrected_potential",
     "entanglement_force",
-    "FORCE_CLOSED_FORM_UNIT",
 ]
 
 

@@ -89,9 +89,10 @@ class AxisSpec:
 class SweepSpec:
     """Grid description: axes for swept parameters, fixed values for the rest.
     Each fixed value, radius and regime threshold is kept as its float, which
-    the kernel checks and the rows carry. Axes or fixed values that are not a
-    mapping, an axis that is not an ``AxisSpec``, a fixed value, radius or
-    regime threshold that is not a real number or is an int outside the
+    the kernel checks and the rows carry; the axes are kept in the spec's own
+    dict, and their values as read-only arrays. Axes or fixed values that are
+    not a mapping, an axis that is not an ``AxisSpec``, a fixed value, radius
+    or regime threshold that is not a real number or is an int outside the
     float64 range, constants that are not ``PhysicalConstants``, a
     ``symmetrize_force`` that is not a bool, and a grid of more than
     MAX_GRID_POINTS points raise ``InputDomainError``."""
@@ -109,6 +110,7 @@ class SweepSpec:
     def __post_init__(self) -> None:
         _require_type("axes", self.axes, Mapping)
         _require_type("fixed", self.fixed, Mapping)
+        object.__setattr__(self, "axes", dict(self.axes))
         for name, axis in self.axes.items():
             if name not in SWEEP_PARAMETERS:
                 raise InputDomainError(f"unknown sweep parameter {name!r}")
@@ -134,6 +136,8 @@ class SweepSpec:
         if total > MAX_GRID_POINTS:
             raise InputDomainError(f"grid has {total} points, above the cap of {MAX_GRID_POINTS}")
         values = {name: axis.values() for name, axis in self.axes.items()}
+        for column in values.values():
+            column.setflags(write=False)
         object.__setattr__(self, "axis_values", values)
 
     def grid_size(self) -> int:

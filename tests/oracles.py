@@ -35,8 +35,9 @@ from gravent import model
 from gravent.errors import (
     FloatRangeError, GraventError, InputDomainError, PrecisionError, RegimeWarning,
 )
-from gravent.model import PairSystem, PhysicalConstants, assess_validity, zero_point_width
-from gravent.potential import FORCE_CLOSED_FORM_UNIT, ForceEstimate, expand_potential
+from gravent.kernel import FORCE_CLOSED_FORM_UNIT
+from gravent.model import PairSystem, PhysicalConstants, zero_point_width
+from gravent.potential import ForceEstimate, assess_validity, expand_potential
 
 #: The smallest delta_phi whose ulp exceeds 1e-6 rad.
 PHASE_RESOLUTION_LIMIT = 2.0**33

@@ -18,11 +18,9 @@ from gravent.dynamics import (
     PhaseSet,
     accumulated_phase,
     delta_phi_to_tau,
+    density_from_state,
     evolve_closed_form,
     initial_product_state,
-)
-from gravent.measures import (
-    density_from_state,
     linear_entropy,
     partial_trace,
     purity,

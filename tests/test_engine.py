@@ -24,7 +24,13 @@ import gravent
 from gravent import cli, float_text, kernel, sweep
 from gravent.cli import main, rows_to_json
 from gravent.config import parse_config
-from gravent.dynamics import PhaseSet, accumulated_phase, build_operator, delta_phi_to_tau
+from gravent.dynamics import (
+    PhaseSet,
+    accumulated_phase,
+    build_operator,
+    delta_phi_to_tau,
+    report_from_phases,
+)
 from gravent.errors import (
     ConvergenceDomainError,
     FloatRangeError,
@@ -33,9 +39,10 @@ from gravent.errors import (
     PrecisionError,
     RegimeWarning,
 )
-from gravent.measures import report, report_from_phases
-from gravent.model import MassiveBody, PairSystem, PhysicalConstants, assess_validity
+from gravent.measures import report
+from gravent.model import MassiveBody, PairSystem, PhysicalConstants
 from gravent.potential import (
+    assess_validity,
     corrected_potential,
     expand_potential,
     quantum_correction,
@@ -377,10 +384,9 @@ class TestBenchmarkContract:
 def scalar_row(index, params, r1, r2, constants, threshold, symmetrize):
     """The per-point pipeline the kernel replaced, built from the scalar
     functions: the reference the kernel must match bit for bit."""
-    from gravent.dynamics import PhaseSet
+    from gravent.dynamics import PhaseSet, report_from_phases
     from gravent.errors import GraventError
-    from gravent.measures import report_from_phases
-    from gravent.model import assess_validity
+    from gravent.potential import assess_validity
     from oracles import accumulated_phase, entanglement_force
 
     inputs = dict(index=index, r1=r1, r2=r2, **params)

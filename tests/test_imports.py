@@ -10,6 +10,7 @@ on first access."""
 
 import functools
 import importlib
+import inspect
 import json
 import os
 import pkgutil
@@ -123,27 +124,51 @@ def test_entry_points_build_no_validity_assessment():
     assert "ValidityAssessment" not in json.loads(run_fresh(DATACLASSES, "import gravent.cli"))
 
 
-FROM_DYNAMICS = (
-    "MATRIX_TOL", "EIGENVALUE_FLOOR", "DensityMatrix", "density_from_state", "partial_trace",
-    "purity", "linear_entropy", "von_neumann_entropy", "nearest_multiple_distance",
-    "report_from_phases", "PhaseSet", "TwoQubitState", "accumulated_phase", "evolve_closed_form",
-    "initial_product_state",
-)
-
-
 @pytest.mark.parametrize("module, name, home", [
-    *(("measures", name, "dynamics") for name in FROM_DYNAMICS),
-    *(("measures", name, "kernel") for name in ("LN2", "PHASE_TOL", "SEPARABLE_EPSILON_TOL")),
-    *(("measures", name, "errors") for name in ("InputDomainError", "PositivityError")),
-    ("model", "assess_validity", "potential"),
-    ("model", "ValidityAssessment", "potential"),
+    *(("measures", name, "dynamics") for name in (
+        "DensityMatrix", "accumulated_phase", "evolve_closed_form", "report_from_phases",
+        "von_neumann_entropy",
+    )),
     ("sweep", "assess_validity", "potential"),
 ])
 def test_a_moved_name_resolves_to_its_home(module, name, home):
-    """Each name keeps resolving from the module that held it, to the very
-    object of the module that holds it now."""
+    """Each name the benchmark's tracer wraps where it used to live keeps
+    resolving there, to the very object of the module that holds it now."""
     value = getattr(importlib.import_module(f"gravent.{module}"), name)
     assert value is getattr(importlib.import_module(f"gravent.{home}"), name)
+
+
+@pytest.mark.parametrize("module, name", [
+    *(("measures", name) for name in (
+        "MATRIX_TOL", "EIGENVALUE_FLOOR", "density_from_state", "partial_trace", "purity",
+        "linear_entropy", "nearest_multiple_distance", "PhaseSet", "TwoQubitState",
+        "initial_product_state", "LN2", "PHASE_TOL", "SEPARABLE_EPSILON_TOL",
+        "InputDomainError", "PositivityError",
+    )),
+    ("model", "assess_validity"),
+    ("model", "ValidityAssessment"),
+])
+def test_a_moved_name_resolves_only_from_its_home(module, name):
+    """A name that left a module for good is no attribute of it."""
+    message = f"module 'gravent.{module}' has no attribute {name!r}"
+    with pytest.raises(AttributeError, match=f"^{re.escape(message)}$"):
+        getattr(importlib.import_module(f"gravent.{module}"), name)
+
+
+def test_model_has_no_module_getattr():
+    from gravent import model
+
+    assert "__getattr__" not in vars(model)
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_each_exported_function_and_class_is_defined_where_it_is_exported(module):
+    """A module's ``__all__`` names no function or class of another module."""
+    namespace = importlib.import_module(f"gravent.{module}")
+    for name in getattr(namespace, "__all__", ()):
+        value = getattr(namespace, name)
+        if inspect.isfunction(value) or inspect.isclass(value):
+            assert value.__module__ == namespace.__name__, name
 
 
 STAR_IMPORT = """

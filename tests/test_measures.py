@@ -8,20 +8,22 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gravent import kernel, model
-from gravent.dynamics import PhaseSet, TwoQubitState, evolve_closed_form, initial_product_state
-from gravent.errors import InputDomainError, PositivityError
-from gravent.measures import (
+from gravent.dynamics import (
     DensityMatrix,
-    EntanglementReport,
+    PhaseSet,
+    TwoQubitState,
     density_from_state,
+    evolve_closed_form,
+    initial_product_state,
     linear_entropy,
     nearest_multiple_distance,
     partial_trace,
     purity,
-    report,
     report_from_phases,
     von_neumann_entropy,
 )
+from gravent.errors import InputDomainError, PositivityError
+from gravent.measures import EntanglementReport, report
 from gravent.model import MassiveBody, PairSystem, PhysicalConstants
 
 LN2 = math.log(2.0)

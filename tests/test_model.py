@@ -13,13 +13,8 @@ from hypothesis import given, settings, strategies as st
 
 from gravent.dynamics import PhaseSet, report_from_phases
 from gravent.errors import GraventError, InputDomainError
-from gravent.model import (
-    MassiveBody,
-    PairSystem,
-    PhysicalConstants,
-    assess_validity,
-    zero_point_width,
-)
+from gravent.model import MassiveBody, PairSystem, PhysicalConstants, zero_point_width
+from gravent.potential import assess_validity
 from gravent.sweep import SweepSpec, run_sweep
 
 # sqrt(hbar/(m*omega)) at m=1e-14 kg, omega=1e5 rad/s, 50-digit arithmetic

@@ -11,9 +11,10 @@ from gravent.errors import (
     InputDomainError,
     RegimeWarning,
 )
+from gravent.kernel import FORCE_CLOSED_FORM_UNIT
 from gravent.model import MassiveBody, PairSystem, PhysicalConstants, zero_point_width
 from gravent.potential import (
-    FORCE_CLOSED_FORM_UNIT,
+    assess_validity,
     corrected_potential,
     entanglement_force,
     expand_potential,
@@ -282,8 +283,6 @@ class TestCorrectedPotential:
         assert breakdown.v_truncated == pytest.approx(breakdown.v_g_total, rel=1e-12)
 
     def test_ratio_to_classical_is_x_squared(self):
-        from gravent.model import assess_validity
-
         sys = make_system()
         breakdown = corrected_potential(sys)
         x = assess_validity(sys).ratio_x

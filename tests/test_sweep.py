@@ -10,8 +10,9 @@ from gravent import kernel
 from gravent.cli import rows_to_csv
 from gravent.dynamics import delta_phi_to_tau
 from gravent.errors import GraventError, InputDomainError, NoEntanglementError
-from gravent.model import MassiveBody, PairSystem, PhysicalConstants, assess_validity
 from gravent.measures import report
+from gravent.model import MassiveBody, PairSystem, PhysicalConstants
+from gravent.potential import assess_validity
 from gravent.sweep import (
     ROW_FIELD_NAMES,
     AxisSpec,
@@ -117,6 +118,20 @@ class TestSweepSpec:
         points = [spec.point(i) for i in range(6)]
         assert [p["tau"] for p in points] == [1.0, 2.0, 3.0, 1.0, 2.0, 3.0]
         assert [p["m1"] for p in points] == [1e-14] * 3 + [2e-14] * 3
+
+    def test_the_spec_owns_its_grid(self):
+        """A change to the caller's axes dict after construction changes no
+        spec, and the spec's axis values are read-only."""
+        fixed = {k: v for k, v in FIXED.items() if k != "tau"}
+        axes = {"tau": AxisSpec(1.0, 2.0, 3)}
+        spec = SweepSpec(axes=axes, fixed=fixed)
+        axes["tau"] = AxisSpec(1.0, 2.0, 2_000_000)
+        fresh = SweepSpec(axes={"tau": AxisSpec(1.0, 2.0, 3)}, fixed=fixed)
+        assert spec.grid_size() == fresh.grid_size() == 3
+        assert len(run_sweep(spec)) == len(run_sweep(fresh)) == 3
+        assert list(run_sweep(spec)) == list(run_sweep(fresh))
+        with pytest.raises(ValueError):
+            spec.axis_values["tau"][0] = 5.0
 
 
 class TestRunSweep:
