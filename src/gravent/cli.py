@@ -56,64 +56,59 @@ def _json_floats(values: np.ndarray) -> list[str]:
     return texts
 
 
-_BOOL_TEXTS = np.array(["false", "true"], dtype=object)
-#: The positions of the float row fields.
-_FLOAT_FIELDS = [j for j, kind in enumerate(ROW_FIELD_TYPES) if kind == "float"]
+#: The encoders of the int and bool fields, the same in CSV and JSON.
+_NUMBER_ENCODERS = {
+    "int": lambda values: list(map(str, values.tolist())),
+    "bool": lambda values: ["true" if value else "false" for value in values.tolist()],
+}
+#: The positions of each kind's row fields.
+_KIND_FIELDS = {kind: [j for j, other in enumerate(ROW_FIELD_TYPES) if other == kind]
+                for kind in ROW_FIELD_TYPES}
 #: Rows joined into one text per write: a block's text, cells and lists stay
 #: small (about 100 KB of JSON), and a write per block costs little.
 _BLOCK_ROWS = 128
 
 
-def _distinct(column: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
-    """The distinct values of ``column`` and each row's position in them;
-    the position is None when there is one value."""
-    if (column == column[0]).all():
-        return column[:1], None
-    return np.unique(column, return_inverse=True)
+def _distinct(column: np.ndarray | list) -> tuple[np.ndarray, np.ndarray | None]:
+    """The distinct values of a chunk's column, as an array, and each row's
+    position in them; the position is None when there is one value.
 
-
-def _lookup(texts: np.ndarray, positions: np.ndarray) -> Callable[[slice], np.ndarray]:
-    """The texts of a slice of rows: ``texts`` at each row's position."""
-    return lambda rows: texts[positions[rows]]
-
-
-def _field_texts(columns: list, encoders: dict[str, Callable]) -> list:
-    """Per row field of a chunk: its text, where the column has one value,
-    or else a function that gives the texts of a slice of the chunk's rows.
-
-    ``encoders`` turns the distinct float values and the distinct str
-    values into their texts, so each is formatted once per chunk; float
-    columns are taken apart by bit pattern, which keeps -0.0 and nan apart
-    from 0.0, and all their distinct values are encoded in one call.
+    Floats are told apart by bit pattern, which keeps -0.0 and nan apart
+    from 0.0. A str field's column, a list, is taken apart as Python strings
+    in a dict: that keeps a NUL, and is faster than ``np.unique`` on objects.
     """
-    distinct = {j: _distinct(columns[j].view(np.uint64)) for j in _FLOAT_FIELDS}
-    keys = np.concatenate([keys for keys, _ in distinct.values()]).view(np.float64)
-    texts = np.array(encoders["float"](keys), dtype=object)
-    floats = {}
-    end = 0
-    for j, (keys, inverse) in distinct.items():
-        start, end = end, end + len(keys)
-        floats[j] = texts[start] if inverse is None else _lookup(texts[start:end], inverse)
-    fields = []
-    for j, (kind, column) in enumerate(zip(ROW_FIELD_TYPES, columns)):
-        if kind == "float":
-            fields.append(floats[j])
-        elif kind == "bool":
-            if column.all() or not column.any():
-                fields.append("true" if column[0] else "false")
-            else:
-                fields.append(_lookup(_BOOL_TEXTS, column.view(np.uint8)))
-        elif kind == "str":
-            values = list(dict.fromkeys(column))
-            encoded = encoders["str"](values)
-            if len(values) == 1:
-                fields.append(encoded[0])
-            else:
-                positions = {value: i for i, value in enumerate(values)}
-                inverse = np.fromiter(map(positions.__getitem__, column), np.intp, len(column))
-                fields.append(_lookup(np.array(encoded, dtype=object), inverse))
-        else:
-            fields.append(lambda rows, column=column: list(map(str, column[rows].tolist())))
+    if isinstance(column, list):
+        positions = {value: i for i, value in enumerate(dict.fromkeys(column))}
+        distinct = np.array(list(positions), dtype=object)
+        if len(positions) == 1:
+            return distinct, None
+        return distinct, np.fromiter(map(positions.__getitem__, column), np.intp, len(column))
+    keys = column.view(np.uint64) if column.dtype == np.float64 else column
+    if (keys == keys[0]).all():
+        return column[:1], None
+    keys, positions = np.unique(keys, return_inverse=True)
+    return keys.view(column.dtype), positions
+
+
+def _field_texts(columns: list, encoders: dict[str, Callable]) -> list[tuple]:
+    """Per row field of a chunk: the texts of its distinct values, an object
+    array, and each row's position in them, which is None where the column
+    has one value (``_distinct``).
+
+    ``encoders`` holds one encoder per field kind, which turns the distinct
+    values of all that kind's fields, concatenated, into their texts; so
+    each distinct value of a chunk is formatted once, and each kind in one
+    call (a batched float encoder is fast only on many values).
+    """
+    distinct = [_distinct(column) for column in columns]
+    fields = [None] * len(columns)
+    for kind, encode in encoders.items():
+        values = [distinct[j][0] for j in _KIND_FIELDS[kind]]
+        texts = np.array(encode(np.concatenate(values)), dtype=object)
+        end = 0
+        for j, keys in zip(_KIND_FIELDS[kind], values):
+            start, end = end, end + len(keys)
+            fields[j] = texts[start:end], distinct[j][1]
     return fields
 
 
@@ -123,26 +118,31 @@ def _chunk_cells(
     """The cells of one chunk, ``_BLOCK_ROWS`` rows at a time: each block a
     (rows, cells) object array whose rows concatenate to the rows' texts:
     ``layout[0]``, the text of field 0, ``layout[1]``, ..., the text of the
-    last field, ``layout[-1]``, with the texts of ``_field_texts``.
+    last field, ``layout[-1]``, with ``_field_texts``' texts.
 
-    A field with one value in the chunk joins the layout texts around it
-    into one cell that every row shares, so it costs nothing per row.
+    A row's text of a field is the field's text at the row's position. A
+    field with one value in the chunk joins the layout texts around it into
+    one cell that every row shares, so it costs nothing per row.
+
+    A generator of its own, so that a chunk's texts and positions are freed
+    before the next chunk is evaluated: held over into it (the loop folded
+    into ``_write_rows``), they made cold sweeps fault in more fresh pages
+    and run slower.
     """
     shared = [layout[0]]
     varying = []
-    for texts, after in zip(_field_texts(columns, encoders), layout[1:]):
-        if isinstance(texts, str):
-            shared[-1] += texts + after
+    for (texts, positions), after in zip(_field_texts(columns, encoders), layout[1:]):
+        if positions is None:
+            shared[-1] += texts[0] + after
         else:
-            varying.append(texts)
+            varying.append((texts, positions))
             shared.append(after)
     size = len(columns[0])
     for start in range(0, size, _BLOCK_ROWS):
-        rows = slice(start, min(start + _BLOCK_ROWS, size))
-        cells = np.empty((rows.stop - start, 2 * len(varying) + 1), dtype=object)
+        cells = np.empty((min(_BLOCK_ROWS, size - start), 2 * len(varying) + 1), dtype=object)
         cells[:, 0::2] = shared
-        for j, texts in enumerate(varying):
-            cells[:, 2 * j + 1] = texts(rows)
+        for j, (texts, positions) in enumerate(varying):
+            cells[:, 2 * j + 1] = texts[positions[start:start + _BLOCK_ROWS]]
         yield cells
 
 
@@ -167,7 +167,7 @@ def _write_rows(
 _CSV_SPECIAL = frozenset(',"\r\n')
 
 
-def _csv_texts(values: list[str]) -> list[str]:
+def _csv_texts(values: Iterable[str]) -> list[str]:
     """Each text as an RFC 4180 cell."""
     return [v if _CSV_SPECIAL.isdisjoint(v) else '"' + v.replace('"', '""') + '"' for v in values]
 
@@ -181,10 +181,12 @@ def rows_to_csv(
     digits, as ``'%.{precision - 1}e' % v`` writes them (``_format_e``, with
     the ``%`` fallback for what it cannot certify); numeric cells are never
     quoted. A text cell that holds a comma, a double quote, CR or LF is
-    quoted, each double quote doubled. Each distinct value of a column in a
-    chunk of 1024 rows is formatted once. Writes to ``out`` when given, in
-    blocks of 128 rows, and otherwise returns the text; hand-built rows are
-    taken a chunk at a time. A ``precision`` that is not an integer in
+    quoted, each double quote doubled; an int is written as ``str`` writes
+    it, a bool as true or false. Each distinct value of a column in a chunk
+    of 1024 rows, of any kind, is formatted once, and each cell is the text
+    at its row's position (``_field_texts``). Writes to ``out`` when given,
+    in blocks of 128 rows, and otherwise returns the text; hand-built rows
+    are taken a chunk at a time. A ``precision`` that is not an integer in
     [1, 17], or is a bool, raises ``InputDomainError``.
     """
     if (isinstance(precision, bool) or not isinstance(precision, numbers.Integral)
@@ -196,7 +198,8 @@ def rows_to_csv(
     precision = operator.index(precision)
     buffer = io.StringIO() if out is None else out
     buffer.write(",".join(ROW_FIELD_NAMES) + "\n")
-    encoders = {"float": lambda values: _format_e(values, precision), "str": _csv_texts}
+    encoders = {"float": lambda values: _format_e(values, precision), "str": _csv_texts,
+                **_NUMBER_ENCODERS}
     layout = ["", *[","] * (len(ROW_FIELD_NAMES) - 1), "\n"]
     _write_rows(buffer, row_chunks(rows), encoders, layout)
     return buffer.getvalue() if out is None else None
@@ -207,11 +210,12 @@ def rows_to_json(rows: Iterable[SweepRow], out: TextIO | None = None) -> str | N
     ``json.dumps(..., indent=2)`` lays it out; non-finite floats are null.
 
     Floats are written as ``repr`` writes them (``_format_repr``, with the
-    ``repr`` fallback for what it cannot certify), and strings as
-    ``json.dumps`` does; each distinct value of a column in a chunk of 1024
-    rows is formatted once. Writes to ``out`` when given, in blocks of 128
-    rows, and otherwise returns the text; hand-built rows are taken a chunk
-    at a time.
+    ``repr`` fallback for what it cannot certify), strings as ``json.dumps``
+    does, and ints and bools as the CSV writer does. Each distinct value of
+    a column in a chunk of 1024 rows, of any kind, is formatted once, and
+    each value is the text at its row's position (``_field_texts``). Writes
+    to ``out`` when given, in blocks of 128 rows, and otherwise returns the
+    text; hand-built rows are taken a chunk at a time.
     """
     buffer = io.StringIO() if out is None else out
     chunks = row_chunks(rows)
@@ -220,7 +224,8 @@ def rows_to_json(rows: Iterable[SweepRow], out: TextIO | None = None) -> str | N
         buffer.write("[]\n")
     else:
         buffer.write("[\n")
-        encoders = {"float": _json_floats, "str": lambda values: list(map(json.dumps, values))}
+        encoders = {"float": _json_floats, "str": lambda values: list(map(json.dumps, values)),
+                    **_NUMBER_ENCODERS}
         keys = [f'    {json.dumps(name)}: ' for name in ROW_FIELD_NAMES]
         layout = ["  {\n" + keys[0], *[",\n" + key for key in keys[1:]], "\n  }"]
         _write_rows(buffer, itertools.chain([first], chunks), encoders, layout, ",\n")

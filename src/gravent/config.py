@@ -44,7 +44,9 @@ class RunConfig:
 
     ``spec`` is the grid the run evaluates, one point outside sweep mode.
     Its ``fixed`` holds every [system] parameter the document gives, a
-    swept one's too, which its axis overrides. In tau-star mode a document
+    swept one's too, which its axis overrides; its ``axes`` and ``fixed``
+    are read-only mappings, so a run changes a spec through
+    ``dataclasses.replace``, as tau-star does. In tau-star mode a document
     without tau gives it as nan, which tau-star replaces with tau*.
     """
 

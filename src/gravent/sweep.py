@@ -10,6 +10,7 @@ import math
 import operator
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import MISSING, dataclass, field, fields
+from types import MappingProxyType
 
 import numpy as np
 
@@ -89,28 +90,30 @@ class AxisSpec:
 class SweepSpec:
     """Grid description: axes for swept parameters, fixed values for the rest.
     Each fixed value, radius and regime threshold is kept as its float, which
-    the kernel checks and the rows carry; the axes are kept in the spec's own
-    dict, and their values as read-only arrays. Axes or fixed values that are
-    not a mapping, an axis that is not an ``AxisSpec``, a fixed value, radius
-    or regime threshold that is not a real number or is an int outside the
-    float64 range, constants that are not ``PhysicalConstants``, a
-    ``symmetrize_force`` that is not a bool, and a grid of more than
-    MAX_GRID_POINTS points raise ``InputDomainError``."""
+    the kernel checks and the rows carry. ``axes``, ``fixed`` and
+    ``axis_values`` are read-only mappings of the spec's own, so assigning
+    to them raises ``TypeError``, and the axis values are read-only arrays;
+    a spec pickles and copies as the arguments that build it. Axes or fixed
+    values that are not a mapping, an axis that is not an ``AxisSpec``, a
+    fixed value, radius or regime threshold that is not a real number or is
+    an int outside the float64 range, constants that are not
+    ``PhysicalConstants``, a ``symmetrize_force`` that is not a bool, and a
+    grid of more than MAX_GRID_POINTS points raise ``InputDomainError``."""
 
-    axes: dict[str, AxisSpec]
-    fixed: dict[str, float]
+    axes: Mapping[str, AxisSpec]
+    fixed: Mapping[str, float]
     r1: float = 0.0
     r2: float = 0.0
     constants: PhysicalConstants = PhysicalConstants()
     regime_threshold: float = REGIME_THRESHOLD_DEFAULT
     symmetrize_force: bool = False
     #: Each swept parameter's values, computed once.
-    axis_values: dict[str, np.ndarray] = field(init=False, repr=False, compare=False)
+    axis_values: Mapping[str, np.ndarray] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         _require_type("axes", self.axes, Mapping)
         _require_type("fixed", self.fixed, Mapping)
-        object.__setattr__(self, "axes", dict(self.axes))
+        object.__setattr__(self, "axes", MappingProxyType(dict(self.axes)))
         for name, axis in self.axes.items():
             if name not in SWEEP_PARAMETERS:
                 raise InputDomainError(f"unknown sweep parameter {name!r}")
@@ -127,7 +130,7 @@ class SweepSpec:
             raise InputDomainError(f"parameters neither swept nor fixed: {missing}")
         fixed = {name: _real(name, self.fixed[name]) for name in SWEEP_PARAMETERS
                  if name in self.fixed}
-        object.__setattr__(self, "fixed", fixed)
+        object.__setattr__(self, "fixed", MappingProxyType(fixed))
         for name in ("r1", "r2", "regime_threshold"):
             object.__setattr__(self, name, _real(name, getattr(self, name)))
         _require_type("constants", self.constants, PhysicalConstants)
@@ -138,7 +141,12 @@ class SweepSpec:
         values = {name: axis.values() for name, axis in self.axes.items()}
         for column in values.values():
             column.setflags(write=False)
-        object.__setattr__(self, "axis_values", values)
+        object.__setattr__(self, "axis_values", MappingProxyType(values))
+
+    def __reduce__(self) -> tuple:
+        # A read-only mapping does not pickle, so the spec is rebuilt.
+        return type(self), (dict(self.axes), dict(self.fixed), self.r1, self.r2, self.constants,
+                            self.regime_threshold, self.symmetrize_force)
 
     def grid_size(self) -> int:
         size = 1

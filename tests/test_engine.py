@@ -1184,3 +1184,44 @@ def test_writers_keep_a_nul_in_a_status():
             for i, status in enumerate(["error: X: a\0b", "ok", "error: X: \0"] * 50)]
     assert cli.rows_to_csv(rows) == percent_csv(rows, 12)
     assert rows_to_json(rows) == json_rows(rows)
+
+
+#: Float cells of every sort: signed zeros, nan, infinities, subnormal and
+#: extreme values, and an int given for a float field.
+VARIED_NUMBERS = [0.0, -0.0, 1.5, 1e-14, -2.5e-300, 5e-324, 1.7976931348623157e308,
+                  math.nan, math.inf, -math.inf, 3]
+#: Texts that CSV quotes (a comma, a double quote, CR, LF) or keeps as they
+#: are (a NUL, non-ASCII text, the empty text).
+VARIED_TEXTS = ["ok", "error: X: a,b", 'error: X: say "hi"', "cr\r", "lf\n", "crlf\r\n",
+                "nul\0end", "ñ é 中文 🙂", ""]
+FIELD_KINDS = dict(zip(sweep.ROW_FIELD_NAMES, sweep.ROW_FIELD_TYPES))
+
+
+def varied_rows(count):
+    """Hand-built rows whose fields are drawn apart, so every field kind
+    varies inside each block of rows: repeated, unsorted indices, both
+    values of each bool, numbers and texts from the lists above."""
+    rng = np.random.default_rng(39)
+    choices = {"int": range(40), "float": VARIED_NUMBERS, "bool": [False, True], "str": VARIED_TEXTS}
+    return [SweepRow(**{name: choices[kind][rng.integers(len(choices[kind]))]
+                        for name, kind in FIELD_KINDS.items()})
+            for _ in range(count)]
+
+
+def test_writers_match_per_cell_writers_where_every_field_kind_varies_in_a_block():
+    # Two chunks, the second of 200 rows: a full block, then a short one.
+    rows = varied_rows(CHUNK_POINTS + 200)
+    for start in range(0, len(rows), cli._BLOCK_ROWS):
+        block = rows[start:start + cli._BLOCK_ROWS]
+        for name in sweep.ROW_FIELD_NAMES:
+            assert len({repr(getattr(row, name)) for row in block}) > 1, name
+        assert [row.index for row in block] != sorted(row.index for row in block)
+        assert any(type(getattr(row, name)) is int
+                   for row in block for name, kind in FIELD_KINDS.items() if kind == "float")
+    # The writers write a float field's int as a float.
+    floats = [dataclasses.replace(row, **{name: float(getattr(row, name))
+                                          for name, kind in FIELD_KINDS.items() if kind == "float"})
+              for row in rows]
+    for precision in (1, 12, 17):
+        assert cli.rows_to_csv(rows, precision) == percent_csv(floats, precision)
+    assert rows_to_json(rows) == json_rows(floats)

@@ -1,4 +1,7 @@
+import copy
+import dataclasses
 import math
+import pickle
 from fractions import Fraction
 
 import numpy as np
@@ -132,6 +135,29 @@ class TestSweepSpec:
         assert list(run_sweep(spec)) == list(run_sweep(fresh))
         with pytest.raises(ValueError):
             spec.axis_values["tau"][0] = 5.0
+
+    def test_the_spec_mappings_are_read_only(self):
+        """Assigning into a spec's axes or fixed values raises TypeError, so
+        its grid stays the one it checked; a copy, a pickle round trip and
+        ``dataclasses.replace`` give an equal spec with the same rows."""
+        fixed = {k: v for k, v in FIXED.items() if k != "tau"}
+        spec = SweepSpec(axes={"tau": AxisSpec(1.0, 3.0, 3)}, fixed=fixed)
+        with pytest.raises(TypeError):
+            spec.axes["tau"] = AxisSpec(1.0, 2.0, 2_000_000)
+        with pytest.raises(TypeError):
+            spec.fixed["d"] = "x"
+        with pytest.raises(TypeError):
+            spec.axis_values["tau"] = np.zeros(5)
+        assert spec.grid_size() == len(spec.axis_values["tau"]) == len(run_sweep(spec)) == 3
+        assert spec.point(-1)["tau"] == 3.0
+        rows = list(run_sweep(spec))
+        assert [row.status for row in rows] == ["ok"] * 3
+        for other in (pickle.loads(pickle.dumps(spec)), copy.deepcopy(spec),
+                      dataclasses.replace(spec)):
+            assert other == spec and other.grid_size() == 3
+            assert list(run_sweep(other)) == rows
+            with pytest.raises(TypeError):
+                other.fixed["d"] = 1.0
 
 
 class TestRunSweep:
