@@ -5,7 +5,9 @@
 significant digits in double-double arithmetic (``_scaled``), finds the
 digits with integer and float array arithmetic, and assembles the texts from
 lookup tables as one byte buffer. Each table is written as the texts it
-holds, NUL-padded and read as little-endian codes (``_codes``).
+holds, NUL-padded and read as little-endian codes (``_codes``). The
+temporaries are computed in place, a few at a time, and released before the
+texts are split, so a call's peak memory is little more than its texts'.
 
 A formatter certifies a value only where float arithmetic settles its
 digits with a margin; every other value it passes to the Python formatting
@@ -107,17 +109,42 @@ def _scale(a: np.ndarray, exponent: np.ndarray, precision: int) -> tuple[np.ndar
     exact, plus the rounding of ``fraction``: under 1e-14 at 17 digits, far
     inside the callers' margins (5e-7 or more).
     ``fraction`` is in [0, 1) to that error while the scaled value is below
-    2**53, and within 8 of 0 above it.
+    2**53, and within 8 of 0 above it. Six arrays hold every step: each
+    product and sum is written over an operand that is not needed again.
     """
     k = precision - 1 - _K_MIN - exponent
-    hi, hi_high, hi_low = _TEN_HI[k], _TEN_HI_HIGH[k], _TEN_HI_LOW[k]
-    a_high, a_low = _split(a)
-    p = a * hi
-    err = a_low * hi_low - (((p - a_high * hi_high) - a_low * hi_high) - a_high * hi_low)
-    q = err + a * _TEN_LO[k]
-    s = p + q
-    whole = np.floor(s)
-    return whole, (s - whole) + (q - (s - p))
+    p = _TEN_HI[k]
+    p *= a
+    # Dekker's split of a, as _split makes it (high = c - (c - a) with
+    # c = _SPLIT * a; low = a - high) but in two arrays, not four.
+    high = np.multiply(a, _SPLIT)
+    low = np.subtract(high, a)
+    high -= low
+    np.subtract(a, high, out=low)
+    # err = a_low * hi_low - (((p - a_high * hi_high) - a_low * hi_high) - a_high * hi_low)
+    ten = _TEN_HI_HIGH[k]
+    err = np.multiply(high, ten)
+    np.subtract(p, err, out=err)
+    ten *= low
+    err -= ten
+    # k is in range; "clip" lets take write into ``out`` with no buffer.
+    np.take(_TEN_HI_LOW, k, out=ten, mode="clip")
+    high *= ten
+    err -= high
+    low *= ten
+    np.subtract(low, err, out=err)
+    # q = err + a * lo, s = p + q
+    np.take(_TEN_LO, k, out=ten, mode="clip")
+    ten *= a
+    q = np.add(err, ten, out=err)
+    s = np.add(p, q, out=high)
+    whole = np.floor(s, out=low)
+    # fraction = (s - whole) + (q - (s - p))
+    np.subtract(s, p, out=p)
+    np.subtract(q, p, out=q)
+    s -= whole
+    s += q
+    return whole, s
 
 
 def _scaled(values: np.ndarray, precision: int) -> tuple[np.ndarray, ...]:
@@ -131,9 +158,12 @@ def _scaled(values: np.ndarray, precision: int) -> tuple[np.ndarray, ...]:
     """
     with np.errstate(all="ignore"):
         a = np.abs(values)
-        in_range = (a >= _E_RANGE[0]) & (a <= _E_RANGE[1])  # false for 0, inf, nan
-        a[~in_range] = 1.0
-        exponent = np.floor(np.log(a) * _LOG10_E).astype(np.int64)
+        in_range = a >= _E_RANGE[0]
+        in_range &= a <= _E_RANGE[1]  # false for 0, inf, nan
+        np.copyto(a, 1.0, where=~in_range)
+        exponent = np.log(a)
+        exponent *= _LOG10_E
+        exponent = np.floor(exponent, out=exponent).astype(np.int64)
         whole, fraction = _scale(a, exponent, precision)
     return a, exponent, whole, fraction, in_range
 
@@ -150,48 +180,64 @@ def _rounded_digits(
     fraction that close to 1/2 may be a tie, which "%" rounds to even.
     """
     low, high = 10.0 ** (precision - 1), 10.0**precision
-    _, exponent, whole, fraction, certified = _scaled(values, precision)
-    certified &= (np.abs(fraction - 0.5) >= 1e-6) & (whole < high)
-    certified &= (whole > low) | ((whole == low) & (fraction >= 0.0))
-    digits = whole + (fraction >= 0.5)
+    exponent, digits, fraction, certified = _scaled(values, precision)[1:]
+    certified &= (digits > low) | ((digits == low) & (fraction >= 0.0))
+    certified &= digits < high
+    digits += fraction >= 0.5
+    fraction -= 0.5
+    certified &= np.abs(fraction, out=fraction) >= 1e-6
     carry = digits == high  # 9.99...95 rounds up to 10.0...0: one digit more
     exponent += carry
-    digits[carry | ~certified] = low
+    carry |= ~certified
+    digits[carry] = low
     return digits.astype(np.int64), exponent, certified
 
 
-def _e_texts(
-    negative: np.ndarray, digits: np.ndarray, exponent: np.ndarray, precision: int
-) -> list[str]:
-    """The "%e" texts of sign, ``precision`` digits and exponent.
+def _e_texts(values: np.ndarray, precision: int) -> tuple[list[str], np.ndarray]:
+    """The "%e" texts of ``values`` at ``precision`` digits, as
+    ``_rounded_digits`` rounds them, and whether that rounding is certain.
 
     Each text is a row of bytes: sign, first digit and point; the other
     digits in groups of up to three; exponent and a newline. Each field is
-    written, in that order, as the little-endian code of its text, so the
-    NUL padding of a field is overwritten by the next field or stays; then
-    the rows are decoded (``_decoded``).
+    written, in that order and as soon as it is known, as the little-endian
+    code of its text, so the NUL padding of a field is overwritten by the
+    next field or stays. Then the rows are decoded at once, their NULs
+    deleted and the texts split at the newlines.
     """
+    digits, exponent, certified = _rounded_digits(values, precision)
     widths = ((precision - 2) % 3 + 1,) + (3,) * ((precision - 2) // 3) if precision > 1 else ()
-    groups = []
-    for width in reversed(widths):
-        digits, group = np.divmod(digits, 10**width)
-        groups.append(_DIGITS[width][group])
-    fields = [_LEADS[precision > 1][10 * negative + digits], *reversed(groups)]
-    fields.append(_EXPONENTS[1000 * (exponent < 0) + np.abs(exponent)])
-    offsets = np.cumsum([0, 3, *widths])
-    row = offsets[-1] + 8
-    text = np.zeros((len(digits), row), dtype=np.uint8)
-    for offset, codes in zip(offsets, fields):
-        np.ndarray(len(digits), codes.dtype, text, offset, (row,))[...] = codes
-    return _decoded(text)
-
-
-def _decoded(text: np.ndarray) -> list[str]:
-    """The texts of rows of ASCII bytes, NUL-padded, each ending in a
-    newline: the rows are decoded at once and their NULs deleted."""
-    texts = text.tobytes().translate(None, b"\0").decode("ascii").split("\n")
+    row = 3 + sum(widths) + 8
+    text = np.empty((len(values), row), dtype=np.uint8)
+    # The sign as a digit above the others: the first "digit" is then
+    # 10 * negative + the first digit, the index of _LEADS.
+    np.add(digits, 10**precision, out=digits, where=np.signbit(values))
+    scale = 10 ** (precision - 1)
+    field = digits // scale
+    _put(text, 0, _LEADS[precision > 1], field)
+    offset = 3
+    for width in widths:
+        field *= scale
+        digits -= field
+        scale //= 10**width
+        np.floor_divide(digits, scale, out=field)
+        _put(text, offset, _DIGITS[width], field)
+        offset += width
+    np.subtract(1000, exponent, out=exponent, where=exponent < 0)
+    _put(text, offset, _EXPONENTS, exponent)
+    del digits, exponent, field
+    # Decoded one step at a time, each freeing the last: the matrix is gone
+    # before the split, which builds the texts.
+    text = text.tobytes()
+    text = text.translate(None, b"\0")
+    text = text.decode("ascii")
+    texts = text.split("\n")
     texts.pop()
-    return texts
+    return texts, certified
+
+
+def _put(text: np.ndarray, offset: int, codes: np.ndarray, index: np.ndarray) -> None:
+    """Writes ``codes[index]`` into each row of ``text`` from byte ``offset`` on."""
+    np.ndarray(len(text), codes.dtype, text, offset, text.strides[:1])[...] = codes[index]
 
 
 def _percent_e(values: np.ndarray, precision: int) -> list[str]:
@@ -220,15 +266,14 @@ def _format_e(values: np.ndarray, precision: int) -> list[str]:
     """
     if precision > _E_DIGITS:
         return _percent_e(values, precision)
-    digits, exponent, certified = _rounded_digits(values, precision)
-    texts = _e_texts(np.signbit(values), digits, exponent, precision)
+    texts, certified = _e_texts(values, precision)
     return _fall_back(texts, values, certified, lambda uncertain: _percent_e(uncertain, precision))
 
 
 #: 10**j for j in 0..17, exact in int64.
 _POWERS = np.array([10**j for j in range(_R_DIGITS + 1)], dtype=np.int64)
-#: 10**k for k = 0, 1, 2, one row each: the k _shortest_digits tries first.
-_LEVELS = _POWERS[:3, None]
+#: 10**k for k = 0, 1, 2: the k _shortest_digits tries first.
+_LEVELS = (1, 10, 100)
 _SIGNIFICAND = np.uint64(2**52 - 1)  # the stored bits of a float64's significand
 
 
@@ -260,24 +305,47 @@ def _shortest_digits(
     """
     a, exponent, whole, fraction, certified = _scaled(values, _R_DIGITS)
     bits = a.view(np.uint64)
-    twos = (bits >> np.uint64(52)).astype(np.int32) - 1075  # the binary exponent of |v|'s ulp
-    half_gap = np.ldexp(_TEN_HI[_R_DIGITS - 1 - _K_MIN - exponent], twos - 1)
-    floor = np.floor(fraction)
-    whole = whole.astype(np.int64) + floor.astype(np.int64)
-    fraction -= floor
-    certified &= (whole >= _POWERS[-2]) & (whole < _POWERS[-1]) & ((bits & _SIGNIFICAND) != 0)
-    # Per k = 0, 1, 2 (rows) and value (columns): the multiples of 10**k
-    # either side of the scaled value, and the distances to them.
-    quotient = whole // _LEVELS
-    below = (whole - quotient * _LEVELS) + fraction
-    above = _LEVELS - below
-    up = above < below
-    distance = np.minimum(above, below) - half_gap
-    inside = distance < 0.0
+    certified &= (bits & _SIGNIFICAND) != 0
+    twos = (bits >> np.uint64(52)).astype(np.int32)
+    twos -= 1076  # one below the binary exponent of |v|'s ulp
+    del a, bits
+    half_gap = _TEN_HI[_R_DIGITS - 1 - _K_MIN - exponent]
+    np.ldexp(half_gap, twos, out=half_gap)
+    del twos
     margin = 1e-6 * half_gap
-    certified &= ~((np.abs(distance) < margin) | (np.abs(above - below) < margin)).any(axis=0)
-    places = inside[1].astype(np.int64) + (inside[1] & inside[2])
-    digits = (quotient + up)[places, np.arange(len(a))]
+    floor = np.floor(fraction)
+    fraction -= floor
+    whole = whole.astype(np.int64)
+    whole += floor.astype(np.int64)
+    del floor
+    certified &= whole >= _POWERS[-2]
+    certified &= whole < _POWERS[-1]
+    # Per k = 0, 1, 2: the multiples of 10**k either side of the scaled
+    # value, and the distances to them.
+    places = np.zeros(len(whole), dtype=np.int64)
+    for k, level in enumerate(_LEVELS):
+        quotient = whole // level
+        below = np.multiply(quotient, level)
+        np.subtract(whole, below, out=below)
+        below = below + fraction
+        above = np.subtract(level, below)
+        up = above < below
+        quotient += up
+        distance = np.minimum(above, below)
+        distance -= half_gap
+        inside = distance < 0.0
+        near = np.abs(distance, out=distance) < margin
+        above -= below
+        near |= np.abs(above, out=above) < margin
+        certified &= ~near
+        del below, above, distance
+        if k == 0:
+            digits = quotient
+        else:
+            inside &= places == k - 1
+            places += inside
+            np.copyto(digits, quotient, where=inside)
+    del whole, fraction, half_gap, margin, quotient, inside
     rows = np.flatnonzero(places == 2)
     multiple = digits[rows]
     for step in (8, 4, 2, 1):  # the trailing zeros, up to 15
@@ -288,7 +356,8 @@ def _shortest_digits(
     digits[rows] = multiple
     # At k = 17 the multiple is 10**17: the digit 1, one place up.
     exponent += places == _R_DIGITS
-    count = np.maximum(_R_DIGITS - places, 1)
+    count = np.subtract(_R_DIGITS, places, out=places)
+    np.maximum(count, 1, out=count)
     digits[~certified] = 1
     count[~certified] = 1
     return digits, count, exponent, certified
@@ -318,44 +387,59 @@ _FORMS = _codes([sign + text for sign in "\0-" for text in _FORM_TEXTS],
                 8 * _R_WORDS).reshape(-1, _R_WORDS)
 
 
-def _repr_texts(
-    negative: np.ndarray, digits: np.ndarray, count: np.ndarray, exponent: np.ndarray
-) -> list[str]:
-    """The ``repr`` texts of sign, ``count`` significant digits and decimal
-    exponent: "1e-05" and "1.5e+16" where the exponent is below -4 or at
-    least 16, else "0.000123", "123.456" or "100.0".
+def _repr_texts(values: np.ndarray) -> tuple[list[str], np.ndarray]:
+    """The ``repr`` texts of ``values`` with the digits ``_shortest_digits``
+    finds, and whether those are certain: "1e-05" and "1.5e+16" where the
+    exponent is below -4 or at least 16, else "0.000123", "123.456" or
+    "100.0".
 
-    The digits, zero-padded to 17, are written into the digit slots in
-    groups of two and then three, each group's code with a NUL after each
-    digit (``_SPREAD``). Those past the last digit the text shows
-    (``count``, or the units digit and one after the point) are cleared
-    with a mask, and the sign, lead and point are set from one row of
-    ``_FORMS``; then the rows are decoded (``_decoded``).
+    The digits, zero-padded to 17, are written into the digit slots from
+    the first, in groups of two and then three, each group's code with a
+    NUL after each digit (``_SPREAD``). Those past the last digit the text
+    shows (``count``, or the units digit and one after the point) are
+    cleared with a mask, and the sign, lead and point are set from one row
+    of ``_FORMS``; so every byte but the last word's is set by the mask,
+    and the last word is the exponent's. Then the rows are decoded.
     """
-    n = len(digits)
+    digits, count, exponent, certified = _shortest_digits(values)
+    text = np.empty((len(values), 8 * _R_WORDS), dtype=np.uint8)
+    digits *= _POWERS[_R_DIGITS - count]
+    scale = _POWERS[_R_DIGITS - 2]
+    group = digits // scale
+    _put(text, _R_SLOTS, _SPREAD[2], group)
+    for slot in (2, 5, 8, 11, 14):
+        group *= scale
+        digits -= group
+        scale //= 1000
+        np.floor_divide(digits, scale, out=group)
+        _put(text, _R_SLOTS + 2 * slot, _SPREAD[3], group)
+    del digits, group
+    words = text.view("<u8")
     positional = (exponent >= -4) & (exponent < 16)
     units = positional & (exponent >= 0)
-    padded = digits * _POWERS[_R_DIGITS - count]
-    groups = []
-    for _ in range(5):
-        quotient = padded // 1000
-        groups.append(_SPREAD[3][padded - 1000 * quotient])
-        padded = quotient
-    text = np.zeros((n, 8 * _R_WORDS), dtype=np.uint8)
-    for slot, codes in zip((0, 2, 5, 8, 11, 14), [_SPREAD[2][padded], *reversed(groups)]):
-        np.ndarray(n, "<u8", text, _R_SLOTS + 2 * slot, (8 * _R_WORDS,))[...] = codes
-    words = text.view("<u8")
     shown = np.where(units, np.maximum(count, exponent + 2), count)
     # The form (see _FORM_TEXTS): the point after the units digit, the
     # leading zeros of a text below 1, or an exponent text's point if any.
     form = np.where(positional, np.where(units, exponent, 15 - exponent),
                     np.where(count > 1, 0, 20))
-    words &= np.take(_SHOWN, shown, axis=0)
-    words |= np.take(_FORMS, 21 * negative + form, axis=0)
-    ends = _EXPONENTS[1000 * (exponent < 0) + np.abs(exponent)]
+    np.add(form, 21, out=form, where=np.signbit(values))
+    del count, units
+    for j in range(_R_WORDS - 1):  # a word at a time; the last is the exponent's
+        words[:, j] &= _SHOWN[shown, j]
+        words[:, j] |= _FORMS[form, j]
+    del shown, form
+    np.subtract(1000, exponent, out=exponent, where=exponent < 0)
+    ends = _EXPONENTS[exponent]
     ends[positional] = ord("\n")
     words[:, -1] = ends
-    return _decoded(text)
+    del exponent, positional, ends, words
+    # Decoded one step at a time, as in _e_texts.
+    text = text.tobytes()
+    text = text.translate(None, b"\0")
+    text = text.decode("ascii")
+    texts = text.split("\n")
+    texts.pop()
+    return texts, certified
 
 
 def _reprs(values: np.ndarray) -> list[str]:
@@ -369,6 +453,5 @@ def _format_repr(values: np.ndarray) -> list[str]:
     (``_repr_texts``). ``_reprs`` formats each value whose digits are not
     certain.
     """
-    digits, count, exponent, certified = _shortest_digits(values)
-    texts = _repr_texts(np.signbit(values), digits, count, exponent)
+    texts, certified = _repr_texts(values)
     return _fall_back(texts, values, certified, _reprs)

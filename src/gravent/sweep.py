@@ -93,7 +93,8 @@ class SweepSpec:
     the kernel checks and the rows carry. ``axes``, ``fixed`` and
     ``axis_values`` are read-only mappings of the spec's own, so assigning
     to them raises ``TypeError``, and the axis values are read-only arrays;
-    a spec pickles and copies as the arguments that build it. Axes or fixed
+    a spec pickles and copies as the arguments that build it, and hashes
+    as what it compares, so equal specs are one dict key. Axes or fixed
     values that are not a mapping, an axis that is not an ``AxisSpec``, a
     fixed value, radius or regime threshold that is not a real number or is
     an int outside the float64 range, constants that are not
@@ -142,6 +143,12 @@ class SweepSpec:
         for column in values.values():
             column.setflags(write=False)
         object.__setattr__(self, "axis_values", MappingProxyType(values))
+
+    def __hash__(self) -> int:
+        # What __eq__ compares, with the read-only mappings, which do not
+        # hash, as their items; the axes sorted, as dict equality ignores order.
+        return hash((tuple(sorted(self.axes.items())), tuple(self.fixed.items()), self.r1,
+                     self.r2, self.constants, self.regime_threshold, self.symmetrize_force))
 
     def __reduce__(self) -> tuple:
         # A read-only mapping does not pickle, so the spec is rebuilt.
@@ -261,11 +268,12 @@ class SweepResult(Sequence):
 
     Rows are evaluated CHUNK_POINTS at a time when iterated, so no more than
     one chunk of them is held at once; a slice ``result[a:b]`` is evaluated
-    in one kernel call and held whole. Reading the result twice evaluates it
-    twice. ``chunks`` gives each chunk as the writers take it, one column per
-    row field: the index array, a float64 array per float field and a bool
-    array per bool field, holding the row defaults nan and False where a
-    point failed, and a list per str field, the status naming each failure.
+    CHUNK_POINTS at a time too, and its rows are returned as a list. Reading
+    the result twice evaluates it twice. ``chunks`` gives each chunk as the
+    writers take it, one column per row field: the index array, a float64
+    array per float field and a bool array per bool field, holding the row
+    defaults nan and False where a point failed, and a list per str field,
+    the status naming each failure.
     Iterating and indexing give Python-typed ``SweepRow`` objects.
     """
 
@@ -315,8 +323,12 @@ class SweepResult(Sequence):
 
     def __getitem__(self, index):
         if isinstance(index, slice):
-            indices = np.arange(self._size)[index]
-            return list(_rows(self._columns(indices)))
+            positions = range(self._size)[index]
+            rows = []
+            for start in range(0, len(positions), CHUNK_POINTS):
+                chunk = positions[start:start + CHUNK_POINTS]
+                rows.extend(_rows(self._columns(np.arange(chunk.start, chunk.stop, chunk.step))))
+            return rows
         position = range(self._size)[index]
         (row,) = _rows(self._columns(np.array([position])))
         return row

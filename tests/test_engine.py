@@ -11,6 +11,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 from types import SimpleNamespace
@@ -1019,6 +1020,28 @@ def test_json_floats_match_repr_on_log_uniform_values_and_exact_ties(monkeypatch
     passed.clear()
     assert cli._json_floats(np.array([1.5, 0.0, np.nan])) == ["1.5", "0.0", "null"]
     assert len(passed) == 2
+
+
+@pytest.mark.parametrize("name, bound", [("e", 100), ("repr", 106)])
+def test_formatters_hold_little_more_than_their_texts(name, bound):
+    """A formatter's peak memory per value, as tracemalloc counts it, on
+    5,000 log-uniform floats: the texts, the one string they are split from
+    and little more (94 and 100 bytes a value for %e at 12 digits and repr).
+    Temporaries are computed in place and the byte matrix is freed before
+    the split; one kept to the split, or a step's own chunk-wide arrays
+    (177 and 247 bytes a value), crosses the bound."""
+    formats = {"e": lambda values: float_text._format_e(values, 12),
+               "repr": float_text._format_repr}
+    values = 10.0 ** np.random.default_rng(5000).uniform(-30.0, 30.0, 5000)
+    formats[name](values)
+    tracemalloc.start()
+    try:
+        texts = formats[name](values)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(texts) == len(values)
+    assert peak / len(values) < bound
 
 
 def test_formatters_match_percent_and_repr_on_numpys_other_simd_path(tmp_path):

@@ -205,8 +205,8 @@ def test_sweep_resolves_the_scalar_pipeline_it_re_exports():
     assert sweep.entanglement_force is potential.entanglement_force
 
 
-def test_potential_re_exports_the_kernel_force_unit():
-    from gravent import kernel
-    from gravent.potential import FORCE_CLOSED_FORM_UNIT
+def test_the_force_unit_is_imported_from_kernel():
+    from gravent import kernel, potential
 
-    assert FORCE_CLOSED_FORM_UNIT is kernel.FORCE_CLOSED_FORM_UNIT == "J*s"
+    assert kernel.FORCE_CLOSED_FORM_UNIT == "J*s"
+    assert "FORCE_CLOSED_FORM_UNIT" not in potential.__all__

@@ -11,12 +11,14 @@ from hypothesis import given, settings
 from test_views import HBAR, POSITIVE
 from gravent import kernel
 from gravent.cli import rows_to_csv
+from gravent.config import parse_config
 from gravent.dynamics import delta_phi_to_tau
 from gravent.errors import GraventError, InputDomainError, NoEntanglementError
 from gravent.measures import report
 from gravent.model import MassiveBody, PairSystem, PhysicalConstants
 from gravent.potential import assess_validity
 from gravent.sweep import (
+    CHUNK_POINTS,
     ROW_FIELD_NAMES,
     AxisSpec,
     SweepSpec,
@@ -159,6 +161,26 @@ class TestSweepSpec:
             with pytest.raises(TypeError):
                 other.fixed["d"] = 1.0
 
+    def test_equal_specs_hash_equal_and_are_one_dict_key(self):
+        """A spec hashes as what it compares: axes given in another order and
+        fixed values in another order make an equal spec with the same hash,
+        so both find one dict entry; a run config holding it hashes too."""
+        axes = {"tau": AxisSpec(1.0, 3.0, 3), "d": AxisSpec(1e-6, 1e-5, 4, "log")}
+        fixed = {k: v for k, v in FIXED.items() if k not in axes}
+        spec = SweepSpec(axes=axes, fixed=fixed, r1=1e-7)
+        same = SweepSpec(axes=dict(reversed(axes.items())), fixed=dict(reversed(fixed.items())),
+                         r1=1e-7)
+        assert same == spec and hash(same) == hash(spec)
+        keys = {spec: "spec", pickle.loads(pickle.dumps(spec)): "copy"}
+        assert keys == {spec: "copy"} and keys[same] == "copy"
+        other = dataclasses.replace(spec, r1=2e-7)
+        assert other != spec and {spec, other, same} == {spec, other}
+        doc = ("[run]\nmode = sweep\n[system]\nm1 = 1e-14\nm2 = 1e-14\nomega1 = 1e5\n"
+               "omega2 = 1e5\nd = 1e-6\n[sweep]\ntau = 1:10:4:log\n")
+        config = parse_config(doc)
+        assert hash(config) == hash(parse_config(doc))
+        assert {config: 1}[parse_config(doc)] == 1
+
 
 class TestRunSweep:
     def test_single_point_matches_direct_report(self):
@@ -243,6 +265,27 @@ class TestRunSweep:
         assert result.__eq__("rows") is NotImplemented
         assert result != "rows"
         assert result == list(result)
+
+    def test_a_slice_is_read_a_chunk_at_a_time(self, monkeypatch):
+        """A slice over three chunks gives iteration's rows, and the kernel
+        is never asked for more than CHUNK_POINTS points at once."""
+        sizes = []
+        evaluate = kernel.evaluate
+
+        def counting(inputs, *args):
+            sizes.append(len(inputs["tau"]))
+            return evaluate(inputs, *args)
+
+        monkeypatch.setattr(kernel, "evaluate", counting)
+        spec = SweepSpec(axes={"tau": AxisSpec(0.0, 4e5, 3 * CHUNK_POINTS + 10)},
+                         fixed={k: v for k, v in FIXED.items() if k != "tau"})
+        result = run_sweep(spec)
+        rows = list(result)
+        for index in (slice(5, 3 * CHUNK_POINTS + 7), slice(None, None, -2), slice(-3, 1, -1000)):
+            sizes.clear()
+            assert result[index] == rows[index]
+            assert sizes and max(sizes) <= CHUNK_POINTS
+        assert result[3 * CHUNK_POINTS + 10:] == []
 
     def test_bad_worker_count(self):
         for workers in (0, "2", 1.5):
